@@ -13,6 +13,7 @@ from .errors import (
     InvalidScheduleError,
     LinearDependenceError,
     PoleError,
+    RangeError,
     UnsupportedOrderError,
 )
 from .gram import CONDITION_LIMIT, GramSystem, build
@@ -52,6 +53,7 @@ __all__ = [
     "PaleyWiener",
     "PoleError",
     "PolynomialHB",
+    "RangeError",
     "SigmaStructureFunction",
     "StructureFunction",
     "UnsupportedOrderError",

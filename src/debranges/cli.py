@@ -11,12 +11,15 @@ Commands:
   pw-example  run the sinc-kernel determinant identities
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 configuration error, 3 numerical breakdown (dependent evaluators).
+2 configuration error, 3 numerical breakdown (dependent evaluators),
+4 range error (a value overflows the double range, or a kernel or
+structure value is not finite; nothing is written).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -25,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DeBrangesError, DomainError, LinearDependenceError
+from .errors import ConfigError, DeBrangesError, DomainError, LinearDependenceError, RangeError
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import derive
@@ -248,6 +251,17 @@ def _report_lines(reports: list[CheckReport], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_values(fn, points: list[complex]) -> list[complex]:
+    """fn(w) for every point; a value outside the double range raises RangeError."""
+    values = []
+    for w in points:
+        val = fn(w)
+        if not cmath.isfinite(val):
+            raise RangeError(f"value at w = {w} is not finite ({val})")
+        values.append(val)
+    return values
+
+
 def _write(path: str, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -257,7 +271,18 @@ def _write(path: str, text: str) -> None:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one parsed configuration; returns the process exit code."""
+    """Execute one parsed configuration; returns the process exit code.
+
+    A value that overflows the double range, in any command, raises
+    RangeError before anything is written.
+    """
+    try:
+        return _run(config)
+    except OverflowError as exc:
+        raise RangeError(f"a {config.command} value overflows: {exc}") from None
+
+
+def _run(config: RunConfig) -> int:
     points = config.eval_points if config.eval_points is not None else (
         _grid_points(config.grid) if config.grid is not None else None
     )
@@ -265,10 +290,8 @@ def run(config: RunConfig) -> int:
     if config.command == "kernel":
         gs = build(config.space, config.sigma)
         z = config.kernel_z
-        rows = []
-        for w in points:
-            val = gs.sigma_kernel(z, w)
-            rows.append([z.real, z.imag, w.real, w.imag, val.real, val.imag])
+        values = _finite_values(gs.kernel_row(z), points)
+        rows = [[z.real, z.imag, w.real, w.imag, v.real, v.imag] for w, v in zip(points, values)]
         _write(
             config.out_path,
             _value_lines(["re_z", "im_z", "re_w", "im_w", "re_val", "im_val"], rows, config.out_format),
@@ -276,12 +299,9 @@ def run(config: RunConfig) -> int:
         return 0
 
     if config.command == "structure":
-        gs = build(config.space, config.sigma)
-        ssf = derive(gs)
-        rows = []
-        for w in points:
-            val = ssf.eval("E", w)
-            rows.append([w.real, w.imag, val.real, val.imag])
+        ssf = derive(build(config.space, config.sigma))
+        values = _finite_values(lambda w: ssf.eval("E", w), points)
+        rows = [[w.real, w.imag, v.real, v.imag] for w, v in zip(points, values)]
         _write(
             config.out_path,
             _value_lines(["re_w", "im_w", "re_val", "im_val"], rows, config.out_format),
@@ -353,6 +373,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 3
+    except RangeError as exc:
+        print(f"range error: {exc}", file=sys.stderr)
+        return 4
     except DeBrangesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

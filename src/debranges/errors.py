@@ -25,6 +25,10 @@ class DomainError(DeBrangesError):
     """An argument lies outside the operation's domain."""
 
 
+class RangeError(DeBrangesError):
+    """A value left the range of double precision (overflow or non-finite)."""
+
+
 class InvalidScheduleError(DeBrangesError):
     """A split-zero schedule produced colliding split points."""
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DomainError, LinearDependenceError
+from .errors import DomainError, LinearDependenceError, RangeError
 from .kernels import StructureFunction
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
@@ -36,7 +35,7 @@ class GramSystem:
     space: StructureFunction
     zeros: ZeroSequence
     matrix: np.ndarray
-    factorization: Optional[tuple]
+    factorization: Optional[np.ndarray]  # lower Cholesky factor L, matrix = L L^H
     det: float
     condition_estimate: float
 
@@ -45,10 +44,29 @@ class GramSystem:
         return len(self.zeros)
 
     def solve(self, rhs) -> np.ndarray:
+        """G x = rhs for one right-hand side vector.
+
+        Forward substitution on L, then back substitution on L^H, in plain
+        complex arithmetic: at these sizes that beats any array call.
+        """
         rhs = np.asarray(rhs, dtype=complex)
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return np.zeros(0, dtype=complex)
-        return cho_solve(self.factorization, rhs)
+        low = self.factorization.tolist()
+        y = []
+        for i, acc in enumerate(rhs.tolist()):
+            row = low[i]
+            for j in range(i):
+                acc -= row[j] * y[j]
+            y.append(acc / row[i])
+        x = [0j] * n
+        for i in range(n - 1, -1, -1):
+            acc = y[i]
+            for j in range(i + 1, n):
+                acc -= low[j][i].conjugate() * x[j]
+            x[i] = acc / low[i][i].conjugate()
+        return np.array(x, dtype=complex)
 
     def _constraint_rhs(self, z: complex, b: int = 0) -> np.ndarray:
         pts, ks = self.zeros.points, self.zeros.confluence
@@ -61,64 +79,33 @@ class GramSystem:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
         return self.solve(self._constraint_rhs(complex(z)))
 
-    def incomplete_kernel(self, z: complex, w: complex) -> complex:
+    def incomplete_kernel(self, z: complex, w: complex, beta=None) -> complex:
         """Projection residual Z_z(w) - sum_j beta_j(z) Z_j(w).
 
         Vanishes on the zero sequence in w (to the run multiplicity) and,
-        by symmetry, anti-analytically in z.
+        by symmetry, anti-analytically in z. A caller that already holds
+        solve_beta(z) passes it as `beta` to skip the solve.
         """
         z, w = complex(z), complex(w)
-        beta = self.solve_beta(z)
+        if beta is None:
+            beta = self.solve_beta(z)
         pts, ks = self.zeros.points, self.zeros.confluence
         val = self.space.kernel(z, w)
         for t in range(self.n):
             val -= beta[t] * self.space.kernel_mixed_partial(0, ks[t], pts[t], w)
         return complex(val)
 
+    def kernel_row(self, z: complex) -> KernelRow:
+        """The derived-space evaluator K_z as a function of w, for fixed z."""
+        return KernelRow(self, z)
+
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
 
-        When z or w sits inside the de-singularization disk of a run of m
-        equal zeros, the vanishing order of the projection residual is
-        divided out through its Taylor coefficients (mixed partials of the
-        residual), so the removable singularities of the gamma factors are
-        crossed with analytic derivatives rather than extrapolation.
+        One-point form of :meth:`kernel_row`; a caller evaluating many w
+        for one z should keep the row instead.
         """
-        z, w = complex(z), complex(w)
-        zs = self.zeros
-        space = self.space
-        pts, ks = zs.points, zs.confluence
-
-        wg = zs.local_group(w)
-        if wg is None:
-            w0, mw, jmax, w_excl = w, 0, 0, None
-        else:
-            w0, mw = wg
-            jmax = 0 if w == w0 else DESINGULARIZATION_TERMS
-            w_excl = w0
-        zg = zs.local_group(z)
-        if zg is None:
-            z0, mz, qmax, z_excl = z, 0, 0, None
-        else:
-            z0, mz = zg
-            qmax = 0 if z == z0 else DESINGULARIZATION_TERMS
-            z_excl = z0
-
-        dz = (z - z0).conjugate()
-        dw = w - w0
-        total = 0j
-        for q in range(qmax + 1):
-            b = mz + q
-            beta = self.solve(self._constraint_rhs(z0, b))
-            zfac = dz**q / math.factorial(b)
-            for j in range(jmax + 1):
-                a = mw + j
-                val = space.kernel_mixed_partial(a, b, z0, w0)
-                for t in range(self.n):
-                    val -= beta[t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
-                total += val * zfac * dw**j / math.factorial(a)
-        denom = zs.product(w, exclude_value=w_excl) * zs.product(z, exclude_value=z_excl).conjugate()
-        return total / denom
+        return self.kernel_row(z)(w)
 
     def sigma_kernel_det(self, z: complex, w: complex) -> complex:
         """Bordered-determinant form of K_z(w); cross-validation route.
@@ -147,12 +134,82 @@ class GramSystem:
         return det / (self.det * denom)
 
 
+class KernelRow:
+    """K_z(w) for one fixed z, evaluated at any number of points w.
+
+    The projection coefficients beta depend on z alone, so they are solved
+    once here. When z or w sits inside the de-singularization disk of a run
+    of m equal zeros, the vanishing order of the projection residual is
+    divided out through its Taylor coefficients (mixed partials of the
+    residual), so the removable singularities of the gamma factors are
+    crossed with analytic derivatives rather than extrapolation. The
+    coefficients of one w-run depend only on (z, run); each run's table is
+    filled the first time a w falls in its disk and extended by derivative
+    order as points need it.
+    """
+
+    def __init__(self, gs: GramSystem, z: complex):
+        z = complex(z)
+        zs = gs.zeros
+        self.gs = gs
+        zg = zs.local_group(z)
+        if zg is None:
+            z0, mz, qmax, z_excl = z, 0, 0, None
+        else:
+            z0, mz = zg
+            qmax = 0 if z == z0 else DESINGULARIZATION_TERMS
+            z_excl = z0
+        self.z0, self.mz = z0, mz
+        dz = (z - z0).conjugate()
+        self.betas = [gs.solve(gs._constraint_rhs(z0, mz + q)) for q in range(qmax + 1)]
+        self.zfacs = [dz**q / math.factorial(mz + q) for q in range(qmax + 1)]
+        self.zprod_conj = zs.product(z, exclude_value=z_excl).conjugate()
+        self._runs: dict[complex, tuple[list, ...]] = {}
+
+    def _column(self, a: int, w0: complex) -> list:
+        """(d^a residual at w0) * zfac for every z-order q."""
+        space, zs = self.gs.space, self.gs.zeros
+        pts, ks = zs.points, zs.confluence
+        basis = [space.kernel_mixed_partial(a, ks[t], pts[t], w0) for t in range(len(pts))]
+        col = []
+        for q, beta in enumerate(self.betas):
+            val = space.kernel_mixed_partial(a, self.mz + q, self.z0, w0)
+            for t in range(len(basis)):
+                val -= beta[t] * basis[t]
+            col.append(val * self.zfacs[q])
+        return col
+
+    def __call__(self, w: complex) -> complex:
+        w = complex(w)
+        zs = self.gs.zeros
+        wg = zs.local_group(w)
+        if wg is None:
+            w0, mw, jmax, w_excl = w, 0, 0, None
+            cols = [self._column(0, w)]
+        else:
+            w0, mw = wg
+            jmax = 0 if w == w0 else DESINGULARIZATION_TERMS
+            w_excl = w0
+            cols = self._runs.get(w0, ())
+            if len(cols) <= jmax:
+                # extend a copy and store it whole: a concurrent caller never sees a partial table
+                cols += tuple(self._column(mw + j, w0) for j in range(len(cols), jmax + 1))
+                self._runs[w0] = cols
+        dw = w - w0
+        total = 0j
+        for q in range(len(self.betas)):
+            for j in range(jmax + 1):
+                total += cols[j][q] * dw**j / math.factorial(mw + j)
+        return total / (zs.product(w, exclude_value=w_excl) * self.zprod_conj)
+
+
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
     """Assemble, symmetrize and factor the Gram matrix of the evaluators.
 
     Raises LinearDependenceError when the matrix has a non-positive pivot
     or a condition estimate above CONDITION_LIMIT, both of which signal
-    numerically dependent evaluators.
+    numerically dependent evaluators, and RangeError when an entry is not
+    finite.
     """
     n = len(zeros)
     pts, ks = zeros.points, zeros.confluence
@@ -166,9 +223,11 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
 
     if n == 0:
         return GramSystem(space, zeros, g, None, 1.0, 1.0)
+    if not np.isfinite(g).all():
+        raise RangeError("Gram matrix has non-finite entries; the zeros lie outside the double range")
 
     try:
-        factor = cho_factor(g, lower=True)
+        low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         cond = float(np.linalg.cond(g))
         raise LinearDependenceError(
@@ -191,5 +250,5 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
             "the evaluators are numerically linearly dependent",
             cond,
         )
-    det = float(np.prod(np.diag(factor[0]).real) ** 2)
-    return GramSystem(space, zeros, g, factor, det, cond)
+    det = float(np.prod(np.diag(low).real) ** 2)
+    return GramSystem(space, zeros, g, low, det, cond)

@@ -18,7 +18,7 @@ d likewise for the reflected companion F = Estar). Three routes exist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +67,9 @@ class SigmaStructureFunction:
     zeros: ZeroSequence
     coeffs_E: tuple[complex, ...]
     coeffs_F: tuple[complex, ...]
+    # (which, run value) -> Taylor coefficients of the incomplete form at the
+    # run, filled by eval on first use
+    _taylor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _coeffs(self, which: str) -> tuple[complex, ...]:
         if which not in _WHICH:
@@ -91,7 +94,8 @@ class SigmaStructureFunction:
 
         Inside the de-singularization disk of a run of m equal zeros the
         vanishing order m of the incomplete form is divided out against
-        (w - z)^m using its analytic derivatives.
+        (w - z)^m using its analytic derivatives, whose Taylor coefficients
+        are computed once per run.
         """
         self._coeffs(which)  # validates `which`
         w = complex(w)
@@ -104,10 +108,17 @@ class SigmaStructureFunction:
         deflated = self.zeros.product(w, exclude_value=v)
         delta = w - v
         jmax = 0 if delta == 0 else DESINGULARIZATION_TERMS
+        coeffs = self._taylor.get((which, v), ())
+        if len(coeffs) <= jmax:
+            # extend a copy and store it whole, so a concurrent reader never
+            # sees a half-filled or doubly-filled table
+            orders = range(m + len(coeffs), m + jmax + 1)
+            coeffs += tuple(self.incomplete(which, v, order=o) / math.factorial(o) for o in orders)
+            self._taylor[(which, v)] = coeffs
         total = 0j
         dpow = 1.0 + 0j
         for j in range(jmax + 1):
-            total += self.incomplete(which, v, order=m + j) / math.factorial(m + j) * dpow
+            total += coeffs[j] * dpow
             dpow *= delta
         return total / deflated
 
@@ -147,12 +158,12 @@ def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStru
             zj = space.kernel(pts[j], znew)
             p_e -= c[j] * zj
             p_f -= d[j] * zj
-        diag = gs.incomplete_kernel(znew, znew)
+        beta = gs.solve_beta(znew)
+        diag = gs.incomplete_kernel(znew, znew, beta)
         if abs(diag) < _DIAGONAL_FLOOR * abs(space.kernel(znew, znew)):
             raise LinearDependenceError(
                 f"evaluator at {znew} is numerically in the span of the previous ones"
             )
-        beta = gs.solve_beta(znew)
         mu_e = p_e / diag
         mu_f = p_f / diag
         c = [cj - mu_e * bj for cj, bj in zip(c, beta)] + [mu_e]

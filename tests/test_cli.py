@@ -1,9 +1,14 @@
 """CLI: config validation, commands, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import debranges
 from debranges.cli import load_config, main
 from debranges.errors import ConfigError
 
@@ -116,6 +121,36 @@ class TestExitCodes:
         path = write_config(tmp_path, tolerances={"theorem2": 0.0})
         assert main(["--config", str(path)]) == 1
         assert "FAIL" in (tmp_path / "out.txt").read_text()
+
+    def test_overflow_exit_four(self, tmp_path):
+        # sin(conj(z) - w) overflows at Im w = 800
+        out = tmp_path / "kernel.csv"
+        path = write_config(
+            tmp_path, command="kernel", z=[0.5, 0.5], eval_points=[[0.0, 800.0]],
+            output={"path": str(out)},
+        )
+        assert main(["--config", str(path)]) == 4
+        assert not out.exists()
+
+    def test_overflow_in_verify_exit_four(self, tmp_path):
+        # the Gram entry of a zero at Im = 800 overflows sin
+        path = write_config(tmp_path, sigma=[[0.0, 800.0]])
+        assert main(["--config", str(path)]) == 4
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command", ["kernel", "structure"])
+    def test_non_finite_value_exit_four(self, tmp_path, capsys, command):
+        # the cubic E overflows to inf at |w| = 1e103 and the kernel to nan
+        out = tmp_path / "values.csv"
+        path = write_config(
+            tmp_path, command=command, z=[0.5, 0.5],
+            space={"family": "polynomial-hb", "roots": [[0.0, -1.0], [1.0, -1.0], [-1.0, -2.0]]},
+            eval_points=[[0.5, 0.5], [1e103, 1.0]],
+            output={"path": str(out)},
+        )
+        assert main(["--config", str(path)]) == 4
+        assert not out.exists()
+        assert "range error" in capsys.readouterr().err
 
     def test_list_checks(self, capsys):
         assert main(["--list-checks"]) == 0
@@ -246,3 +281,10 @@ class TestDeterminism:
         assert main(["--config", str(path), "--output", str(out1)]) == 0
         assert main(["--config", str(path), "--output", str(out2), "--seed", "12"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+
+def test_cli_import_leaves_out_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+    code = "import sys, debranges.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

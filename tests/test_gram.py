@@ -9,6 +9,7 @@ from debranges import (
     DomainError,
     LinearDependenceError,
     PolynomialHB,
+    RangeError,
     build,
     canonicalize,
 )
@@ -34,6 +35,10 @@ class TestBuild:
         assert gs.n == 0
         assert gs.det == 1.0
         assert gs.condition_estimate == 1.0
+
+    def test_non_finite_entries_raise_range_error(self):
+        with pytest.raises(RangeError):
+            build(PolynomialHB((-1j, 1 - 1j)), canonicalize([1e200 + 1j]))
 
     def test_confluent_entries_match_antiderivative_oracle(self, pw1):
         # moments of t^p e^{2t} over [-1, 1] via explicit antiderivatives

@@ -1,0 +1,152 @@
+"""Reuse of per-z solves and per-run Taylor tables, checked bit for bit.
+
+`GramSystem.kernel_row` solves beta once per z and fills each zero run's
+table of residual partials once; `SigmaStructureFunction.eval` keeps each
+run's Taylor coefficients. The references below are the per-point loops
+those caches replaced: they re-solve and re-differentiate for every point,
+in the same arithmetic order, so every value must match exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from debranges import GramSystem, PaleyWiener, PolynomialHB, build, canonicalize, derive, derive_iterative
+from debranges.sigma import DESINGULARIZATION_TERMS
+
+ZEROS = (1j, 1j, 1 + 1j)  # a double zero at 1j and a single zero at 1+1j
+POINTS = (
+    0.3 + 0.7j,  # off every disk
+    -1.2 + 0.4j,  # off every disk
+    1j + (7e-4 + 3e-4j),  # inside the double zero's disk
+    1 + 1j + (-5e-4 + 6e-4j),  # inside the single zero's disk
+    1j,  # exactly on the double zero
+    1 + 1j,  # exactly on the single zero
+)
+SPACES = {
+    "pw": PaleyWiener(1.0),
+    "hb": PolynomialHB((-1j, 1 - 1j, -1 - 2j, 0.5 - 0.5j, -0.5 - 1.5j)),
+}
+
+
+def reference_sigma_kernel(gs, z, w):
+    """K_z(w) with a fresh beta solve and residual table for this one point."""
+    zs, space = gs.zeros, gs.space
+    pts, ks = zs.points, zs.confluence
+    wg = zs.local_group(w)
+    if wg is None:
+        w0, mw, jmax, w_excl = w, 0, 0, None
+    else:
+        w0, mw = wg
+        jmax = 0 if w == w0 else DESINGULARIZATION_TERMS
+        w_excl = w0
+    zg = zs.local_group(z)
+    if zg is None:
+        z0, mz, qmax, z_excl = z, 0, 0, None
+    else:
+        z0, mz = zg
+        qmax = 0 if z == z0 else DESINGULARIZATION_TERMS
+        z_excl = z0
+    dz = (z - z0).conjugate()
+    dw = w - w0
+    total = 0j
+    for q in range(qmax + 1):
+        b = mz + q
+        beta = gs.solve(gs._constraint_rhs(z0, b))
+        zfac = dz**q / math.factorial(b)
+        for j in range(jmax + 1):
+            a = mw + j
+            val = space.kernel_mixed_partial(a, b, z0, w0)
+            for t in range(gs.n):
+                val -= beta[t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
+            total += val * zfac * dw**j / math.factorial(a)
+    denom = zs.product(w, exclude_value=w_excl) * zs.product(z, exclude_value=z_excl).conjugate()
+    return total / denom
+
+
+def reference_structure_eval(ssf, which, w):
+    """Complete form at w with the incomplete-form derivatives taken afresh."""
+    group = ssf.zeros.local_group(w)
+    if group is None:
+        return ssf.incomplete(which, w) / ssf.zeros.product(w)
+    v, m = group
+    delta = w - v
+    jmax = 0 if delta == 0 else DESINGULARIZATION_TERMS
+    total = 0j
+    dpow = 1.0 + 0j
+    for j in range(jmax + 1):
+        total += ssf.incomplete(which, v, order=m + j) / math.factorial(m + j) * dpow
+        dpow *= delta
+    return total / ssf.zeros.product(w, exclude_value=v)
+
+
+def shuffled(points, seed):
+    rng = np.random.default_rng(seed)
+    doubled = list(points) * 2
+    return [doubled[i] for i in rng.permutation(len(doubled))]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    calls = []
+    original = GramSystem.solve
+
+    def counted(self, rhs):
+        calls.append(1)
+        return original(self, rhs)
+
+    monkeypatch.setattr(GramSystem, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(SPACES))
+@pytest.mark.parametrize("z", POINTS)
+def test_reused_row_matches_fresh_evaluation(family, z):
+    gs = build(SPACES[family], canonicalize(ZEROS))
+    row = gs.kernel_row(z)
+    for w in shuffled(POINTS, seed=7):
+        got = row(w)
+        assert got == gs.sigma_kernel(z, w)
+        assert got == reference_sigma_kernel(gs, z, w)
+        assert np.isfinite(got)
+
+
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_reused_structure_function_matches_fresh_one(family):
+    gs = build(SPACES[family], canonicalize(ZEROS))
+    ssf = derive(gs)
+    rng = np.random.default_rng(3)
+    inside = [v + 1e-3 * complex(*rng.uniform(-0.5, 0.5, 2)) for v in (1j, 1 + 1j) for _ in range(4)]
+    for w in shuffled(inside + [1j, 1 + 1j], seed=5):
+        for which in ("E", "F"):
+            got = ssf.eval(which, w)
+            assert got == derive(gs).eval(which, w)
+            assert got == reference_structure_eval(ssf, which, w)
+
+
+def test_row_solves_once_off_the_disks(pw1, solve_calls):
+    gs = build(pw1, canonicalize(ZEROS))
+    rng = np.random.default_rng(11)
+    ws = [complex(rng.uniform(-2, 2), rng.uniform(1.2, 2)) for _ in range(200)]
+    assert all(gs.zeros.local_group(w) is None for w in ws)
+    row = gs.kernel_row(0.3 + 0.7j)
+    for w in ws:
+        row(w)
+    assert len(solve_calls) == 1
+
+
+def test_row_solves_each_taylor_order_once_inside_a_disk(pw1, solve_calls):
+    gs = build(pw1, canonicalize(ZEROS))
+    rng = np.random.default_rng(13)
+    ws = [complex(rng.uniform(-2, 2), rng.uniform(1.2, 2)) for _ in range(200)]
+    row = gs.kernel_row(1j + (7e-4 + 3e-4j))
+    for w in ws:
+        row(w)
+    assert len(solve_calls) == DESINGULARIZATION_TERMS + 1
+
+
+def test_derive_iterative_solves_once_per_zero(pw1, solve_calls):
+    pts = (1j, 2j, 1 + 1j, -0.5 + 1.5j)
+    derive_iterative(pw1, canonicalize(pts))
+    assert len(solve_calls) == len(pts)
