@@ -28,6 +28,17 @@ from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 CONDITION_LIMIT = 1e12
 
 
+def bordered_det(a: np.ndarray, col, row, corner: complex) -> complex:
+    """det [[a, col], [row, corner]] for a square a, bordered by one column and one row."""
+    n = a.shape[0]
+    m = np.empty((n + 1, n + 1), dtype=complex)
+    m[:n, :n] = a
+    m[:n, n] = col
+    m[n, :n] = row
+    m[n, n] = corner
+    return complex(np.linalg.det(m))
+
+
 @dataclass(frozen=True, eq=False)
 class GramSystem:
     """Hermitian positive-definite Gram matrix plus solve machinery."""
@@ -121,15 +132,10 @@ class GramSystem:
                 "determinant route is undefined on the zero sequence; "
                 "sigma_kernel evaluates those limits"
             )
-        n = self.n
-        m = np.empty((n + 1, n + 1), dtype=complex)
-        m[:n, :n] = self.matrix
-        for i in range(n):
-            m[i, n] = self.space.kernel_mixed_partial(ks[i], 0, z, pts[i])
-        for j in range(n):
-            m[n, j] = self.space.kernel_mixed_partial(0, ks[j], pts[j], w)
-        m[n, n] = self.space.kernel(z, w)
-        det = complex(np.linalg.det(m))
+        space, n = self.space, self.n
+        col = [space.kernel_mixed_partial(ks[i], 0, z, pts[i]) for i in range(n)]
+        row = [space.kernel_mixed_partial(0, ks[j], pts[j], w) for j in range(n)]
+        det = bordered_det(self.matrix, col, row, space.kernel(z, w))
         denom = zs.product(w) * zs.product(z).conjugate()
         return det / (self.det * denom)
 
@@ -138,14 +144,14 @@ class KernelRow:
     """K_z(w) for one fixed z, evaluated at any number of points w.
 
     The projection coefficients beta depend on z alone, so they are solved
-    once here. When z or w sits inside the de-singularization disk of a run
-    of m equal zeros, the vanishing order of the projection residual is
-    divided out through its Taylor coefficients (mixed partials of the
+    once here. When z sits inside the de-singularization disk of a run of m
+    equal zeros, the vanishing order of the projection residual in conj(z)
+    is divided out through its Taylor coefficients (mixed partials of the
     residual), so the removable singularities of the gamma factors are
-    crossed with analytic derivatives rather than extrapolation. The
-    coefficients of one w-run depend only on (z, run); each run's table is
-    filled the first time a w falls in its disk and extended by derivative
-    order as points need it.
+    crossed with analytic derivatives rather than extrapolation. The w side
+    goes through :meth:`ZeroSequence.divide_out`, whose Taylor coefficients
+    depend only on (z, run): each run's table is filled the first time a w
+    falls in its disk and extended by derivative order as points need it.
     """
 
     def __init__(self, gs: GramSystem, z: complex):
@@ -164,43 +170,23 @@ class KernelRow:
         self.betas = [gs.solve(gs._constraint_rhs(z0, mz + q)) for q in range(qmax + 1)]
         self.zfacs = [dz**q / math.factorial(mz + q) for q in range(qmax + 1)]
         self.zprod_conj = zs.product(z, exclude_value=z_excl).conjugate()
-        self._runs: dict[complex, tuple[list, ...]] = {}
+        self._taylor: dict[complex, tuple[complex, ...]] = {}
 
-    def _column(self, a: int, w0: complex) -> list:
-        """(d^a residual at w0) * zfac for every z-order q."""
+    def _residual(self, w0: complex, a: int) -> complex:
+        """d^a/dw^a at w0 of the projection residual, summed over the z-orders."""
         space, zs = self.gs.space, self.gs.zeros
         pts, ks = zs.points, zs.confluence
         basis = [space.kernel_mixed_partial(a, ks[t], pts[t], w0) for t in range(len(pts))]
-        col = []
+        total = 0j
         for q, beta in enumerate(self.betas):
             val = space.kernel_mixed_partial(a, self.mz + q, self.z0, w0)
             for t in range(len(basis)):
                 val -= beta[t] * basis[t]
-            col.append(val * self.zfacs[q])
-        return col
+            total += val * self.zfacs[q]
+        return total
 
     def __call__(self, w: complex) -> complex:
-        w = complex(w)
-        zs = self.gs.zeros
-        wg = zs.local_group(w)
-        if wg is None:
-            w0, mw, jmax, w_excl = w, 0, 0, None
-            cols = [self._column(0, w)]
-        else:
-            w0, mw = wg
-            jmax = 0 if w == w0 else DESINGULARIZATION_TERMS
-            w_excl = w0
-            cols = self._runs.get(w0, ())
-            if len(cols) <= jmax:
-                # extend a copy and store it whole: a concurrent caller never sees a partial table
-                cols += tuple(self._column(mw + j, w0) for j in range(len(cols), jmax + 1))
-                self._runs[w0] = cols
-        dw = w - w0
-        total = 0j
-        for q in range(len(self.betas)):
-            for j in range(jmax + 1):
-                total += cols[j][q] * dw**j / math.factorial(mw + j)
-        return total / (zs.product(w, exclude_value=w_excl) * self.zprod_conj)
+        return self.gs.zeros.divide_out(self._residual, complex(w), self._taylor) / self.zprod_conj
 
 
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:

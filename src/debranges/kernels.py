@@ -18,8 +18,14 @@ Two families are implemented:
   [-x, x], evaluated in closed form with series protection.
 * ``PolynomialHB(roots)``: E(w) = prod(w - r) with every root in the open
   lower half-plane. The space is finite dimensional (polynomials of
-  degree < deg E) and all evaluations are exact polynomial arithmetic,
-  which makes it a good cross-check of the generic kernel route.
+  degree < deg E, d = deg E) and the kernel is exactly the polynomial
+  v(w)^T B v(conj(z)) / 1j, with v(w) = (1, w, ..., w^(d-1)) and B the
+  d x d Bezoutian of (E, Estar) (the Christoffel-Darboux form). Every
+  mixed partial differentiates its monomials, so no diagonal switch is
+  needed.
+
+Series protection across the removable singularity therefore applies to
+PaleyWiener alone.
 """
 
 from __future__ import annotations
@@ -34,21 +40,10 @@ from .errors import DomainError, UnsupportedOrderError
 
 DEFAULT_DERIVATIVE_BUDGET = 64
 
-# Below |u| * scale = SINC_PROTECTION_RADIUS the kernel denominator is
-# crossed with truncated Taylor series (degree SINC_SERIES_DEGREE for the
-# plain sinc) instead of direct division.
+# Below |u| * x = SINC_PROTECTION_RADIUS the PaleyWiener kernel
+# denominator is crossed with the sinc Taylor series truncated at degree 8
+# instead of direct division.
 SINC_PROTECTION_RADIUS = 1e-3
-SINC_SERIES_DEGREE = 8
-
-# The far route differentiates 1/(conj(z) - w), so an order-p partial
-# amplifies rounding by p!/|delta|^(p+1); derivatives switch to the series
-# form much earlier than the plain kernel does.
-PARTIAL_PROTECTION_RADIUS = 5e-2
-
-# Number of series terms used by the divided-difference expansion of the
-# generic kernel near the diagonal; the highest E-derivative consumed by a
-# mixed partial of orders (a, b) is then a + b + 1 + DIAGONAL_SERIES_TERMS.
-DIAGONAL_SERIES_TERMS = SINC_SERIES_DEGREE
 
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # 1j**n for n mod 4
 
@@ -63,7 +58,7 @@ def _inegpow(n: int) -> complex:
 
 
 class StructureFunction:
-    """Shared kernel algebra; families supply raw E / Estar derivatives."""
+    """Shared public operations; families supply E / Estar derivatives and the kernel."""
 
     max_derivative_order: int
 
@@ -77,9 +72,8 @@ class StructureFunction:
     def _eval_E_star_raw(self, w: complex, order: int) -> complex:
         raise NotImplementedError
 
-    @property
-    def scale(self) -> float:
-        """Frequency scale used to normalize distances to the diagonal."""
+    def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
+        """d^a/dw^a d^b/d(conj z)^b of the kernel; orders already validated."""
         raise NotImplementedError
 
     @property
@@ -118,9 +112,7 @@ class StructureFunction:
         """d^a/dw^a d^b/d(conj z)^b of the kernel.
 
         a differentiates the analytic evaluation point, b the conjugated
-        parameter. The generic route draws on E-derivatives up to order
-        max(a, b) away from the diagonal, so a + b is capped by the
-        family's derivative budget.
+        parameter. a + b is capped by the family's derivative budget.
         """
         if a < 0 or b < 0:
             raise ValueError("partial orders must be nonnegative")
@@ -140,66 +132,6 @@ class StructureFunction:
         f = self._eval_E_star_raw(z, 0)
         return (e.real * e.real + e.imag * e.imag) - (f.real * f.real + f.imag * f.imag)
 
-    # ------------------------------------------------------------------
-    # generic kernel route
-    # ------------------------------------------------------------------
-
-    def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
-        s = z.conjugate()
-        radius = SINC_PROTECTION_RADIUS if a + b == 0 else PARTIAL_PROTECTION_RADIUS
-        if abs(s - w) * self.scale < radius:
-            return self._mixed_near(a, b, s, w)
-        return self._mixed_far(a, b, s, w)
-
-    def _mixed_far(self, a: int, b: int, s: complex, w: complex) -> complex:
-        # double Leibniz on N(s, w) / (1j*(s - w)) with
-        # N(s, w) = Estar(s)E(w) - E(s)Estar(w)
-        delta = s - w
-        ew = [self._eval_E_raw(w, j) for j in range(a + 1)]
-        fw = [self._eval_E_star_raw(w, j) for j in range(a + 1)]
-        es = [self._eval_E_raw(s, k) for k in range(b + 1)]
-        fs = [self._eval_E_star_raw(s, k) for k in range(b + 1)]
-        total = 0j
-        for j in range(a + 1):
-            ca = math.comb(a, j)
-            for k in range(b + 1):
-                njk = fs[k] * ew[j] - es[k] * fw[j]
-                order = (a - j) + (b - k)
-                gfac = ((-1) ** (b - k)) * math.factorial(order) / delta ** (order + 1)
-                total += ca * math.comb(b, k) * njk * gfac
-        return total / 1j
-
-    def _mixed_near(self, a: int, b: int, s: complex, w: complex) -> complex:
-        # N(s,w)/(s-w) = E(w)*D[Estar](s,w) - Estar(w)*D[E](s,w) with the
-        # entire divided difference D[f](s,w) = (f(s)-f(w))/(s-w), whose
-        # mixed partials have a fast Taylor expansion in (s - w).
-        delta = s - w
-        total = 0j
-        for j in range(a + 1):
-            cj = math.comb(a, j)
-            alpha = a - j
-            dd_f = self._dd_partial(True, alpha, b, w, delta)
-            dd_e = self._dd_partial(False, alpha, b, w, delta)
-            total += cj * (self._eval_E_raw(w, j) * dd_f - self._eval_E_star_raw(w, j) * dd_e)
-        return total / 1j
-
-    def _dd_partial(self, star: bool, alpha: int, beta: int, w: complex, delta: complex) -> complex:
-        # d^alpha/dw^alpha d^beta/ds^beta of (f(s)-f(w))/(s-w) at s = w + delta:
-        # sum_m f^(alpha+beta+1+m)(w) * delta^m/m! * (beta+m)! alpha! / (alpha+beta+m+1)!
-        raw = self._eval_E_star_raw if star else self._eval_E_raw
-        total = 0j
-        dpow = 1.0 + 0j
-        for m in range(DIAGONAL_SERIES_TERMS + 1):
-            order = alpha + beta + 1 + m
-            weight = (
-                math.factorial(beta + m)
-                * math.factorial(alpha)
-                / (math.factorial(m) * math.factorial(alpha + beta + m + 1))
-            )
-            total += raw(w, order) * dpow * weight
-            dpow *= delta
-        return total
-
 
 @dataclass(frozen=True)
 class PaleyWiener(StructureFunction):
@@ -218,10 +150,6 @@ class PaleyWiener(StructureFunction):
         if not (math.isfinite(x) and x > 0):
             raise ValueError("exponential type x must be a positive finite real")
         object.__setattr__(self, "x", x)
-
-    @property
-    def scale(self) -> float:
-        return self.x
 
     def _eval_E_raw(self, w: complex, order: int) -> complex:
         return _inegpow(order) * self.x**order * cmath.exp(-1j * self.x * w)
@@ -303,10 +231,6 @@ class PolynomialHB(StructureFunction):
         object.__setattr__(self, "roots", rts)
 
     @property
-    def scale(self) -> float:
-        return 1.0
-
-    @property
     def dimension(self) -> Optional[int]:
         return len(self.roots)
 
@@ -349,3 +273,43 @@ class PolynomialHB(StructureFunction):
 
     def _eval_E_star_raw(self, w: complex, order: int) -> complex:
         return self._horner(self._dcoeffs(order, True), w)
+
+    @cached_property
+    def _bezoutian(self) -> tuple[tuple[float, ...], ...]:
+        # Estar(s)E(w) - E(s)Estar(w) = sum_jk c[j][k] s^j w^k with
+        # c[j][k] = conj(e_j) e_k - e_j conj(e_k) = 2j Im(conj(e_j) e_k);
+        # dividing by (s - w) leaves the Bezoutian B, B[j][k] =
+        # c[j+1][k] + B[j+1][k-1]. Stored as B / 1j, real and symmetric, so
+        # Z_z(w) = sum_jk B[j][k] conj(z)^j w^k.
+        e = self._coeffs
+        d = len(e) - 1
+        c = [[2.0 * (e[j].conjugate() * e[k]).imag for k in range(d)] for j in range(d + 1)]
+        bez = [[0.0] * d for _ in range(d + 1)]
+        for j in range(d - 1, -1, -1):
+            for k in range(d):
+                bez[j][k] = c[j + 1][k] + (bez[j + 1][k - 1] if k else 0.0)
+        return tuple(tuple(row) for row in bez[:d])
+
+    @cached_property
+    def _partial_tables(self) -> dict:
+        return {}
+
+    def _partial_table(self, a: int, b: int) -> tuple[tuple[float, ...], ...]:
+        """Coefficients of d^a/dw^a d^b/ds^b of sum_jk B[j][k] s^j w^k, rows by s-power."""
+        key = (a, b)
+        tables = self._partial_tables
+        if key not in tables:
+            bez = self._bezoutian
+            d = len(bez)
+            tables[key] = tuple(
+                tuple(math.perm(j, b) * math.perm(k, a) * bez[j][k] for k in range(a, d))
+                for j in range(b, d)
+            )
+        return tables[key]
+
+    def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
+        s = z.conjugate()
+        total = 0j
+        for row in reversed(self._partial_table(a, b)):
+            total = total * s + self._horner(row, w)
+        return total

@@ -107,6 +107,37 @@ class ZeroSequence:
             acc *= at - p
         return acc
 
+    def divide_out(
+        self, f: Callable[[complex, int], complex], w: complex, taylor: dict
+    ) -> complex:
+        """f(w) / prod (w - z_i) for an f vanishing on the sequence to each run's multiplicity.
+
+        `f` is called as f(point, order) for the order-th derivative. Inside
+        the de-singularization disk of a run v of m equal zeros the quotient
+        is the Taylor series of f at v from order m on, divided by the other
+        factors. `taylor` maps each run value to its Taylor coefficients;
+        they are computed on first use and reused by later points.
+        """
+        group = self.local_group(w)
+        if group is None:
+            return f(w, 0) / self.product(w)
+        v, m = group
+        delta = w - v
+        jmax = 0 if delta == 0 else DESINGULARIZATION_TERMS
+        coeffs = taylor.get(v, ())
+        if len(coeffs) <= jmax:
+            # extend a copy and store it whole, so a concurrent reader never
+            # sees a half-filled or doubly-filled table
+            orders = range(m + len(coeffs), m + jmax + 1)
+            coeffs += tuple(f(v, o) / math.factorial(o) for o in orders)
+            taylor[v] = coeffs
+        total = 0j
+        dpow = 1.0 + 0j
+        for j in range(jmax + 1):
+            total += coeffs[j] * dpow
+            dpow *= delta
+        return total / self.product(w, exclude_value=v)
+
     def gamma(self, z: complex) -> complex:
         """The rational factor prod 1/(z - z_i); a pole on the sequence raises."""
         z = complex(z)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import DomainError, InvalidScheduleError, LinearDependenceError
 from .gram import GramSystem, build
 from .kernels import StructureFunction
-from .sigma import DESINGULARIZATION_TERMS, ZeroSequence, canonicalize
+from .sigma import ZeroSequence, canonicalize
 
 _WHICH = ("E", "F")
 
@@ -67,7 +68,7 @@ class SigmaStructureFunction:
     zeros: ZeroSequence
     coeffs_E: tuple[complex, ...]
     coeffs_F: tuple[complex, ...]
-    # (which, run value) -> Taylor coefficients of the incomplete form at the
+    # which -> run value -> Taylor coefficients of the incomplete form at the
     # run, filled by eval on first use
     _taylor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -98,29 +99,8 @@ class SigmaStructureFunction:
         are computed once per run.
         """
         self._coeffs(which)  # validates `which`
-        w = complex(w)
-        if len(self.zeros) == 0:
-            return self.incomplete(which, w)
-        group = self.zeros.local_group(w)
-        if group is None:
-            return self.incomplete(which, w) / self.zeros.product(w)
-        v, m = group
-        deflated = self.zeros.product(w, exclude_value=v)
-        delta = w - v
-        jmax = 0 if delta == 0 else DESINGULARIZATION_TERMS
-        coeffs = self._taylor.get((which, v), ())
-        if len(coeffs) <= jmax:
-            # extend a copy and store it whole, so a concurrent reader never
-            # sees a half-filled or doubly-filled table
-            orders = range(m + len(coeffs), m + jmax + 1)
-            coeffs += tuple(self.incomplete(which, v, order=o) / math.factorial(o) for o in orders)
-            self._taylor[(which, v)] = coeffs
-        total = 0j
-        dpow = 1.0 + 0j
-        for j in range(jmax + 1):
-            total += coeffs[j] * dpow
-            dpow *= delta
-        return total / deflated
+        taylor = self._taylor.setdefault(which, {})
+        return self.zeros.divide_out(partial(self.incomplete, which), complex(w), taylor)
 
 
 def derive(gs: GramSystem) -> SigmaStructureFunction:

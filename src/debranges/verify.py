@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gram import build
+from .gram import bordered_det, build
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import derive
@@ -174,16 +174,6 @@ def check_n1_identities(
     ]
 
 
-def _bordered_det(a: np.ndarray, col: np.ndarray, row: np.ndarray, corner: complex) -> complex:
-    n = a.shape[0]
-    m = np.empty((n + 1, n + 1), dtype=complex)
-    m[:n, :n] = a
-    m[:n, n] = col
-    m[n, :n] = row
-    m[n, n] = corner
-    return complex(np.linalg.det(m))
-
-
 def check_pw_example(
     x: float,
     zeros: Sequence[complex],
@@ -221,11 +211,11 @@ def check_pw_example(
 
     def det_e(at: complex) -> complex:
         row = np.array([space.kernel(zj, at) for zj in pts], dtype=complex)
-        return _bordered_det(a, e_col, row, space.eval_E(at)) if n else space.eval_E(at)
+        return bordered_det(a, e_col, row, space.eval_E(at)) if n else space.eval_E(at)
 
     def det_f(at: complex) -> complex:
         row = np.array([space.kernel(zj, at) for zj in pts], dtype=complex)
-        return _bordered_det(a, f_col, row, space.eval_E_star(at)) if n else space.eval_E_star(at)
+        return bordered_det(a, f_col, row, space.eval_E_star(at)) if n else space.eval_E_star(at)
 
     worst_diag = 0.0
     worst_conj = 0.0
@@ -233,7 +223,7 @@ def check_pw_example(
     for z in samples:
         row = np.array([space.kernel(zj, z) for zj in pts], dtype=complex)
         col = np.array([space.kernel(z, zi) for zi in pts], dtype=complex)
-        gzz = _bordered_det(a, col, row, space.kernel(z, z)) if n else complex(space.kernel(z, z))
+        gzz = bordered_det(a, col, row, space.kernel(z, z)) if n else complex(space.kernel(z, z))
         ez = det_e(z)
         fz = det_f(z)
         lhs = gzz * gn
@@ -398,6 +388,32 @@ def base_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
     return _BASE_TOLERANCES[family]
 
 
+def _sequence_checks(
+    space: StructureFunction,
+    zeros: ZeroSequence,
+    seed: int,
+    tolerances: Optional[dict],
+    tag: str,
+) -> list[CheckReport]:
+    """theorem2, projection and, where it applies, hb-inheritance for one configuration."""
+    dim = space.dimension
+    reports = [
+        check_theorem2(space, zeros, 200, seed, base_tolerance("theorem2", tolerances), tag),
+        check_projection(
+            space, zeros, PROJECTION_POINT, 50, seed, base_tolerance("projection", tolerances), tag
+        ),
+    ]
+    # a full set of constraints in a finite-dimensional space leaves only
+    # the zero space, whose margin is identically zero; skip the strict check
+    if dim is None or len(zeros) < dim:
+        reports.append(
+            check_hb_inheritance(
+                space, zeros, 100, seed, base_tolerance("hb-inheritance", tolerances), tag
+            )
+        )
+    return reports
+
+
 def run_config_checks(
     space: StructureFunction,
     zeros: ZeroSequence,
@@ -406,65 +422,45 @@ def run_config_checks(
     tag: str = "",
 ) -> list[CheckReport]:
     """All checks that apply to one (space, zero sequence) configuration."""
-
-    def tol(check_id: str) -> float:
-        return base_tolerance(check_id, tolerances)
-
     n = len(zeros)
-    dim = space.dimension
-    reports = [
-        check_theorem2(space, zeros, 200, seed, tol("theorem2"), tag),
-        check_projection(space, zeros, PROJECTION_POINT, 50, seed, tol("projection"), tag),
-    ]
-    # a full set of constraints in a finite-dimensional space leaves only
-    # the zero space, whose margin is identically zero; skip the strict check
-    if dim is None or n < dim:
-        reports.append(check_hb_inheritance(space, zeros, 100, seed, tol("hb-inheritance"), tag))
+    reports = _sequence_checks(space, zeros, seed, tolerances, tag)
     if n == 1:
         reports.extend(
-            check_n1_identities(space, zeros.points[0], 50, seed, tol("n1-star"), tag)
+            check_n1_identities(
+                space, zeros.points[0], 50, seed, base_tolerance("n1-star", tolerances), tag
+            )
         )
     if isinstance(space, PaleyWiener) and n and all(k == 0 for k in zeros.confluence):
         forbidden = set(zeros.points) | {p.conjugate() for p in zeros.points}
         samples = [z for z in PW_EXAMPLE_SAMPLES if z not in forbidden]
         if samples:
             reports.extend(
-                check_pw_example(space.x, zeros.points, samples, tol("pw-det-diag"), tag)
+                check_pw_example(
+                    space.x, zeros.points, samples, base_tolerance("pw-det-diag", tolerances), tag
+                )
             )
     return reports
 
 
 def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
     """The whole desk-scale matrix of spaces and zero sequences."""
-
-    def tol(check_id: str) -> float:
-        return base_tolerance(check_id, tolerances)
-
+    n1_tol = base_tolerance("n1-star", tolerances)
+    pw_tol = base_tolerance("pw-det-diag", tolerances)
     reports: list[CheckReport] = []
     for space_tag, space in DEFAULT_SPACES:
         dim = space.dimension
         for sigma_tag, pts in DEFAULT_SIGMAS:
             if dim is not None and len(pts) > dim:
                 continue  # dependent evaluators, covered by degenerate-input tests
-            zeros = canonicalize(pts)
             tag = f"{space_tag}:{sigma_tag}"
-            reports.append(check_theorem2(space, zeros, 200, seed, tol("theorem2"), tag))
-            reports.append(
-                check_projection(space, zeros, PROJECTION_POINT, 50, seed, tol("projection"), tag)
-            )
-            if dim is None or len(pts) < dim:
-                reports.append(
-                    check_hb_inheritance(space, zeros, 100, seed, tol("hb-inheritance"), tag)
-                )
+            reports.extend(_sequence_checks(space, canonicalize(pts), seed, tolerances, tag))
         for z1 in N1_POINTS:
             tag = f"{space_tag}:z1={z1:g}"
-            reports.extend(check_n1_identities(space, z1, 50, seed, tol("n1-star"), tag))
+            reports.extend(check_n1_identities(space, z1, 50, seed, n1_tol, tag))
         if isinstance(space, PaleyWiener):
             for n in (1, 2, 3):
                 tag = f"{space_tag}:pw-n{n}"
                 reports.extend(
-                    check_pw_example(
-                        space.x, PW_EXAMPLE_ZEROS[:n], PW_EXAMPLE_SAMPLES, tol("pw-det-diag"), tag
-                    )
+                    check_pw_example(space.x, PW_EXAMPLE_ZEROS[:n], PW_EXAMPLE_SAMPLES, pw_tol, tag)
                 )
     return reports

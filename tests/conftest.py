@@ -2,16 +2,21 @@
 
 The oracles here deliberately avoid the library's evaluation paths:
 kernel values come from Gauss-Legendre quadrature of the defining
-integral, derivatives from central finite differences.
+integral, derivatives from central finite differences, and mixed partials
+also from the generic Leibniz / divided-difference route, which needs
+nothing of a family but its E and Estar derivatives.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from debranges import PaleyWiener, PolynomialHB
+from debranges.kernels import SINC_PROTECTION_RADIUS
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -62,6 +67,84 @@ def fd_mixed_partial(fn, a: int, b: int, z: complex, w: complex, h: float | None
         for dj, cj in _CENTRAL[a]:
             total += ci * cj * fn(z + di * h, w + dj * h)
     return total / h ** (a + b)
+
+
+# The far route differentiates 1/(conj(z) - w), so an order-p partial
+# amplifies rounding by p!/|delta|^(p+1); partials switch to the series
+# form much earlier than the plain kernel does.
+PARTIAL_PROTECTION_RADIUS = 5e-2
+
+# Series terms of the near-diagonal divided-difference expansion; a mixed
+# partial of orders (a, b) then consumes E-derivatives up to order
+# a + b + 1 + DIAGONAL_SERIES_TERMS.
+DIAGONAL_SERIES_TERMS = 8
+
+
+def generic_scale(sf) -> float:
+    """Frequency scale that normalizes distances to the diagonal."""
+    return sf.x if isinstance(sf, PaleyWiener) else 1.0
+
+
+def generic_mixed(sf, a: int, b: int, z: complex, w: complex) -> complex:
+    """d^a/dw^a d^b/d(conj z)^b of the kernel of `sf` by the generic route."""
+    s = complex(z).conjugate()
+    w = complex(w)
+    radius = SINC_PROTECTION_RADIUS if a + b == 0 else PARTIAL_PROTECTION_RADIUS
+    if abs(s - w) * generic_scale(sf) < radius:
+        return generic_mixed_near(sf, a, b, s, w)
+    return generic_mixed_far(sf, a, b, s, w)
+
+
+def generic_mixed_far(sf, a: int, b: int, s: complex, w: complex) -> complex:
+    """Double Leibniz on N(s, w) / (1j*(s - w)), N(s, w) = Estar(s)E(w) - E(s)Estar(w)."""
+    delta = s - w
+    ew = [sf._eval_E_raw(w, j) for j in range(a + 1)]
+    fw = [sf._eval_E_star_raw(w, j) for j in range(a + 1)]
+    es = [sf._eval_E_raw(s, k) for k in range(b + 1)]
+    fs = [sf._eval_E_star_raw(s, k) for k in range(b + 1)]
+    total = 0j
+    for j in range(a + 1):
+        ca = math.comb(a, j)
+        for k in range(b + 1):
+            njk = fs[k] * ew[j] - es[k] * fw[j]
+            order = (a - j) + (b - k)
+            gfac = ((-1) ** (b - k)) * math.factorial(order) / delta ** (order + 1)
+            total += ca * math.comb(b, k) * njk * gfac
+    return total / 1j
+
+
+def generic_mixed_near(sf, a: int, b: int, s: complex, w: complex) -> complex:
+    """N(s,w)/(s-w) = E(w)*D[Estar](s,w) - Estar(w)*D[E](s,w) near the diagonal.
+
+    D[f](s,w) = (f(s)-f(w))/(s-w) is entire and its mixed partials have a
+    fast Taylor expansion in (s - w).
+    """
+    delta = s - w
+    total = 0j
+    for j in range(a + 1):
+        alpha = a - j
+        dd_f = _dd_partial(sf, True, alpha, b, w, delta)
+        dd_e = _dd_partial(sf, False, alpha, b, w, delta)
+        total += math.comb(a, j) * (sf._eval_E_raw(w, j) * dd_f - sf._eval_E_star_raw(w, j) * dd_e)
+    return total / 1j
+
+
+def _dd_partial(sf, star: bool, alpha: int, beta: int, w: complex, delta: complex) -> complex:
+    # d^alpha/dw^alpha d^beta/ds^beta of (f(s)-f(w))/(s-w) at s = w + delta:
+    # sum_m f^(alpha+beta+1+m)(w) * delta^m/m! * (beta+m)! alpha! / (alpha+beta+m+1)!
+    raw = sf._eval_E_star_raw if star else sf._eval_E_raw
+    total = 0j
+    dpow = 1.0 + 0j
+    for m in range(DIAGONAL_SERIES_TERMS + 1):
+        order = alpha + beta + 1 + m
+        weight = (
+            math.factorial(beta + m)
+            * math.factorial(alpha)
+            / (math.factorial(m) * math.factorial(alpha + beta + m + 1))
+        )
+        total += raw(w, order) * dpow * weight
+        dpow *= delta
+    return total
 
 
 @pytest.fixture

@@ -140,12 +140,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["kernel", "structure"])
     def test_non_finite_value_exit_four(self, tmp_path, capsys, command):
-        # the cubic E overflows to inf at |w| = 1e103 and the kernel to nan
+        # at |w| = 1e160 the cubic E and the quadratic kernel both exceed
+        # the double range and evaluate to inf / nan
         out = tmp_path / "values.csv"
         path = write_config(
             tmp_path, command=command, z=[0.5, 0.5],
             space={"family": "polynomial-hb", "roots": [[0.0, -1.0], [1.0, -1.0], [-1.0, -2.0]]},
-            eval_points=[[0.5, 0.5], [1e103, 1.0]],
+            eval_points=[[0.5, 0.5], [1e160, 1.0]],
             output={"path": str(out)},
         )
         assert main(["--config", str(path)]) == 4

@@ -1,7 +1,7 @@
 """Reuse of per-z solves and per-run Taylor tables, checked bit for bit.
 
 `GramSystem.kernel_row` solves beta once per z and fills each zero run's
-table of residual partials once; `SigmaStructureFunction.eval` keeps each
+table of Taylor coefficients once; `SigmaStructureFunction.eval` keeps each
 run's Taylor coefficients. The references below are the per-point loops
 those caches replaced: they re-solve and re-differentiate for every point,
 in the same arithmetic order, so every value must match exactly.
@@ -50,19 +50,24 @@ def reference_sigma_kernel(gs, z, w):
         z_excl = z0
     dz = (z - z0).conjugate()
     dw = w - w0
+    betas = [gs.solve(gs._constraint_rhs(z0, mz + q)) for q in range(qmax + 1)]
+    # summed like ZeroSequence.divide_out: each w-order's coefficient over
+    # the z-orders first, then the Taylor sum in w, then the two products
     total = 0j
-    for q in range(qmax + 1):
-        b = mz + q
-        beta = gs.solve(gs._constraint_rhs(z0, b))
-        zfac = dz**q / math.factorial(b)
-        for j in range(jmax + 1):
-            a = mw + j
+    dpow = 1.0 + 0j
+    for j in range(jmax + 1):
+        a = mw + j
+        coeff = 0j
+        for q in range(qmax + 1):
+            b = mz + q
             val = space.kernel_mixed_partial(a, b, z0, w0)
             for t in range(gs.n):
-                val -= beta[t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
-            total += val * zfac * dw**j / math.factorial(a)
-    denom = zs.product(w, exclude_value=w_excl) * zs.product(z, exclude_value=z_excl).conjugate()
-    return total / denom
+                val -= betas[q][t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
+            coeff += val * (dz**q / math.factorial(b))
+        total += coeff / math.factorial(a) * dpow
+        dpow *= dw
+    w_part = total / zs.product(w, exclude_value=w_excl)
+    return w_part / zs.product(z, exclude_value=z_excl).conjugate()
 
 
 def reference_structure_eval(ssf, which, w):

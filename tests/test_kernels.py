@@ -9,29 +9,42 @@ import pytest
 import mpmath
 
 from debranges import DomainError, PaleyWiener, PolynomialHB, UnsupportedOrderError
-from debranges.kernels import StructureFunction
+from debranges.kernels import SINC_PROTECTION_RADIUS
 
-from conftest import fd_mixed_partial, pw_kernel_quadrature, pw_moment_quadrature
+from conftest import (
+    PARTIAL_PROTECTION_RADIUS,
+    fd_mixed_partial,
+    generic_mixed,
+    generic_mixed_far,
+    generic_mixed_near,
+    generic_scale,
+    pw_kernel_quadrature,
+    pw_moment_quadrature,
+)
 
 SINC_SEAM = 1e-3
+
+
+def _hb_kernel_mp(sf: PolynomialHB, s, w):
+    """Direct kernel formula at s = conj(z), analytic in s and w, in mpmath numbers."""
+
+    def poly_e(u):
+        acc = mpmath.mpc(1)
+        for r in sf.roots:
+            acc *= u - mpmath.mpc(r)
+        return acc
+
+    def poly_estar(u):
+        return poly_e(u.conjugate()).conjugate()
+
+    num = poly_estar(s) * poly_e(w) - poly_e(s) * poly_estar(w)
+    return num / (mpmath.mpc(1j) * (s - w))
 
 
 def _hb_kernel_highprec(sf: PolynomialHB, z: complex, w: complex) -> complex:
     """Direct kernel formula in 50-digit arithmetic; cancellation stays harmless."""
     with mpmath.workdps(50):
-        zm, wm = mpmath.mpc(z), mpmath.mpc(w)
-
-        def poly_e(u):
-            acc = mpmath.mpc(1)
-            for r in sf.roots:
-                acc *= u - mpmath.mpc(r)
-            return acc
-
-        def poly_estar(u):
-            return poly_e(u.conjugate()).conjugate()
-
-        num = poly_e(zm).conjugate() * poly_e(wm) - poly_estar(zm).conjugate() * poly_estar(wm)
-        return complex(num / (mpmath.mpc(1j) * (zm.conjugate() - wm)))
+        return complex(_hb_kernel_mp(sf, mpmath.mpc(z).conjugate(), mpmath.mpc(w)))
 
 
 class TestEvalE:
@@ -208,22 +221,34 @@ class TestKernelMixedPartial:
                     z = complex(*rng.uniform(-2, 2, 2))
                     w = complex(*rng.uniform(-2, 2, 2))
                     closed = pw1.kernel_mixed_partial(a, b, z, w)
-                    generic = StructureFunction._mixed(pw1, a, b, z, w)
+                    generic = generic_mixed(pw1, a, b, z, w)
                     assert abs(closed - generic) <= 1e-10 * max(1.0, abs(closed))
 
     def test_near_diagonal_seam_consistency(self, pw1, hb3):
         # at the protection seam both generic branches evaluate the same
         # point; they must agree to well below the checked tolerances
-        from debranges.kernels import PARTIAL_PROTECTION_RADIUS, SINC_PROTECTION_RADIUS
-
         for sf in (pw1, hb3):
             z = 0.4 + 0.3j
             s = z.conjugate()
             for a, b, seam in ((0, 0, SINC_PROTECTION_RADIUS), (1, 1, PARTIAL_PROTECTION_RADIUS)):
-                w = s + seam / sf.scale
-                near = StructureFunction._mixed_near(sf, a, b, s, w)
-                far = StructureFunction._mixed_far(sf, a, b, s, w)
+                w = s + seam / generic_scale(sf)
+                near = generic_mixed_near(sf, a, b, s, w)
+                far = generic_mixed_far(sf, a, b, s, w)
                 assert abs(near - far) <= 1e-9 * max(1.0, abs(far))
+
+    @pytest.mark.parametrize("ab", [(1, 1), (2, 2), (3, 1), (1, 3), (0, 2)])
+    @pytest.mark.parametrize("dist", [1e-6, 0.0499, 0.0501, 0.2, 2.0])
+    def test_hb_partials_match_highprec(self, hb3, ab, dist):
+        # both sides of the old 5e-2 near/far seam, against mpmath.diff of
+        # the 50-digit direct formula
+        a, b = ab
+        z = 0.4 + 0.3j
+        w = z.conjugate() + dist * (0.6 + 0.8j)
+        with mpmath.workdps(50):
+            point = (mpmath.mpc(z).conjugate(), mpmath.mpc(w))
+            want = complex(mpmath.diff(lambda s, u: _hb_kernel_mp(hb3, s, u), point, (b, a)))
+        got = hb3.kernel_mixed_partial(a, b, z, w)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_generic_budget(self):
         sf = PolynomialHB((-1j,), max_derivative_order=3)
