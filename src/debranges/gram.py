@@ -203,14 +203,14 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
     for i in range(n):
         for j in range(n):
             g[i, j] = space.kernel_mixed_partial(ks[i], ks[j], pts[j], pts[i])
+    if not np.isfinite(g).all():
+        raise RangeError("Gram matrix has non-finite entries; the zeros lie outside the double range")
     # entries come from two different partial routes; symmetry is exact in
     # theory, so average away the rounding asymmetry before factoring
     g = 0.5 * (g + g.conj().T)
 
     if n == 0:
         return GramSystem(space, zeros, g, None, 1.0, 1.0)
-    if not np.isfinite(g).all():
-        raise RangeError("Gram matrix has non-finite entries; the zeros lie outside the double range")
 
     try:
         low = np.linalg.cholesky(g)

@@ -1,6 +1,7 @@
 """Gram systems: assembly, projection solve, derived kernel routes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,13 @@ class TestBuild:
         assert gs.condition_estimate == 1.0
 
     def test_non_finite_entries_raise_range_error(self):
-        with pytest.raises(RangeError):
-            build(PolynomialHB((-1j, 1 - 1j)), canonicalize([1e200 + 1j]))
+        # the finiteness check precedes all arithmetic on the matrix, so the
+        # error arrives without a numpy "invalid value" warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RangeError):
+                build(PolynomialHB((-1j, 1 - 1j)), canonicalize([1e200 + 1j]))
+        assert [str(w.message) for w in caught] == []
 
     def test_confluent_entries_match_antiderivative_oracle(self, pw1):
         # moments of t^p e^{2t} over [-1, 1] via explicit antiderivatives
