@@ -217,12 +217,9 @@ def _grid_points(grid: dict) -> list[complex]:
 
 
 def _value_lines(header: list[str], rows: list[list[float]], fmt: str) -> str:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    else:
-        lines = ["  ".join(header)]
-        lines.extend("  ".join(_fmt(v) for v in row) for row in rows)
+    sep = "," if fmt == "csv" else "  "
+    lines = [sep.join(header)]
+    lines.extend(sep.join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

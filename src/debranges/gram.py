@@ -1,10 +1,14 @@
-"""Gram systems of point evaluators and the derived-space kernel.
+"""Gram systems of point evaluators and the remainder built on them.
 
 The Gram matrix couples the evaluators attached to a zero sequence,
-G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). Solving
-G beta = ((Z_i, Z_z))_i yields the projection coefficients of Z_z onto
-the span of the Z_j; the derived-space kernel is the projection residual
-rescaled by the rational factors,
+G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For a
+function f, `GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the
+residual f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
+`Remainder` divides that residual by prod (w - z_i), crossing the trivial
+zeros by Taylor series. The derived structure function and its companion
+are the remainders of E and Estar (see structure.py); the derived-space
+kernel is the remainder of Z_z, whose fit beta is the projection of Z_z
+onto the span of the Z_j, rescaled in z:
 
     K_z(w) = gamma(w) * conj(gamma(z)) * (Z_z(w) - sum_j beta_j Z_j(w)).
 
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,16 +84,21 @@ class GramSystem:
             x[i] = acc / low[i][i].conjugate()
         return np.array(x, dtype=complex)
 
-    def _constraint_rhs(self, z: complex, b: int = 0) -> np.ndarray:
-        pts, ks = self.zeros.points, self.zeros.confluence
-        return np.array(
-            [self.space.kernel_mixed_partial(ks[i], b, z, pts[i]) for i in range(self.n)],
-            dtype=complex,
-        )
+    def fit(self, f: Callable[[complex, int], complex]) -> np.ndarray:
+        """Coefficients c of the span of the Z_j that match f on the sequence.
+
+        Solves G c = (f^(k_i)(z_i))_i; `f` is called as f(point, order) for
+        the order-th derivative.
+        """
+        return self.solve([f(p, k) for p, k in zip(self.zeros.points, self.zeros.confluence)])
+
+    def _evaluator(self, z: complex) -> Callable[[complex, int], complex]:
+        """Z_z as an f for :meth:`fit` and :class:`Remainder`."""
+        return lambda w, a: self.space.kernel_mixed_partial(a, 0, z, w)
 
     def solve_beta(self, z: complex) -> np.ndarray:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
-        return self.solve(self._constraint_rhs(complex(z)))
+        return self.fit(self._evaluator(complex(z)))
 
     def incomplete_kernel(self, z: complex, w: complex, beta=None) -> complex:
         """Projection residual Z_z(w) - sum_j beta_j(z) Z_j(w).
@@ -97,18 +107,37 @@ class GramSystem:
         by symmetry, anti-analytically in z. A caller that already holds
         solve_beta(z) passes it as `beta` to skip the solve.
         """
-        z, w = complex(z), complex(w)
+        f = self._evaluator(complex(z))
         if beta is None:
-            beta = self.solve_beta(z)
-        pts, ks = self.zeros.points, self.zeros.confluence
-        val = self.space.kernel(z, w)
-        for t in range(self.n):
-            val -= beta[t] * self.space.kernel_mixed_partial(0, ks[t], pts[t], w)
-        return complex(val)
+            beta = self.fit(f)
+        return Remainder(self.space, self.zeros, f, beta).residual(complex(w))
 
-    def kernel_row(self, z: complex) -> KernelRow:
-        """The derived-space evaluator K_z as a function of w, for fixed z."""
-        return KernelRow(self, z)
+    def kernel_row(self, z: complex) -> Callable[[complex], complex]:
+        """The derived-space evaluator K_z as a function of w, for fixed z.
+
+        Off the de-singularization disks the fitted f is Z_z itself. When z
+        sits in the disk of a run z0 of m equal zeros, the projection
+        residual vanishes to order m in conj(z) at z0, so f is its
+        conj(z)-Taylor sum from order m on,
+        sum_q dz^q/(m+q)! d^(m+q)/d(conj z)^(m+q) Z_z0 with dz = conj(z - z0).
+        The factors conj prod (z - z_i), without z0's run, are divided out
+        after the remainder. Either way one solve serves every w.
+        """
+        z = complex(z)
+        zs, space = self.zeros, self.space
+        group = zs.local_group(z)
+        if group is None:
+            f, zprod_conj = self._evaluator(z), zs.product(z).conjugate()
+        else:
+            z0, mz = group
+            dz = (z - z0).conjugate()
+
+            def f(w: complex, a: int) -> complex:
+                return _taylor_sum(lambda b: space.kernel_mixed_partial(a, b, z0, w), mz, dz)
+
+            zprod_conj = zs.product(z, exclude_value=z0).conjugate()
+        remainder = Remainder(space, zs, f, self.fit(f))
+        return lambda w: remainder(w) / zprod_conj
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -140,53 +169,65 @@ class GramSystem:
         return det / (self.det * denom)
 
 
-class KernelRow:
-    """K_z(w) for one fixed z, evaluated at any number of points w.
+def _taylor_sum(derivative: Callable[[int], complex], m: int, delta: complex) -> complex:
+    """sum_j derivative(m + j) / (m + j)! * delta^j over the de-singularization terms.
 
-    The projection coefficients beta depend on z alone, so they are solved
-    once here. When z sits inside the de-singularization disk of a run of m
-    equal zeros, the vanishing order of the projection residual in conj(z)
-    is divided out through its Taylor coefficients (mixed partials of the
-    residual), so the removable singularities of the gamma factors are
-    crossed with analytic derivatives rather than extrapolation. The w side
-    goes through :meth:`ZeroSequence.divide_out`, whose Taylor coefficients
-    depend only on (z, run): each run's table is filled the first time a w
-    falls in its disk and extended by derivative order as points need it.
+    With derivative(o) the o-th derivative at v of a g vanishing to order m
+    there, this is g(v + delta) / delta^m; at delta == 0 only its leading
+    term is taken.
+    """
+    total = 0j
+    dpow = 1.0 + 0j
+    for order in range(m, m + 1 + (0 if delta == 0 else DESINGULARIZATION_TERMS)):
+        total += derivative(order) / math.factorial(order) * dpow
+        dpow *= delta
+    return total
+
+
+class Remainder:
+    """f minus its fit on the zero sequence, divided by prod (w - z_i).
+
+    `f` is a function of w called as f(w, order) for its order-th
+    derivative; `coeffs` are its fit from :meth:`GramSystem.fit`, so the
+    residual f - sum_j c_j Z_j vanishes at each run to the run's
+    multiplicity. Inside the de-singularization disk of a run v of m equal
+    zeros the quotient is the Taylor series of the residual at v from order
+    m on, divided by the other factors; each derivative of the residual at
+    a run is computed the first time a point needs it and kept.
     """
 
-    def __init__(self, gs: GramSystem, z: complex):
-        z = complex(z)
-        zs = gs.zeros
-        self.gs = gs
-        zg = zs.local_group(z)
-        if zg is None:
-            z0, mz, qmax, z_excl = z, 0, 0, None
-        else:
-            z0, mz = zg
-            qmax = 0 if z == z0 else DESINGULARIZATION_TERMS
-            z_excl = z0
-        self.z0, self.mz = z0, mz
-        dz = (z - z0).conjugate()
-        self.betas = [gs.solve(gs._constraint_rhs(z0, mz + q)) for q in range(qmax + 1)]
-        self.zfacs = [dz**q / math.factorial(mz + q) for q in range(qmax + 1)]
-        self.zprod_conj = zs.product(z, exclude_value=z_excl).conjugate()
-        self._taylor: dict[complex, tuple[complex, ...]] = {}
+    def __init__(
+        self, space: StructureFunction, zeros: ZeroSequence, f: Callable[[complex, int], complex], coeffs
+    ):
+        self.space, self.zeros, self.f = space, zeros, f
+        self.coeffs = [complex(c) for c in coeffs]
+        self._taylor: dict[tuple[complex, int], complex] = {}
 
-    def _residual(self, w0: complex, a: int) -> complex:
-        """d^a/dw^a at w0 of the projection residual, summed over the z-orders."""
-        space, zs = self.gs.space, self.gs.zeros
-        pts, ks = zs.points, zs.confluence
-        basis = [space.kernel_mixed_partial(a, ks[t], pts[t], w0) for t in range(len(pts))]
-        total = 0j
-        for q, beta in enumerate(self.betas):
-            val = space.kernel_mixed_partial(a, self.mz + q, self.z0, w0)
-            for t in range(len(basis)):
-                val -= beta[t] * basis[t]
-            total += val * self.zfacs[q]
-        return total
+    def residual(self, w: complex, order: int = 0) -> complex:
+        """order-th derivative at w of f - sum_j c_j Z_j."""
+        mixed = self.space.kernel_mixed_partial
+        pts, ks = self.zeros.points, self.zeros.confluence
+        acc = self.f(w, order)
+        for j, c in enumerate(self.coeffs):
+            acc -= c * mixed(order, ks[j], pts[j], w)
+        return complex(acc)
+
+    def _run_derivative(self, v: complex, order: int) -> complex:
+        key = (v, order)
+        value = self._taylor.get(key)
+        if value is None:
+            value = self._taylor[key] = self.residual(v, order)
+        return value
 
     def __call__(self, w: complex) -> complex:
-        return self.gs.zeros.divide_out(self._residual, complex(w), self._taylor) / self.zprod_conj
+        w = complex(w)
+        zs = self.zeros
+        group = zs.local_group(w)
+        if group is None:
+            return self.residual(w) / zs.product(w)
+        v, m = group
+        quotient = _taylor_sum(partial(self._run_derivative, v), m, w - v)
+        return quotient / zs.product(w, exclude_value=v)
 
 
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:

@@ -22,7 +22,8 @@ from .errors import PoleError
 
 # Distance to a zero, relative to 1 + |zero|, below which evaluation
 # switches from the direct rational form to the Taylor form that absorbs
-# the vanishing order. Shared by the gram and structure layers.
+# the vanishing order (local_group), and the number of Taylor terms past
+# that order the gram layer sums there (Remainder and kernel_row).
 DESINGULARIZATION_RADIUS_FACTOR = 1e-3
 DESINGULARIZATION_TERMS = 8
 
@@ -79,22 +80,13 @@ class ZeroSequence:
                 groups[-1] = (value, count + 1)
         return tuple(groups)
 
-    def multiplicity(self, value: complex) -> int:
-        value = complex(value)
-        for v, count in self.group_list:
-            if v == value:
-                return count
-        return 0
-
-    def local_group(
-        self, w: complex, radius_factor: float = DESINGULARIZATION_RADIUS_FACTOR
-    ) -> Optional[tuple[complex, int]]:
+    def local_group(self, w: complex) -> Optional[tuple[complex, int]]:
         """Nearest run whose de-singularization disk contains w, or None."""
         w = complex(w)
         best: Optional[tuple[float, complex, int]] = None
         for v, count in self.group_list:
             d = abs(w - v)
-            if d <= radius_factor * (1.0 + abs(v)) and (best is None or d < best[0]):
+            if d <= DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v)) and (best is None or d < best[0]):
                 best = (d, v, count)
         return None if best is None else (best[1], best[2])
 
@@ -106,37 +98,6 @@ class ZeroSequence:
                 continue
             acc *= at - p
         return acc
-
-    def divide_out(
-        self, f: Callable[[complex, int], complex], w: complex, taylor: dict
-    ) -> complex:
-        """f(w) / prod (w - z_i) for an f vanishing on the sequence to each run's multiplicity.
-
-        `f` is called as f(point, order) for the order-th derivative. Inside
-        the de-singularization disk of a run v of m equal zeros the quotient
-        is the Taylor series of f at v from order m on, divided by the other
-        factors. `taylor` maps each run value to its Taylor coefficients;
-        they are computed on first use and reused by later points.
-        """
-        group = self.local_group(w)
-        if group is None:
-            return f(w, 0) / self.product(w)
-        v, m = group
-        delta = w - v
-        jmax = 0 if delta == 0 else DESINGULARIZATION_TERMS
-        coeffs = taylor.get(v, ())
-        if len(coeffs) <= jmax:
-            # extend a copy and store it whole, so a concurrent reader never
-            # sees a half-filled or doubly-filled table
-            orders = range(m + len(coeffs), m + jmax + 1)
-            coeffs += tuple(f(v, o) / math.factorial(o) for o in orders)
-            taylor[v] = coeffs
-        total = 0j
-        dpow = 1.0 + 0j
-        for j in range(jmax + 1):
-            total += coeffs[j] * dpow
-            dpow *= delta
-        return total / self.product(w, exclude_value=v)
 
     def gamma(self, z: complex) -> complex:
         """The rational factor prod 1/(z - z_i); a pole on the sequence raises."""

@@ -3,8 +3,9 @@
 Imposing a zero sequence on a space with structure function E produces a
 new space whose structure function is determined by a finite datum: the
 incomplete form E(w) - sum_j c_j Z_j(w) must vanish on the sequence with
-multiplicity, which pins the coefficients c through one Gram solve (and
-d likewise for the reflected companion F = Estar). Three routes exist:
+multiplicity, which pins the coefficients c through one Gram fit (and
+d likewise for the reflected companion F = Estar). The complete forms are
+the gram layer's Remainder of E and Estar. Three routes exist:
 
 * ``derive``: the direct Gram solve; production path, handles repeated
   zeros through confluent mixed-partial entries.
@@ -18,14 +19,12 @@ d likewise for the reflected companion F = Estar). Three routes exist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError, InvalidScheduleError, LinearDependenceError
-from .gram import GramSystem, build
+from .gram import GramSystem, Remainder, build
 from .kernels import StructureFunction
 from .sigma import ZeroSequence, canonicalize
 
@@ -61,55 +60,46 @@ class SigmaStructureFunction:
 
     The incomplete forms E(w) - sum c_j Z_j(w) and F(w) - sum d_j Z_j(w)
     vanish on the zero sequence with multiplicity; the complete forms are
-    those divided by prod (w - z_i).
+    those divided by prod (w - z_i). Both are the :class:`Remainder` of E
+    (of Estar for F) with those coefficients.
     """
 
     base: StructureFunction
     zeros: ZeroSequence
     coeffs_E: tuple[complex, ...]
     coeffs_F: tuple[complex, ...]
-    # which -> run value -> Taylor coefficients of the incomplete form at the
-    # run, filled by eval on first use
-    _taylor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _coeffs(self, which: str) -> tuple[complex, ...]:
+    @cached_property
+    def _remainders(self) -> dict[str, Remainder]:
+        return {
+            "E": Remainder(self.base, self.zeros, self.base.eval_E, self.coeffs_E),
+            "F": Remainder(self.base, self.zeros, self.base.eval_E_star, self.coeffs_F),
+        }
+
+    def _remainder(self, which: str) -> Remainder:
         if which not in _WHICH:
             raise ValueError("which must be 'E' or 'F'")
-        return self.coeffs_E if which == "E" else self.coeffs_F
+        return self._remainders[which]
 
     def incomplete(self, which: str, w: complex, order: int = 0) -> complex:
         """order-th w-derivative of the incomplete form at w."""
-        coeffs = self._coeffs(which)
-        w = complex(w)
-        if which == "E":
-            acc = self.base.eval_E(w, order)
-        else:
-            acc = self.base.eval_E_star(w, order)
-        pts, ks = self.zeros.points, self.zeros.confluence
-        for j in range(len(self.zeros)):
-            acc -= coeffs[j] * self.base.kernel_mixed_partial(order, ks[j], pts[j], w)
-        return complex(acc)
+        return self._remainder(which).residual(complex(w), order)
 
     def eval(self, which: str, w: complex) -> complex:
         """Complete form at w; the trivial zeros are crossed by Taylor.
 
         Inside the de-singularization disk of a run of m equal zeros the
         vanishing order m of the incomplete form is divided out against
-        (w - z)^m using its analytic derivatives, whose Taylor coefficients
-        are computed once per run.
+        (w - z)^m using its analytic derivatives, which are computed once
+        per run and order.
         """
-        self._coeffs(which)  # validates `which`
-        taylor = self._taylor.setdefault(which, {})
-        return self.zeros.divide_out(partial(self.incomplete, which), complex(w), taylor)
+        return self._remainder(which)(w)
 
 
 def derive(gs: GramSystem) -> SigmaStructureFunction:
-    """Coefficients from one Gram factorization and two right-hand sides."""
-    pts, ks = gs.zeros.points, gs.zeros.confluence
-    e = np.array([gs.space.eval_E(p, k) for p, k in zip(pts, ks)], dtype=complex)
-    f = np.array([gs.space.eval_E_star(p, k) for p, k in zip(pts, ks)], dtype=complex)
-    c = gs.solve(e)
-    d = gs.solve(f)
+    """Coefficients from one Gram factorization, fitted to E and to Estar."""
+    c = gs.fit(gs.space.eval_E)
+    d = gs.fit(gs.space.eval_E_star)
     return SigmaStructureFunction(
         gs.space, gs.zeros, tuple(complex(v) for v in c), tuple(complex(v) for v in d)
     )
@@ -132,12 +122,8 @@ def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStru
     for m, znew in enumerate(pts):
         prefix = canonicalize(pts[:m])
         gs = build(space, prefix)
-        p_e = space.eval_E(znew)
-        p_f = space.eval_E_star(znew)
-        for j in range(m):
-            zj = space.kernel(pts[j], znew)
-            p_e -= c[j] * zj
-            p_f -= d[j] * zj
+        p_e = Remainder(space, prefix, space.eval_E, c).residual(znew)
+        p_f = Remainder(space, prefix, space.eval_E_star, d).residual(znew)
         beta = gs.solve_beta(znew)
         diag = gs.incomplete_kernel(znew, znew, beta)
         if abs(diag) < _DIAGONAL_FLOOR * abs(space.kernel(znew, znew)):

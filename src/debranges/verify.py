@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .gram import bordered_det, build
+from .gram import Remainder, bordered_det, build
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import derive
@@ -76,8 +76,12 @@ def _tagged(check_id: str, tag: str) -> str:
 
 
 def _sample_point(rng: np.random.Generator, radius: float = SAMPLE_RADIUS) -> complex:
+    # the stream of rng.uniform(-radius, radius, 2), one scalar draw at a time
+    lo = -radius
+    span = radius - lo
     while True:
-        re, im = rng.uniform(-radius, radius, 2)
+        re = lo + span * rng.random()
+        im = lo + span * rng.random()
         if re * re + im * im <= radius * radius:
             return complex(re, im)
 
@@ -301,21 +305,16 @@ def check_projection(
     if any(z == p for p in zeros.points):
         raise DomainError("projection check requires z off the zero sequence")
     gs = build(space, zeros)
-    beta = gs.solve_beta(z)
     pts, ks = zeros.points, zeros.confluence
-    n = len(zeros)
 
-    rhs = np.array(
-        [space.kernel_mixed_partial(ks[i], 0, z, pts[i]) for i in range(n)], dtype=complex
-    )
-    worst_orth = 0.0
-    if n:
-        scale = max(float(np.linalg.norm(rhs)), 1e-300)
-        for i in range(n):
-            resid = rhs[i]
-            for j in range(n):
-                resid -= beta[j] * space.kernel_mixed_partial(ks[i], ks[j], pts[j], pts[i])
-            worst_orth = max(worst_orth, abs(resid) / scale)
+    def z_kernel(w: complex, a: int) -> complex:
+        return space.kernel_mixed_partial(a, 0, z, w)
+
+    # the projection residual of Z_z, which the constraints make vanish on the zeros
+    residual = Remainder(space, zeros, z_kernel, gs.fit(z_kernel)).residual
+    rhs = np.array([z_kernel(p, k) for p, k in zip(pts, ks)], dtype=complex)
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
     rng = np.random.default_rng(seed)
     margin = max((1e-3 * (1.0 + abs(p)) for p in pts), default=0.0)

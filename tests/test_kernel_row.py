@@ -1,10 +1,11 @@
-"""Reuse of per-z solves and per-run Taylor tables, checked bit for bit.
+"""Reuse of per-z solves and per-run Taylor derivatives, checked bit for bit.
 
-`GramSystem.kernel_row` solves beta once per z and fills each zero run's
-table of Taylor coefficients once; `SigmaStructureFunction.eval` keeps each
-run's Taylor coefficients. The references below are the per-point loops
-those caches replaced: they re-solve and re-differentiate for every point,
-in the same arithmetic order, so every value must match exactly.
+`GramSystem.kernel_row` fits Z_z (or, for z inside a disk, its conj(z)-Taylor
+sum) with one solve per z, and its `Remainder` keeps each residual
+derivative at a zero run; `SigmaStructureFunction.eval` keeps those of E and
+F. The references below are per-point loops without those caches: they
+re-solve and re-differentiate for every point, in the same arithmetic
+order, so every value must match exactly.
 """
 
 import math
@@ -31,7 +32,7 @@ SPACES = {
 
 
 def reference_sigma_kernel(gs, z, w):
-    """K_z(w) with a fresh beta solve and residual table for this one point."""
+    """K_z(w) with a fresh fit and residual derivatives for this one point."""
     zs, space = gs.zeros, gs.space
     pts, ks = zs.points, zs.confluence
     wg = zs.local_group(w)
@@ -50,21 +51,28 @@ def reference_sigma_kernel(gs, z, w):
         z_excl = z0
     dz = (z - z0).conjugate()
     dw = w - w0
-    betas = [gs.solve(gs._constraint_rhs(z0, mz + q)) for q in range(qmax + 1)]
-    # summed like ZeroSequence.divide_out: each w-order's coefficient over
-    # the z-orders first, then the Taylor sum in w, then the two products
+
+    def z_sum(a, at):
+        # a-th w-derivative at `at` of the conj(z)-Taylor sum from order mz on
+        total = 0j
+        dpow = 1.0 + 0j
+        for q in range(qmax + 1):
+            b = mz + q
+            total += space.kernel_mixed_partial(a, b, z0, at) / math.factorial(b) * dpow
+            dpow *= dz
+        return total
+
+    # one solve of the summed right-hand side, then the Taylor sum in w of
+    # its residual, then the two products
+    beta = [complex(c) for c in gs.solve([z_sum(k, p) for p, k in zip(pts, ks)])]
     total = 0j
     dpow = 1.0 + 0j
     for j in range(jmax + 1):
         a = mw + j
-        coeff = 0j
-        for q in range(qmax + 1):
-            b = mz + q
-            val = space.kernel_mixed_partial(a, b, z0, w0)
-            for t in range(gs.n):
-                val -= betas[q][t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
-            coeff += val * (dz**q / math.factorial(b))
-        total += coeff / math.factorial(a) * dpow
+        val = z_sum(a, w0)
+        for t in range(gs.n):
+            val -= beta[t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
+        total += val / math.factorial(a) * dpow
         dpow *= dw
     w_part = total / zs.product(w, exclude_value=w_excl)
     return w_part / zs.product(z, exclude_value=z_excl).conjugate()
@@ -141,14 +149,14 @@ def test_row_solves_once_off_the_disks(pw1, solve_calls):
     assert len(solve_calls) == 1
 
 
-def test_row_solves_each_taylor_order_once_inside_a_disk(pw1, solve_calls):
+def test_row_solves_once_inside_a_disk(pw1, solve_calls):
     gs = build(pw1, canonicalize(ZEROS))
     rng = np.random.default_rng(13)
     ws = [complex(rng.uniform(-2, 2), rng.uniform(1.2, 2)) for _ in range(200)]
     row = gs.kernel_row(1j + (7e-4 + 3e-4j))
     for w in ws:
         row(w)
-    assert len(solve_calls) == DESINGULARIZATION_TERMS + 1
+    assert len(solve_calls) == 1
 
 
 def test_derive_iterative_solves_once_per_zero(pw1, solve_calls):
