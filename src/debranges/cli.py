@@ -216,10 +216,11 @@ def _grid_points(grid: dict) -> list[complex]:
     return [complex(re, im) for im in ims for re in res]
 
 
-def _value_lines(header: list[str], rows: list[list[float]], fmt: str) -> str:
+def _value_lines(header: list[str], rows: list[tuple[float, ...]], fmt: str) -> str:
     sep = "," if fmt == "csv" else "  "
+    row_format = sep.join(["%.17g"] * len(header))
     lines = [sep.join(header)]
-    lines.extend(sep.join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_format % row for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -288,7 +289,7 @@ def _run(config: RunConfig) -> int:
         gs = build(config.space, config.sigma)
         z = config.kernel_z
         values = _finite_values(gs.kernel_row(z), points)
-        rows = [[z.real, z.imag, w.real, w.imag, v.real, v.imag] for w, v in zip(points, values)]
+        rows = [(z.real, z.imag, w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
         _write(
             config.out_path,
             _value_lines(["re_z", "im_z", "re_w", "im_w", "re_val", "im_val"], rows, config.out_format),
@@ -298,7 +299,7 @@ def _run(config: RunConfig) -> int:
     if config.command == "structure":
         ssf = derive(build(config.space, config.sigma))
         values = _finite_values(lambda w: ssf.eval("E", w), points)
-        rows = [[w.real, w.imag, v.real, v.imag] for w, v in zip(points, values)]
+        rows = [(w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
         _write(
             config.out_path,
             _value_lines(["re_w", "im_w", "re_val", "im_val"], rows, config.out_format),

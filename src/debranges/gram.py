@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class GramSystem:
     space: StructureFunction
     zeros: ZeroSequence
     matrix: np.ndarray
-    factorization: Optional[np.ndarray]  # lower Cholesky factor L, matrix = L L^H
+    factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, matrix = L L^H
     det: float
     condition_estimate: float
 
@@ -59,32 +59,28 @@ class GramSystem:
     def n(self) -> int:
         return len(self.zeros)
 
-    def solve(self, rhs) -> np.ndarray:
-        """G x = rhs for one right-hand side vector.
+    def solve(self, rhs) -> tuple[complex, ...]:
+        """G x = rhs for one right-hand side sequence.
 
-        Forward substitution on L, then back substitution on L^H, in plain
-        complex arithmetic: at these sizes that beats any array call.
+        Forward substitution on L, then back substitution on L^H in place,
+        in plain complex arithmetic: at these sizes that beats any array call.
         """
-        rhs = np.asarray(rhs, dtype=complex)
-        n = self.n
-        if n == 0:
-            return np.zeros(0, dtype=complex)
-        low = self.factorization.tolist()
-        y = []
-        for i, acc in enumerate(rhs.tolist()):
+        low = self.factorization
+        x = []
+        for i, acc in enumerate(rhs):
             row = low[i]
             for j in range(i):
-                acc -= row[j] * y[j]
-            y.append(acc / row[i])
-        x = [0j] * n
+                acc -= row[j] * x[j]
+            x.append(acc / row[i])
+        n = len(x)
         for i in range(n - 1, -1, -1):
-            acc = y[i]
+            acc = x[i]
             for j in range(i + 1, n):
                 acc -= low[j][i].conjugate() * x[j]
             x[i] = acc / low[i][i].conjugate()
-        return np.array(x, dtype=complex)
+        return tuple(x)
 
-    def fit(self, f: Callable[[complex, int], complex]) -> np.ndarray:
+    def fit(self, f: Callable[[complex, int], complex]) -> tuple[complex, ...]:
         """Coefficients c of the span of the Z_j that match f on the sequence.
 
         Solves G c = (f^(k_i)(z_i))_i; `f` is called as f(point, order) for
@@ -96,7 +92,7 @@ class GramSystem:
         """Z_z as an f for :meth:`fit` and :class:`Remainder`."""
         return lambda w, a: self.space.kernel_mixed_partial(a, 0, z, w)
 
-    def solve_beta(self, z: complex) -> np.ndarray:
+    def solve_beta(self, z: complex) -> tuple[complex, ...]:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
         return self.fit(self._evaluator(complex(z)))
 
@@ -200,7 +196,7 @@ class Remainder:
         self, space: StructureFunction, zeros: ZeroSequence, f: Callable[[complex, int], complex], coeffs
     ):
         self.space, self.zeros, self.f = space, zeros, f
-        self.coeffs = [complex(c) for c in coeffs]
+        self.coeffs = coeffs
         self._taylor: dict[tuple[complex, int], complex] = {}
 
     def residual(self, w: complex, order: int = 0) -> complex:
@@ -251,7 +247,7 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
     g = 0.5 * (g + g.conj().T)
 
     if n == 0:
-        return GramSystem(space, zeros, g, None, 1.0, 1.0)
+        return GramSystem(space, zeros, g, (), 1.0, 1.0)
 
     try:
         low = np.linalg.cholesky(g)
@@ -278,4 +274,4 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
             cond,
         )
     det = float(np.prod(np.diag(low).real) ** 2)
-    return GramSystem(space, zeros, g, low, det, cond)
+    return GramSystem(space, zeros, g, tuple(map(tuple, low.tolist())), det, cond)

@@ -13,15 +13,16 @@ singularity at w = conj(z).
 Two families are implemented:
 
 * ``PaleyWiener(x)``: E(w) = exp(-1j*x*w). The kernel is the sinc form
-  2*sin((conj(z)-w)*x)/(conj(z)-w), from its Taylor series inside
-  |(conj(z)-w)*x| < SINC_PROTECTION_RADIUS. Every mixed partial reduces to
-  the moment M_p(u) of t**p * exp(1j*u*t) over [-x, x], u = w - conj(z),
-  which has two routes: up to |u*x| = 0.75*(p+2) a Kummer-transformed
-  series in even powers of u*x whose terms never grow, summed by Horner,
-  and beyond it the closed antiderivative. The cutoff sits where the two
-  routes' errors cross. Against 40-digit mpmath, both routes stay within
-  1e-15 (p <= 2) and 1e-13 (p <= 20) of the moment scale
-  2*x**(p+1)/(p+1)*exp(|Im u|*x) on either side of it (measured: 2.9e-16).
+  2*x*sin(v)/v with v = (w - conj(z))*x, exact also at v = 0 (it is 2*x
+  there) and across subnormal v, so no series protection is needed. Every
+  other mixed partial reduces to the moment M_p(u) of t**p * exp(1j*u*t)
+  over [-x, x], u = w - conj(z), which has two routes: up to
+  |u*x| = 0.75*(p+2) a Kummer-transformed series in even powers of u*x
+  whose terms never grow, summed by Horner, and beyond it the closed
+  antiderivative. The cutoff sits where the two routes' errors cross.
+  Against 40-digit mpmath, both routes stay within 1e-15 (p <= 2) and
+  1e-13 (p <= 20) of the moment scale 2*x**(p+1)/(p+1)*exp(|Im u|*x) on
+  either side of it (measured: 2.8e-16).
 * ``PolynomialHB(roots)``: E(w) = prod(w - r) with every root in the open
   lower half-plane. The space is finite dimensional (polynomials of
   degree < deg E, d = deg E) and the kernel is exactly the polynomial
@@ -30,8 +31,7 @@ Two families are implemented:
   mixed partial differentiates its monomials, so no diagonal switch is
   needed.
 
-Series protection across the removable singularity therefore applies to
-PaleyWiener alone.
+Both families supply the kernel and its partials through the ``_mixed`` hook.
 """
 
 from __future__ import annotations
@@ -39,17 +39,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .errors import DomainError, UnsupportedOrderError
 
 DEFAULT_DERIVATIVE_BUDGET = 64
-
-# Below |u| * x = SINC_PROTECTION_RADIUS the PaleyWiener kernel
-# denominator is crossed with the sinc Taylor series truncated at degree 8
-# instead of direct division.
-SINC_PROTECTION_RADIUS = 1e-3
 
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # 1j**n for n mod 4
 
@@ -82,6 +77,7 @@ def _series_pairs(r: float) -> int:
     return 10 + int(1.7 * r)
 
 
+@cache
 def _series_coeffs(p: int) -> tuple[tuple[float, float], ...]:
     """(1/(p+2)_(2m), 1/(p+2)_(2m+1)) for as many m as the cutoff needs."""
     r = _series_cutoff(p)
@@ -174,9 +170,9 @@ class StructureFunction:
 class PaleyWiener(StructureFunction):
     """E(w) = exp(-1j*x*w) for exponential type x > 0.
 
-    Kernel and all mixed partials use the closed moment form, so they are
-    not limited by the derivative budget (the budget still governs the
-    explicit eval_E / eval_E_star derivatives).
+    The kernel is the exact sinc form and every other mixed partial a
+    moment, so they are not limited by the derivative budget (the budget
+    still governs the explicit eval_E / eval_E_star derivatives).
     """
 
     x: float
@@ -194,22 +190,18 @@ class PaleyWiener(StructureFunction):
     def _eval_E_star_raw(self, w: complex, order: int) -> complex:
         return _ipow(order) * self.x**order * cmath.exp(1j * self.x * w)
 
-    def kernel(self, z: complex, w: complex) -> complex:
-        u = complex(z).conjugate() - complex(w)
-        v = u * self.x
-        if abs(v) < SINC_PROTECTION_RADIUS:
-            v2 = v * v
-            # sin(v)/v truncated at degree 8
-            sinc = 1.0 - v2 / 6.0 * (1.0 - v2 / 20.0 * (1.0 - v2 / 42.0 * (1.0 - v2 / 72.0)))
-            return 2.0 * self.x * sinc
-        return 2.0 * cmath.sin(v) / u
-
+    # no budget check: moments serve any order (acceptance criterion 7, test_pw_route_unrestricted)
     def kernel_mixed_partial(self, a: int, b: int, z: complex, w: complex) -> complex:
         if a < 0 or b < 0:
             raise ValueError("partial orders must be nonnegative")
-        if a == 0 and b == 0:
-            return self.kernel(z, w)
-        u = complex(w) - complex(z).conjugate()
+        return self._mixed(a, b, complex(z), complex(w))
+
+    def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
+        u = w - z.conjugate()
+        if a == b == 0:
+            x = self.x
+            v = u * x
+            return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
         return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
@@ -220,10 +212,6 @@ class PaleyWiener(StructureFunction):
             return self._moment_series(p, u)
         return self._moment_closed(p, u)
 
-    @cached_property
-    def _series_tables(self) -> dict:
-        return {}
-
     def _moment_series(self, p: int, u: complex) -> complex:
         # Kummer's transformation gives int_0^x t^p exp(1j*u*t) dt =
         # x^(p+1)/(p+1) exp(1j*v) F(-1j*v) with v = u*x and
@@ -233,9 +221,7 @@ class PaleyWiener(StructureFunction):
         #   2 x^(p+1)/(p+1) (cos(v) Fe(s) + v sin(v) Fo(s))    for even p,
         #   2j x^(p+1)/(p+1) (sin(v) Fe(s) - v cos(v) Fo(s))   for odd p,
         # with Fe and Fo summed by Horner in s.
-        pairs = self._series_tables.get(p)
-        if pairs is None:
-            pairs = self._series_tables[p] = _series_coeffs(p)
+        pairs = _series_coeffs(p)
         x = self.x
         v = u * x
         s = -(v * v)
@@ -250,18 +236,18 @@ class PaleyWiener(StructureFunction):
         return scale * (cos * fe + v * sin * fo)
 
     def _moment_closed(self, p: int, u: complex) -> complex:
-        # antiderivative exp(1j*u*t) * sum_j (-1)^j p!/(p-j)! t^(p-j) / (1j*u)^(j+1);
-        # its rounding error falls as |u*x| grows past the series cutoff
+        # antiderivative exp(1j*u*t) * sum_j (-1)^j p!/(p-j)! t^(p-j) / (1j*u)^(j+1),
+        # each term built from the one before it so that neither the falling
+        # factorial nor the power of 1j*u overflows on its own; the rounding
+        # error falls as |u*x| grows past the series cutoff
         iu = 1j * u
 
         def primitive(t: float) -> complex:
-            acc = 0j
-            coef = 1.0
-            ipow = iu
-            for j in range(p + 1):
-                acc += ((-1) ** j) * coef * t ** (p - j) / ipow
-                coef *= p - j
-                ipow *= iu
+            term = t**p / iu
+            acc = term
+            for j in range(p, 0, -1):
+                term *= -j / (t * iu)
+                acc += term
             return acc
 
         x = self.x

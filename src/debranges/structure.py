@@ -26,7 +26,7 @@ from typing import Sequence
 from .errors import DomainError, InvalidScheduleError, LinearDependenceError
 from .gram import GramSystem, Remainder, build
 from .kernels import StructureFunction
-from .sigma import ZeroSequence, canonicalize
+from .sigma import ZeroSequence, bracket_eps, canonicalize
 
 _WHICH = ("E", "F")
 
@@ -98,10 +98,8 @@ class SigmaStructureFunction:
 
 def derive(gs: GramSystem) -> SigmaStructureFunction:
     """Coefficients from one Gram factorization, fitted to E and to Estar."""
-    c = gs.fit(gs.space.eval_E)
-    d = gs.fit(gs.space.eval_E_star)
     return SigmaStructureFunction(
-        gs.space, gs.zeros, tuple(complex(v) for v in c), tuple(complex(v) for v in d)
+        gs.space, gs.zeros, gs.fit(gs.space.eval_E), gs.fit(gs.space.eval_E_star)
     )
 
 
@@ -184,23 +182,14 @@ class EpsilonSplitOracle:
         kernel evaluations alone so it is independent of the analytic
         mixed-partial route.
         """
-        ki = self.zeros.confluence[i]
-        kj = self.zeros.confluence[j]
-        zi = self.zeros.points[i]
-        zj = self.zeros.points[j]
-        vals = []
-        for eps in self.schedule:
-            acc = 0j
-            for ell in range(ki + 1):
-                for m in range(kj + 1):
-                    acc += (
-                        ((-1) ** (ell + m))
-                        * math.comb(ki, ell)
-                        * math.comb(kj, m)
-                        * self.space.kernel(zj - m * eps, zi - ell * eps)
-                    )
-            vals.append(acc / eps ** (ki + kj))
-        return extrapolate_to_zero(self.schedule, vals)
+        zs, kernel = self.zeros, self.space.kernel
+        return extrapolate_to_zero(
+            self.schedule,
+            [
+                bracket_eps(lambda w: bracket_eps(lambda z: kernel(z, w), zs, j, eps), zs, i, eps)
+                for eps in self.schedule
+            ],
+        )
 
 
 def derive_epsilon_oracle(

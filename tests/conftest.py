@@ -16,7 +16,6 @@ import pytest
 from hypothesis import settings
 
 from debranges import PaleyWiener, PolynomialHB
-from debranges.kernels import SINC_PROTECTION_RADIUS
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -69,6 +68,10 @@ def fd_mixed_partial(fn, a: int, b: int, z: complex, w: complex, h: float | None
     return total / h ** (a + b)
 
 
+# The far route divides by conj(z) - w; below this |conj(z) - w| * scale the
+# plain kernel (a + b = 0) takes the near-diagonal series instead.
+KERNEL_PROTECTION_RADIUS = 1e-3
+
 # The far route differentiates 1/(conj(z) - w), so an order-p partial
 # amplifies rounding by p!/|delta|^(p+1); partials switch to the series
 # form much earlier than the plain kernel does.
@@ -89,7 +92,7 @@ def generic_mixed(sf, a: int, b: int, z: complex, w: complex) -> complex:
     """d^a/dw^a d^b/d(conj z)^b of the kernel of `sf` by the generic route."""
     s = complex(z).conjugate()
     w = complex(w)
-    radius = SINC_PROTECTION_RADIUS if a + b == 0 else PARTIAL_PROTECTION_RADIUS
+    radius = KERNEL_PROTECTION_RADIUS if a + b == 0 else PARTIAL_PROTECTION_RADIUS
     if abs(s - w) * generic_scale(sf) < radius:
         return generic_mixed_near(sf, a, b, s, w)
     return generic_mixed_far(sf, a, b, s, w)

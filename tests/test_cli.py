@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import debranges
-from debranges.cli import load_config, main
+from debranges.cli import _value_lines, load_config, main
 from debranges.errors import ConfigError
 
 
@@ -282,6 +282,17 @@ class TestDeterminism:
         assert main(["--config", str(path), "--output", str(out1)]) == 0
         assert main(["--config", str(path), "--output", str(out2), "--seed", "12"]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("txt", "  ")])
+    def test_value_rows_print_17_significant_digits(self, fmt, sep):
+        # negative zero, the smallest subnormal, a subnormal, a huge and a plain value
+        row = (-0.0, 5e-324, 1e-310, 1e300, 0.1, -2.5)
+        header = ["a", "b", "c", "d", "e", "f"]
+        want = sep.join(header) + "\n" + sep.join(format(v, ".17g") for v in row) + "\n"
+        assert _value_lines(header, [row], fmt) == want
+        assert want.splitlines()[1].split(sep)[:4] == [
+            "-0", "4.9406564584124654e-324", "9.9999999999999694e-311", "1.0000000000000001e+300"
+        ]
 
 
 def test_cli_import_leaves_out_scipy():

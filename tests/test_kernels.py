@@ -9,9 +9,10 @@ import pytest
 import mpmath
 
 from debranges import DomainError, PaleyWiener, PolynomialHB, UnsupportedOrderError
-from debranges.kernels import SINC_PROTECTION_RADIUS, _series_cutoff
+from debranges.kernels import _series_cutoff
 
 from conftest import (
+    KERNEL_PROTECTION_RADIUS,
     PARTIAL_PROTECTION_RADIUS,
     fd_mixed_partial,
     generic_mixed,
@@ -21,8 +22,6 @@ from conftest import (
     pw_kernel_quadrature,
     pw_moment_quadrature,
 )
-
-SINC_SEAM = 1e-3
 
 
 def _hb_kernel_mp(sf: PolynomialHB, s, w):
@@ -230,7 +229,7 @@ class TestKernelMixedPartial:
         for sf in (pw1, hb3):
             z = 0.4 + 0.3j
             s = z.conjugate()
-            for a, b, seam in ((0, 0, SINC_PROTECTION_RADIUS), (1, 1, PARTIAL_PROTECTION_RADIUS)):
+            for a, b, seam in ((0, 0, KERNEL_PROTECTION_RADIUS), (1, 1, PARTIAL_PROTECTION_RADIUS)):
                 w = s + seam / generic_scale(sf)
                 near = generic_mixed_near(sf, a, b, s, w)
                 far = generic_mixed_far(sf, a, b, s, w)

@@ -1,16 +1,18 @@
-"""Accuracy audit of the PaleyWiener route switches against mpmath.
+"""Accuracy audit of the PaleyWiener kernel routes against mpmath.
 
-Two kernel switches are covered, each on both sides and at the switch itself:
-
-* the moment M_p(u) = int_{-x}^{x} t**p exp(1j*u*t) dt, summed as a series
-  up to |u*x| = _series_cutoff(p) and in closed form beyond it, for
-  p = 0..20 on the real, imaginary and diagonal rays of u, x in {0.5, 1, 2};
-* the kernel 2 sin(v)/u, v = u*x, taken from its Taylor series inside
-  |v| < SINC_PROTECTION_RADIUS and by direct division outside.
+* The moment M_p(u) = int_{-x}^{x} t**p exp(1j*u*t) dt is summed as a
+  series up to |u*x| = _series_cutoff(p) and in closed form beyond it. It
+  is checked for p = 0..20 on both sides of the switch and at the switch
+  itself, on the real, imaginary and diagonal rays of u, x in {0.5, 1, 2},
+  and at orders up to 200 far past the cutoff.
+* The kernel 2*x*sin(v)/v, v = u*x, has no switch. It is checked on
+  either side of |v| = 1e-3, where a series switch used to sit, and down
+  to u = 0 through subnormal |u|.
 
 Moment errors are measured relative to the moment scale
-2 x**(p+1)/(p+1) exp(|Im u| x), which bounds |M_p(u)|; kernel errors
-relative to the kernel value. The references carry 40 correct digits.
+2 x**(p+1)/(p+1) exp(|Im u| x), which bounds |M_p(u)|, except at the
+large orders, which are measured relative to the moment itself; kernel
+errors relative to the kernel value. The references carry 40 correct digits.
 Every sample is fixed, and the hypothesis property is derandomized.
 
 The Taylor disk of the derived space is audited on its inside: K_z(w) from
@@ -31,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 from debranges import PaleyWiener, build, canonicalize, derive
 from debranges.kernels import (
     DEFAULT_DERIVATIVE_BUDGET,
-    SINC_PROTECTION_RADIUS,
     _series_coeffs,
     _series_cutoff,
     _series_pairs,
@@ -47,6 +48,11 @@ CUTOFF_FACTORS = (0.5, 0.9, 1 - 1e-9, 1.0, 1 + 1e-9, 1.1, 1.5, 2.0)
 # lost five digits
 FORMER_CUTOFF = (15.9, 16.1)
 SINC_RADII = (1e-8, 0.999e-3, 1.001e-3, 0.1)
+# |u| down to zero: the smallest subnormal, a subnormal, a tiny normal
+TINY_RADII = (0.0, 5e-324, 1e-310, 1e-300)
+# orders and arguments far past the cutoff, where the falling factorial and
+# the power of 1j*u overflow on their own
+LARGE_ORDER_MOMENTS = ((170, 150 + 0.5j), (200, 160 + 1j))
 
 
 def moment_bound(p: int) -> float:
@@ -147,10 +153,20 @@ def test_moment_continuous_across_cutoff(p, angle, x):
     assert jump <= allowed * moment_scale(p, above, x)
 
 
+@pytest.mark.parametrize("p, u", LARGE_ORDER_MOMENTS)
+def test_moment_large_order_matches_mpmath(p, u):
+    got = PaleyWiener(1.0)._moment(p, u)
+    assert abs(u) > _series_cutoff(p)  # the closed route
+    want = moment_mp(p, u, 1.0)
+    assert cmath.isfinite(got)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.parametrize("ray", sorted(RAYS))
 @pytest.mark.parametrize("r", SINC_RADII)
 @pytest.mark.parametrize("x", XS)
 def test_kernel_sinc_switch_matches_mpmath(ray, r, x):
+    # the exact form on both sides of the former switch radius
     sf = PaleyWiener(x)
     z = 0.3 + 0.7j
     w = z.conjugate() - r * RAYS[ray] / x
@@ -158,7 +174,19 @@ def test_kernel_sinc_switch_matches_mpmath(ray, r, x):
     with mpmath.workdps(40):
         u = mpmath.mpc(z).conjugate() - mpmath.mpc(w)
         want = complex(2 * mpmath.sin(u * x) / u)
-    assert (abs(u * x) < SINC_PROTECTION_RADIUS) == (r < SINC_PROTECTION_RADIUS)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("ray", sorted(RAYS))
+@pytest.mark.parametrize("r", TINY_RADII)
+@pytest.mark.parametrize("x", XS)
+def test_kernel_exact_form_at_tiny_u(ray, r, x):
+    # z = 0 makes u = w - conj(z) = w exactly, so a subnormal u reaches the kernel
+    w = r * RAYS[ray]
+    got = PaleyWiener(x).kernel(0, w)
+    with mpmath.workdps(40):
+        u = mpmath.mpc(w)
+        want = complex(2 * mpmath.sin(u * x) / u) if w else 2 * x
     assert abs(got - want) <= 1e-15 * abs(want)
 
 
