@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import ConfigError, DeBrangesError, DomainError, LinearDependenceError, RangeError
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
@@ -209,9 +207,28 @@ def load_config(path: str) -> RunConfig:
     )
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced points from start to stop, equal bit for bit to numpy.linspace.
+
+    start + i * step, with the last point set to stop; a step that
+    underflows to zero is taken as (i / (num - 1)) * (stop - start).
+    """
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def _grid_points(grid: dict) -> list[complex]:
-    res = np.linspace(grid["re_min"], grid["re_max"], grid["re_steps"])
-    ims = np.linspace(grid["im_min"], grid["im_max"], grid["im_steps"])
+    res = _linspace(grid["re_min"], grid["re_max"], grid["re_steps"])
+    ims = _linspace(grid["im_min"], grid["im_max"], grid["im_steps"])
     # deterministic order: imaginary rows outer, real part fastest
     return [complex(re, im) for im in ims for re in res]
 

@@ -14,34 +14,141 @@ onto the span of the Z_j, rescaled in z:
 
 The linear-solve route is the production path. The bordered-determinant
 route exists purely as an independent cross-check and is therefore kept
-free of any shared intermediate beyond the Gram matrix itself.
+free of any shared intermediate beyond the Gram matrix itself: it has its
+own LU factorization. All of it is plain Python on rows of complex
+numbers; at n <= ~10 that is as fast as array calls and needs no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError, RangeError
 from .kernels import StructureFunction
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
 CONDITION_LIMIT = 1e12
+_JACOBI_SWEEPS = 50  # a cap only; Jacobi converges quadratically, in 5 sweeps at n = 4
+
+Rows = Sequence[Sequence[complex]]
 
 
-def bordered_det(a: np.ndarray, col, row, corner: complex) -> complex:
-    """det [[a, col], [row, corner]] for a square a, bordered by one column and one row."""
-    n = a.shape[0]
-    m = np.empty((n + 1, n + 1), dtype=complex)
-    m[:n, :n] = a
-    m[:n, n] = col
-    m[n, :n] = row
-    m[n, n] = corner
-    return complex(np.linalg.det(m))
+def determinant(rows: Rows) -> complex:
+    """det of a square matrix given by rows; LU with partial pivoting (1 for n = 0)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    det = 1.0 + 0j
+    for k in range(n):
+        piv, big = k, abs(m[k][k])
+        for i in range(k + 1, n):
+            size = abs(m[i][k])
+            if size > big:
+                piv, big = i, size
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        top = m[k]
+        pivot = top[k]
+        det *= pivot
+        if not pivot:
+            return det
+        for row in m[k + 1:]:
+            f = row[k] / pivot
+            for j in range(k + 1, n):
+                row[j] -= f * top[j]
+    return det
+
+
+def bordered_det(
+    a: Rows, col: Sequence[complex], row: Sequence[complex], corner: complex
+) -> complex:
+    """det [[a, col], [row, corner]] for a square a given by rows, bordered by a column and a row."""
+    m = [[*a_row, c] for a_row, c in zip(a, col)]
+    m.append([*row, corner])
+    return determinant(m)
+
+
+def hermitian_eigenvalues(rows: Rows) -> list[float]:
+    """Eigenvalues, ascending, of the Hermitian matrix whose lower triangle `rows` holds.
+
+    Cyclic Jacobi: each sweep rotates every pair (p, q) whose entry exceeds
+    2**-53 sqrt(|a_pp a_qq|), the phase of a_pq taken out first so that the
+    2 x 2 rotation is real; sweeps stop when none is left. On a positive
+    definite matrix this gets every eigenvalue to the accuracy of the
+    scaled condition (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
+    """
+    n = len(rows)
+    a = [[rows[i][j] if j < i else rows[j][i].conjugate() for j in range(n)] for i in range(n)]
+    d = [rows[i][i].real for i in range(n)]
+    pairs = [
+        (p, q, [k for k in range(n) if k != p and k != q])
+        for p in range(n)
+        for q in range(p + 1, n)
+    ]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p, q, others in pairs:
+            ap, aq = a[p], a[q]
+            g = abs(ap[q])
+            if g <= 2.0**-53 * math.sqrt(abs(d[p])) * math.sqrt(abs(d[q])):
+                continue
+            rotated = True
+            theta = (d[q] - d[p]) / (2.0 * g)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            phase = ap[q].conjugate() / g
+            d[p] -= t * g
+            d[q] += t * g
+            ap[q] = aq[p] = 0j
+            # column q times conj(e), e = a_pq / |a_pq|, then the real
+            # rotation [[c, s], [-s, c]] in Rutishauser's form, which
+            # rounds less than the plain c/s products
+            for k in others:
+                ak = a[k]
+                akp, akq = ak[p], ak[q] * phase
+                ak[p] = new_p = akp - s * (akq + tau * akp)
+                ak[q] = new_q = akq + s * (akp - tau * akq)
+                ap[k] = new_p.conjugate()
+                aq[k] = new_q.conjugate()
+        if not rotated:
+            break
+    return sorted(d)
+
+
+def spectral_condition(eigenvalues: Sequence[float]) -> float:
+    """max |lambda| / min |lambda|, the 2-norm condition of a Hermitian matrix (1 for n = 0)."""
+    mags = [abs(v) for v in eigenvalues]
+    if not mags:
+        return 1.0
+    low = min(mags)
+    return max(mags) / low if low else math.inf
+
+
+def _cholesky(g: Rows) -> Optional[tuple[tuple[complex, ...], ...]]:
+    """Lower factor L of g = L L^H by rows, from g's lower triangle.
+
+    None at a pivot that is not > 0.
+    """
+    low: list[tuple[complex, ...]] = []
+    for i, g_row in enumerate(g):
+        row: list[complex] = []
+        for j, l_row in enumerate(low):
+            acc = g_row[j]
+            for k in range(j):
+                acc -= row[k] * l_row[k].conjugate()
+            row.append(acc / l_row[j])
+        pivot = g_row[i].real - sum(v.real * v.real + v.imag * v.imag for v in row)
+        if not pivot > 0:
+            return None
+        row.append(complex(math.sqrt(pivot)))
+        low.append(tuple(row))
+    return tuple(low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +157,21 @@ class GramSystem:
 
     space: StructureFunction
     zeros: ZeroSequence
-    matrix: np.ndarray
-    factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, matrix = L L^H
+    rows: tuple[tuple[complex, ...], ...]  # the Gram matrix by rows, exactly Hermitian
+    factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, rows = L L^H
     det: float
     condition_estimate: float
 
     @property
     def n(self) -> int:
         return len(self.zeros)
+
+    @property
+    def matrix(self):
+        """The Gram matrix as an n x n numpy array, for callers that want one."""
+        import numpy as np
+
+        return np.array(self.rows, dtype=complex).reshape(self.n, self.n)
 
     def solve(self, rhs) -> tuple[complex, ...]:
         """G x = rhs for one right-hand side sequence.
@@ -160,7 +274,7 @@ class GramSystem:
         space, n = self.space, self.n
         col = [space.kernel_mixed_partial(ks[i], 0, z, pts[i]) for i in range(n)]
         row = [space.kernel_mixed_partial(0, ks[j], pts[j], w) for j in range(n)]
-        det = bordered_det(self.matrix, col, row, space.kernel(z, w))
+        det = bordered_det(self.rows, col, row, space.kernel(z, w))
         denom = zs.product(w) * zs.product(z).conjugate()
         return det / (self.det * denom)
 
@@ -236,42 +350,41 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
     """
     n = len(zeros)
     pts, ks = zeros.points, zeros.confluence
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = space.kernel_mixed_partial(ks[i], ks[j], pts[j], pts[i])
-    if not np.isfinite(g).all():
+    g = [
+        [space.kernel_mixed_partial(ks[i], ks[j], pts[j], pts[i]) for j in range(n)]
+        for i in range(n)
+    ]
+    if not all(cmath.isfinite(v) for row in g for v in row):
         raise RangeError("Gram matrix has non-finite entries; the zeros lie outside the double range")
     # entries come from two different partial routes; symmetry is exact in
     # theory, so average away the rounding asymmetry before factoring
-    g = 0.5 * (g + g.conj().T)
-
+    rows = tuple(
+        tuple(0.5 * (g[i][j] + g[j][i].conjugate()) for j in range(n)) for i in range(n)
+    )
     if n == 0:
-        return GramSystem(space, zeros, g, (), 1.0, 1.0)
+        return GramSystem(space, zeros, rows, (), 1.0, 1.0)
 
-    try:
-        low = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        cond = float(np.linalg.cond(g))
+    eig = hermitian_eigenvalues(rows)
+    low = _cholesky(rows)
+    if low is None:
+        cond = spectral_condition(eig)
         raise LinearDependenceError(
             f"Gram matrix has a non-positive pivot (condition estimate {cond:.3e}); "
             "the evaluators are numerically linearly dependent",
             cond,
-        ) from None
-
-    eig = np.linalg.eigvalsh(g)
+        )
     if eig[0] <= 0:
         raise LinearDependenceError(
             "Gram matrix is numerically indefinite; the evaluators are "
             "linearly dependent",
             float("inf"),
         )
-    cond = float(eig[-1] / eig[0])
+    cond = eig[-1] / eig[0]
     if cond > CONDITION_LIMIT:
         raise LinearDependenceError(
             f"Gram condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
             "the evaluators are numerically linearly dependent",
             cond,
         )
-    det = float(np.prod(np.diag(low).real) ** 2)
-    return GramSystem(space, zeros, g, tuple(map(tuple, low.tolist())), det, cond)
+    det = math.prod(row[i].real for i, row in enumerate(low)) ** 2
+    return GramSystem(space, zeros, rows, low, det, cond)

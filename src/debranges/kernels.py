@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import DomainError, RangeError, UnsupportedOrderError
 
 DEFAULT_DERIVATIVE_BUDGET = 64
 
@@ -184,11 +184,19 @@ class PaleyWiener(StructureFunction):
             raise ValueError("exponential type x must be a positive finite real")
         object.__setattr__(self, "x", x)
 
+    # cmath and float powers raise OverflowError past the double range;
+    # the hooks report it as the library's RangeError
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        return _inegpow(order) * self.x**order * cmath.exp(-1j * self.x * w)
+        try:
+            return _inegpow(order) * self.x**order * cmath.exp(-1j * self.x * w)
+        except OverflowError:
+            raise RangeError(f"E^({order})({w}) overflows the double range") from None
 
     def _eval_E_star_raw(self, w: complex, order: int) -> complex:
-        return _ipow(order) * self.x**order * cmath.exp(1j * self.x * w)
+        try:
+            return _ipow(order) * self.x**order * cmath.exp(1j * self.x * w)
+        except OverflowError:
+            raise RangeError(f"Estar^({order})({w}) overflows the double range") from None
 
     # no budget check: moments serve any order (acceptance criterion 7, test_pw_route_unrestricted)
     def kernel_mixed_partial(self, a: int, b: int, z: complex, w: complex) -> complex:
@@ -198,11 +206,16 @@ class PaleyWiener(StructureFunction):
 
     def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
         u = w - z.conjugate()
-        if a == b == 0:
-            x = self.x
-            v = u * x
-            return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
-        return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
+        try:
+            if a == b == 0:
+                x = self.x
+                v = u * x
+                return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
+            return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
+        except OverflowError:
+            raise RangeError(
+                f"kernel partial ({a}, {b}) at z = {z}, w = {w} overflows the double range"
+            ) from None
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,

@@ -295,8 +295,54 @@ class TestDeterminism:
         ]
 
 
-def test_cli_import_leaves_out_scipy():
+def _stdlib_configs(tmp_path) -> list[Path]:
+    """One kernel, one structure and one verify configuration, each writing into tmp_path."""
+    common = {"space": {"family": "paley-wiener", "x": 1.0}, "sigma": [[0.0, 1.0], [1.0, 1.0]]}
+    grid = {"re_min": -1, "re_max": 1, "re_steps": 3, "im_min": 0, "im_max": 1, "im_steps": 2}
+    configs = {
+        "kernel": dict(common, command="kernel", z=[0.5, 0.5], grid=grid),
+        "structure": dict(common, command="structure", eval_points=[[0.3, 0.7], [1.0, 1.0]]),
+        "verify": dict(common, command="verify", seed=3),
+    }
+    paths = []
+    for name, cfg in configs.items():
+        cfg["output"] = {"path": str(tmp_path / f"{name}.out")}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        paths.append(path)
+    return paths
+
+
+def test_cli_import_leaves_out_scipy(tmp_path):
+    # and numpy: importing the CLI and running kernel, structure and verify load neither
     env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
-    code = "import sys, debranges.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    paths = [str(p) for p in _stdlib_configs(tmp_path)]
+    code = (
+        "import sys, debranges.cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert debranges.cli.main(['--config', path]) == 0, path\n"
+        "print('scipy' in sys.modules, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False False"
+    assert all((tmp_path / f"{name}.out").stat().st_size for name in ("kernel", "structure", "verify"))
+
+
+def test_cli_runs_without_site_packages(tmp_path):
+    # python -S leaves site-packages, and with it numpy, off the path
+    env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", "import numpy"], env=env, capture_output=True, text=True
+    )
+    assert probe.returncode != 0
+    cli = [sys.executable, "-S", "-m", "debranges"]
+    listed = subprocess.run([*cli, "--list-checks"], env=env, capture_output=True, text=True)
+    assert listed.returncode == 0, listed.stderr
+    assert "theorem2" in listed.stdout
+    for path in _stdlib_configs(tmp_path):
+        proc = subprocess.run([*cli, "--config", str(path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert "PASS" in (tmp_path / "verify.out").read_text()
+    assert len((tmp_path / "kernel.out").read_text().splitlines()) == 1 + 6

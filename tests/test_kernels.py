@@ -8,7 +8,7 @@ import pytest
 
 import mpmath
 
-from debranges import DomainError, PaleyWiener, PolynomialHB, UnsupportedOrderError
+from debranges import DomainError, PaleyWiener, PolynomialHB, RangeError, UnsupportedOrderError
 from debranges.kernels import _series_cutoff
 
 from conftest import (
@@ -282,6 +282,29 @@ class TestHbMargin:
         for _ in range(50):
             z = complex(rng.uniform(-3, 3), rng.uniform(0.01, 3))
             assert sf.hb_margin(z) > 0
+
+
+class TestOverflow:
+    """Values past the double range end in RangeError, not a bare OverflowError."""
+
+    def test_kernel_sinc_overflow(self):
+        # sin(v) at v = 710.5j overflows
+        with pytest.raises(RangeError):
+            PaleyWiener(1.0).kernel(0.5j, 710j)
+
+    def test_moment_overflow(self):
+        # the closed moment's exp(1j*u*x) at u = 800.5j overflows
+        with pytest.raises(RangeError):
+            PaleyWiener(1.0).kernel_mixed_partial(3, 2, 0.5j, 800j)
+
+    def test_structure_function_overflow(self):
+        pw = PaleyWiener(1.0)
+        with pytest.raises(RangeError):
+            pw.eval_E(800j)
+        with pytest.raises(RangeError):
+            pw.eval_E_star(-800j)
+        with pytest.raises(RangeError):
+            PaleyWiener(1e300).eval_E(1j, 3)  # x**3
 
 
 class TestConstruction:
