@@ -300,27 +300,21 @@ class Remainder:
     `f` is a function of w called as f(w, order) for its order-th
     derivative; `coeffs` are its fit from :meth:`GramSystem.fit`, so the
     residual f - sum_j c_j Z_j vanishes at each run to the run's
-    multiplicity. Inside the de-singularization disk of a run v of m equal
-    zeros the quotient is the Taylor series of the residual at v from order
-    m on, divided by the other factors; each derivative of the residual at
-    a run is computed the first time a point needs it and kept.
+    multiplicity. The residual is the space's `span_residual` hook: one
+    partial per term by default, one polynomial for the whole span on
+    `PolynomialHB`. Inside the de-singularization disk of a run v of m
+    equal zeros the quotient is the Taylor series of the residual at v
+    from order m on, divided by the other factors; each derivative of the
+    residual at a run is computed the first time a point needs it and kept.
     """
 
     def __init__(
         self, space: StructureFunction, zeros: ZeroSequence, f: Callable[[complex, int], complex], coeffs
     ):
-        self.space, self.zeros, self.f = space, zeros, f
-        self.coeffs = coeffs
+        self.zeros = zeros
+        # residual(w, order=0): order-th derivative at w of f - sum_j c_j Z_j
+        self.residual = space.span_residual(f, zeros.points, zeros.confluence, coeffs)
         self._taylor: dict[tuple[complex, int], complex] = {}
-
-    def residual(self, w: complex, order: int = 0) -> complex:
-        """order-th derivative at w of f - sum_j c_j Z_j."""
-        mixed = self.space.kernel_mixed_partial
-        pts, ks = self.zeros.points, self.zeros.confluence
-        acc = self.f(w, order)
-        for j, c in enumerate(self.coeffs):
-            acc -= c * mixed(order, ks[j], pts[j], w)
-        return complex(acc)
 
     def _run_derivative(self, v: complex, order: int) -> complex:
         key = (v, order)

@@ -31,7 +31,12 @@ Two families are implemented:
   mixed partial differentiates its monomials, so no diagonal switch is
   needed.
 
-Both families supply the kernel and its partials through the ``_mixed`` hook.
+Both families supply the kernel and its partials through the ``_mixed`` hook,
+and the residual f - sum_j c_j Z_j of a fit on the imposed zeros (the
+gram layer's Remainder) through ``span_residual``. Its default subtracts
+one partial per term at every point; ``PolynomialHB``, whose Z_j are
+polynomials of degree d - 1 in w, sums the span into one polynomial per
+remainder and pays one Horner pass per point.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, RangeError, UnsupportedOrderError
 
@@ -147,6 +152,10 @@ class StructureFunction:
         a differentiates the analytic evaluation point, b the conjugated
         parameter. a + b is capped by the family's derivative budget.
         """
+        self._check_partial(a, b)
+        return self._mixed(a, b, complex(z), complex(w))
+
+    def _check_partial(self, a: int, b: int) -> None:
         if a < 0 or b < 0:
             raise ValueError("partial orders must be nonnegative")
         if a + b > self.max_derivative_order:
@@ -154,7 +163,31 @@ class StructureFunction:
                 f"mixed partial of total order {a + b} exceeds the budget "
                 f"{self.max_derivative_order}"
             )
-        return self._mixed(a, b, complex(z), complex(w))
+
+    def span_residual(
+        self,
+        f: Callable[[complex, int], complex],
+        points: Sequence[complex],
+        orders: Sequence[int],
+        coeffs: Sequence[complex],
+    ) -> Callable[..., complex]:
+        """(w, a) -> f^(a)(w) - sum_j coeffs[j] d^a/dw^a Z_j(w), a defaulting to 0.
+
+        Z_j(w) = kernel_mixed_partial(., orders[j], points[j], w), the
+        evaluator of the orders[j]-th derivative at points[j]; `f` is
+        called as f(w, a). This default subtracts the terms one partial
+        at a time; a family may collapse them for fixed coefficients.
+        """
+        mixed = self.kernel_mixed_partial
+        terms = tuple(zip(coeffs, orders, points))
+
+        def residual(w: complex, a: int = 0) -> complex:
+            acc = f(w, a)
+            for c, k, p in terms:
+                acc -= c * mixed(a, k, p, w)
+            return complex(acc)
+
+        return residual
 
     def hb_margin(self, z: complex) -> float:
         """|E(z)|^2 - |Estar(z)|^2; strictly positive for Im(z) > 0."""
@@ -320,11 +353,19 @@ class PolynomialHB(StructureFunction):
             acc = acc * w + c
         return acc
 
+    # complex arithmetic does not raise past the double range, it returns
+    # inf or nan; the hooks report that as the library's RangeError
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        return self._horner(self._dcoeffs(order, False), w)
+        value = self._horner(self._dcoeffs(order, False), w)
+        if not cmath.isfinite(value):
+            raise RangeError(f"E^({order})({w}) is not finite ({value})")
+        return value
 
     def _eval_E_star_raw(self, w: complex, order: int) -> complex:
-        return self._horner(self._dcoeffs(order, True), w)
+        value = self._horner(self._dcoeffs(order, True), w)
+        if not cmath.isfinite(value):
+            raise RangeError(f"Estar^({order})({w}) is not finite ({value})")
+        return value
 
     @cached_property
     def _bezoutian(self) -> tuple[tuple[float, ...], ...]:
@@ -364,4 +405,49 @@ class PolynomialHB(StructureFunction):
         total = 0j
         for row in reversed(self._partial_table(a, b)):
             total = total * s + self._horner(row, w)
+        if not cmath.isfinite(total):
+            raise RangeError(f"kernel partial ({a}, {b}) at z = {z}, w = {w} is not finite ({total})")
         return total
+
+    def span_residual(
+        self,
+        f: Callable[[complex, int], complex],
+        points: Sequence[complex],
+        orders: Sequence[int],
+        coeffs: Sequence[complex],
+    ) -> Callable[..., complex]:
+        """The fitted span collapsed into one polynomial in w.
+
+        Each Z_j is the polynomial sum_k (d^k_j/ds^k_j sum_r B[r][k] s^r)
+        w^k at s = conj(points[j]), so the span sum_j c_j Z_j is one
+        coefficient vector, summed once here; its w-derivative tables are
+        built the first time an order is asked for. Every point then costs
+        one Horner pass for the whole span, where the default pays one
+        partial per term. Orders past the budget raise like the partials.
+        """
+        if not coeffs:
+            return super().span_residual(f, points, orders, coeffs)
+        d = len(self._bezoutian)
+        span = [0j] * d
+        for c, k, p in zip(coeffs, orders, points):
+            s = p.conjugate()
+            col = [0j] * d
+            for row in reversed(self._partial_table(0, k)):
+                col = [acc * s + v for acc, v in zip(col, row)]
+            span = [acc + c * v for acc, v in zip(span, col)]
+        top = max(orders)
+        tables: dict[int, tuple[complex, ...]] = {}
+        horner = self._horner
+
+        def residual(w: complex, a: int = 0) -> complex:
+            acc = f(w, a)
+            table = tables.get(a)
+            if table is None:
+                self._check_partial(a, top)
+                table = tables[a] = tuple(math.perm(k, a) * span[k] for k in range(a, d))
+            value = complex(acc - horner(table, w))
+            if not cmath.isfinite(value):
+                raise RangeError(f"span residual of order {a} at w = {w} is not finite ({value})")
+            return value
+
+        return residual

@@ -80,13 +80,20 @@ class ZeroSequence:
                 groups[-1] = (value, count + 1)
         return tuple(groups)
 
+    @cached_property
+    def _disks(self) -> tuple[tuple[complex, int, float], ...]:
+        """Runs as (value, multiplicity, de-singularization radius)."""
+        return tuple(
+            (v, count, DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v))) for v, count in self.group_list
+        )
+
     def local_group(self, w: complex) -> Optional[tuple[complex, int]]:
         """Nearest run whose de-singularization disk contains w, or None."""
         w = complex(w)
         best: Optional[tuple[float, complex, int]] = None
-        for v, count in self.group_list:
+        for v, count, radius in self._disks:
             d = abs(w - v)
-            if d <= DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v)) and (best is None or d < best[0]):
+            if d <= radius and (best is None or d < best[0]):
                 best = (d, v, count)
         return None if best is None else (best[1], best[2])
 

@@ -1,0 +1,212 @@
+"""The collapsed PolynomialHB span residual, audited three ways.
+
+`PolynomialHB.span_residual` sums the fitted span sum_j c_j Z_j into one
+polynomial in w per remainder. It is checked (a) against the base-class
+hook, which subtracts one kernel partial per term, (b) through the derived
+structure functions E_sigma and F_sigma against a 50-digit mpmath
+construction that shares nothing with the library but the inputs, off the
+de-singularization disks, inside them and exactly on the zeros, and (c) on
+the derivative budget: a tight budget raises UnsupportedOrderError exactly
+where the per-term loop does.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from debranges import PolynomialHB, StructureFunction, UnsupportedOrderError, build, canonicalize, derive
+
+ROOTS = {
+    1: (-1j,),
+    3: (-1j, 1 - 1j, -1 - 2j),
+    5: (-1j, 1 - 1j, -1 - 2j, 0.5 - 0.5j, -0.5 - 1.5j),
+}
+ZERO_SETS = {
+    "distinct": (1j, 1 + 1j, -0.5 + 0.8j),
+    "double": (1j, 1j, 1 + 1j),
+}
+AUDIT_POINTS = (
+    0.3 + 0.7j,  # off every disk
+    -1.2 + 0.4j,  # off every disk
+    4.0 + 3.0j,  # far out, where the span's terms are large
+    2.5 - 1.0j,  # lower half-plane
+    1j + (7e-4 + 3e-4j),  # inside the disk of 1j
+    1j,  # exactly on a zero
+    1 + 1j,  # exactly on a zero
+)
+
+
+def _coefficients(hb, zeros, source):
+    if source == "fit":
+        return build(hb, zeros).fit(hb.eval_E)
+    rng = np.random.default_rng(len(hb.roots))
+    return tuple(complex(*rng.uniform(-2, 2, 2)) for _ in zeros.points)
+
+
+# (d, zero set, coefficient source); a fit needs no more zeros than dimensions
+AUDIT_CASES = [
+    (d, name, source)
+    for d in sorted(ROOTS)
+    for name in sorted(ZERO_SETS)
+    for source in ("fit", "random")
+    if source == "random" or len(ZERO_SETS[name]) <= d
+]
+
+
+@pytest.mark.parametrize("d, zero_set, source", AUDIT_CASES)
+def test_collapsed_span_matches_the_per_term_loop(d, zero_set, source):
+    hb = PolynomialHB(ROOTS[d])
+    zeros = canonicalize(ZERO_SETS[zero_set])
+    pts, ks = zeros.points, zeros.confluence
+    coeffs = _coefficients(hb, zeros, source)
+    collapsed = hb.span_residual(hb.eval_E, pts, ks, coeffs)
+    loop = StructureFunction.span_residual(hb, hb.eval_E, pts, ks, coeffs)
+    for a in range(d + 2):
+        for w in AUDIT_POINTS:
+            terms = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in zip(coeffs, ks, pts)]
+            scale = abs(hb.eval_E(w, a)) + sum(abs(t) for t in terms)
+            assert abs(collapsed(w, a) - loop(w, a)) <= 1e-13 * scale, (a, w)
+
+
+def _mp_structure(roots, zero_points, which):
+    """E_sigma (which = "E") or F_sigma as a function of w, in 50-digit arithmetic.
+
+    The Gram matrix and the right-hand side come from mpmath.diff of the
+    direct kernel formula and of E or Estar; the residual f - sum c_j Z_j,
+    a polynomial of degree <= d, is interpolated at the (d+1)-th roots of
+    unity and divided by every (w - z_i) synthetically, so the quotient
+    holds on the zeros too.
+    """
+    zeros = canonicalize(zero_points)
+    with mpmath.workdps(50):
+        rts = [mpmath.mpc(r) for r in roots]
+
+        def e(u):
+            return mpmath.fprod(u - r for r in rts)
+
+        def estar(u):
+            return mpmath.fprod(u - mpmath.conj(r) for r in rts)
+
+        def kernel(s, w):
+            return (estar(s) * e(w) - e(s) * estar(w)) / (1j * (s - w))
+
+        f = e if which == "E" else estar
+        pts = [mpmath.mpc(p) for p in zeros.points]
+        ks = zeros.confluence
+        n = len(pts)
+        gram = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                gram[i, j] = mpmath.diff(kernel, (mpmath.conj(pts[j]), pts[i]), (ks[j], ks[i]))
+        rhs = mpmath.matrix([mpmath.diff(f, p, k) for p, k in zip(pts, ks)])
+        c = mpmath.lu_solve(gram, rhs)
+
+        def residual(w):
+            span = sum(
+                c[j] * mpmath.diff(lambda s: kernel(s, w), mpmath.conj(pts[j]), ks[j]) for j in range(n)
+            )
+            return f(w) - span
+
+        size = len(rts) + 1
+        nodes = [mpmath.expjpi(2 * mpmath.mpf(m) / size) for m in range(size)]
+        values = [residual(u) for u in nodes]
+        # coefficients, highest power first, of the degree <= d residual
+        poly = [sum(v * u ** (-k) for v, u in zip(values, nodes)) / size for k in range(size)][::-1]
+        for p in pts:
+            quotient = [poly[0]]
+            for coef in poly[1:]:
+                quotient.append(coef + quotient[-1] * p)
+            assert abs(quotient[-1]) < mpmath.mpf(10) ** -30 * max(abs(q) for q in quotient)
+            poly = quotient[:-1]
+
+    def evaluate(w):
+        with mpmath.workdps(50):
+            return complex(mpmath.polyval(poly, mpmath.mpc(w)))
+
+    return evaluate
+
+
+STRUCTURE_POINTS = (
+    0.3 + 0.7j,  # off every disk
+    -1.2 + 0.4j,  # off every disk
+    1.5 + 1.8j,  # off every disk
+    1j + 0.19,  # within 0.2 of 1j, off its disk
+    1j + 0.05j,  # within 0.2 of 1j, off its disk
+    1 + 1j - 0.01,  # within 0.2 of 1+1j, off its disk
+    1j + (7e-4 + 3e-4j),  # inside the disk of 1j
+    1j + 1e-5j,  # inside the disk of 1j
+    1 + 1j + (-5e-4 + 6e-4j),  # inside the disk of 1+1j
+    1j,  # exactly on a zero
+    1 + 1j,  # exactly on a zero
+)
+
+
+@pytest.mark.parametrize("zero_set", sorted(ZERO_SETS))
+@pytest.mark.parametrize("which", ("E", "F"))
+def test_structure_matches_mpmath(zero_set, which):
+    roots, zero_points = ROOTS[5], ZERO_SETS[zero_set]
+    ssf = derive(build(PolynomialHB(roots), canonicalize(zero_points)))
+    want = _mp_structure(roots, zero_points, which)
+    for w in STRUCTURE_POINTS:
+        ref = want(w)
+        assert abs(ssf.eval(which, w) - ref) <= 1e-10 * abs(ref), w
+
+
+class _LoopHB(PolynomialHB):
+    """PolynomialHB with the base-class span residual, one partial per term."""
+
+    span_residual = StructureFunction.span_residual
+
+
+def _outcome(run):
+    try:
+        return run()
+    except UnsupportedOrderError:
+        return UnsupportedOrderError
+
+
+BUDGET_Z = (0.3 + 0.7j, 1j + (7e-4 + 3e-4j))  # off and inside the disk of the double zero
+BUDGET_W = (0.3 + 0.7j, 1j + (7e-4 + 3e-4j), 1j, 1 + 1j)
+
+
+@pytest.mark.parametrize("budget", range(13))
+def test_tight_budget_raises_where_the_loop_does(budget):
+    zeros = canonicalize(ZERO_SETS["double"])
+    results = []
+    for family in (PolynomialHB, _LoopHB):
+        hb = family(ROOTS[5], max_derivative_order=budget)
+        gs = _outcome(lambda: build(hb, zeros))
+        if gs is UnsupportedOrderError:
+            results.append(gs)
+            continue
+        ssf = _outcome(lambda: derive(gs))
+        row = []
+        for w in BUDGET_W:
+            for which in ("E", "F"):
+                row.append(ssf if ssf is UnsupportedOrderError else _outcome(lambda: ssf.eval(which, w)))
+            for z in BUDGET_Z:
+                row.append(_outcome(lambda: gs.kernel_row(z)(w)))
+        results.append(row)
+    collapsed, loop = results
+    if loop is UnsupportedOrderError:
+        assert collapsed is UnsupportedOrderError
+        return
+    for got, want in zip(collapsed, loop, strict=True):
+        if want is UnsupportedOrderError:
+            assert got is UnsupportedOrderError
+        else:
+            assert got is not UnsupportedOrderError
+            assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_budget_stops_the_taylor_orders_of_a_double_zero():
+    # inside the disk of the double zero E_sigma needs the residual's
+    # derivatives up to order 2 + DESINGULARIZATION_TERMS = 10, each
+    # against a partial of order 1 in conj(z): 11 in all
+    zeros = canonicalize(ZERO_SETS["double"])
+    ssf = derive(build(PolynomialHB(ROOTS[5], max_derivative_order=10), zeros))
+    assert np.isfinite(ssf.eval("E", 0.3 + 0.7j))
+    with pytest.raises(UnsupportedOrderError):
+        ssf.eval("E", 1j + (7e-4 + 3e-4j))
+    ssf = derive(build(PolynomialHB(ROOTS[5], max_derivative_order=11), zeros))
+    assert np.isfinite(ssf.eval("E", 1j + (7e-4 + 3e-4j)))

@@ -4,8 +4,10 @@
 sum) with one solve per z, and its `Remainder` keeps each residual
 derivative at a zero run; `SigmaStructureFunction.eval` keeps those of E and
 F. The references below are per-point loops without those caches: they
-re-solve and re-differentiate for every point, in the same arithmetic
-order, so every value must match exactly.
+re-solve and re-differentiate for every point, and take the residual
+through the same `span_residual` hook (one partial per term on
+PaleyWiener, one collapsed polynomial on PolynomialHB), so the arithmetic
+order is the library's and every value must match exactly.
 """
 
 import math
@@ -52,7 +54,7 @@ def reference_sigma_kernel(gs, z, w):
     dz = (z - z0).conjugate()
     dw = w - w0
 
-    def z_sum(a, at):
+    def z_sum(at, a):
         # a-th w-derivative at `at` of the conj(z)-Taylor sum from order mz on
         total = 0j
         dpow = 1.0 + 0j
@@ -63,16 +65,14 @@ def reference_sigma_kernel(gs, z, w):
         return total
 
     # one solve of the summed right-hand side, then the Taylor sum in w of
-    # its residual, then the two products
-    beta = [complex(c) for c in gs.solve([z_sum(k, p) for p, k in zip(pts, ks)])]
+    # its residual through the space's span hook, then the two products
+    beta = [complex(c) for c in gs.solve([z_sum(p, k) for p, k in zip(pts, ks)])]
+    residual = space.span_residual(z_sum, pts, ks, beta)
     total = 0j
     dpow = 1.0 + 0j
     for j in range(jmax + 1):
         a = mw + j
-        val = z_sum(a, w0)
-        for t in range(gs.n):
-            val -= beta[t] * space.kernel_mixed_partial(a, ks[t], pts[t], w0)
-        total += val / math.factorial(a) * dpow
+        total += residual(w0, a) / math.factorial(a) * dpow
         dpow *= dw
     w_part = total / zs.product(w, exclude_value=w_excl)
     return w_part / zs.product(z, exclude_value=z_excl).conjugate()

@@ -306,6 +306,30 @@ class TestOverflow:
         with pytest.raises(RangeError):
             PaleyWiener(1e300).eval_E(1j, 3)  # x**3
 
+    # PolynomialHB's Horner sums do not raise past the double range; they
+    # reach inf or nan, which every entry point reports as RangeError
+    def test_hb_kernel_overflow(self):
+        hb = PolynomialHB((-1j, 1 - 1j))
+        with pytest.raises(RangeError):
+            hb.kernel(1e200j, 1e200j)
+        with pytest.raises(RangeError):
+            PolynomialHB((-1j, 1 - 1j, -1 - 2j)).kernel_mixed_partial(1, 0, 1e200j, 1e200j)
+
+    def test_hb_structure_function_overflow(self):
+        hb = PolynomialHB((-1j, 1 - 1j))
+        with pytest.raises(RangeError):
+            hb.eval_E(1e200)
+        with pytest.raises(RangeError):
+            hb.eval_E_star(1e200)
+
+    def test_hb_span_residual_overflow(self):
+        # f stays finite; the degree-1 span c * Z_j(w) at w = 1e300 does not
+        hb = PolynomialHB((-1j, 1 - 1j))
+        residual = hb.span_residual(lambda w, a: 0j, (1j,), (0,), (1e10,))
+        assert cmath.isfinite(residual(1.0))
+        with pytest.raises(RangeError):
+            residual(1e300)
+
 
 class TestConstruction:
     def test_pw_rejects_nonpositive_type(self):
