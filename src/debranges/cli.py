@@ -32,7 +32,7 @@ from .sigma import ZeroSequence, canonicalize
 from .structure import derive
 from .gram import build
 from .verify import (
-    CHECK_DESCRIPTIONS,
+    CHECKS,
     CheckReport,
     PW_EXAMPLE_SAMPLES,
     check_pw_example,
@@ -67,6 +67,33 @@ def _require(cond: bool, fld: str, message: str) -> None:
         raise ConfigError(fld, message)
 
 
+def _number(fld: str, value, message: str, finite_message: str = "") -> float:
+    """A JSON number as a finite float.
+
+    A bool or a non-number raises ConfigError(fld, message); a number past
+    the double range (NaN, Infinity or an integer too large for a float)
+    raises it with finite_message, if given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(fld, message)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(fld, finite_message or message)
+    return number
+
+
+def _seed(fld: str, value) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64,
+        fld,
+        "must be an unsigned 64-bit integer",
+    )
+    return value
+
+
 def _as_complex(fld: str, value) -> complex:
     _require(
         isinstance(value, (list, tuple)) and len(value) == 2,
@@ -74,14 +101,8 @@ def _as_complex(fld: str, value) -> complex:
         "complex numbers are two-element arrays [re, im]",
     )
     re, im = value
-    _require(
-        isinstance(re, (int, float)) and not isinstance(re, bool)
-        and isinstance(im, (int, float)) and not isinstance(im, bool),
-        fld,
-        "re and im must be numbers",
-    )
-    _require(math.isfinite(re) and math.isfinite(im), fld, "re and im must be finite")
-    return complex(re, im)
+    numbers, finite = "re and im must be numbers", "re and im must be finite"
+    return complex(_number(fld, re, numbers, finite), _number(fld, im, numbers, finite))
 
 
 def _parse_space(raw) -> StructureFunction:
@@ -89,16 +110,12 @@ def _parse_space(raw) -> StructureFunction:
     family = raw.get("family")
     if family == "paley-wiener":
         _require("x" in raw, "space.x", "missing exponential type")
-        x = raw["x"]
-        _require(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0,
-            "space.x",
-            "must be a positive number",
+        x = _number(
+            "space.x", raw["x"], "must be a positive number",
+            "exponential type x must be a positive finite real",
         )
-        try:
-            return PaleyWiener(float(x))
-        except ValueError as exc:
-            raise ConfigError("space.x", str(exc)) from None
+        _require(x > 0, "space.x", "must be a positive number")
+        return PaleyWiener(x)
     if family == "polynomial-hb":
         roots_raw = raw.get("roots")
         _require(isinstance(roots_raw, list) and roots_raw, "space.roots", "must be a non-empty array")
@@ -117,13 +134,7 @@ def _parse_grid(raw) -> dict:
         _require(key in raw, f"grid.{key}", "missing")
     grid = {}
     for key in ("re_min", "re_max", "im_min", "im_max"):
-        val = raw[key]
-        _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val),
-            f"grid.{key}",
-            "must be a finite number",
-        )
-        grid[key] = float(val)
+        grid[key] = _number(f"grid.{key}", raw[key], "must be a finite number")
     for key in ("re_steps", "im_steps"):
         val = raw[key]
         _require(isinstance(val, int) and not isinstance(val, bool) and val >= 1,
@@ -169,21 +180,14 @@ def load_config(path: str) -> RunConfig:
 
     kernel_z = _as_complex("z", raw["z"]) if "z" in raw else 0j
 
-    seed = raw.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64,
-        "seed",
-        "must be an unsigned 64-bit integer",
-    )
+    seed = _seed("seed", raw.get("seed", 0))
 
-    tolerances = raw.get("tolerances", {})
-    _require(isinstance(tolerances, dict), "tolerances", "must be an object")
-    for key, val in tolerances.items():
-        _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool) and val >= 0,
-            f"tolerances.{key}",
-            "must be a nonnegative number",
-        )
+    tolerances_raw = raw.get("tolerances", {})
+    _require(isinstance(tolerances_raw, dict), "tolerances", "must be an object")
+    tolerances = {}
+    for key, val in tolerances_raw.items():
+        tolerances[key] = _number(f"tolerances.{key}", val, "must be a nonnegative number")
+        _require(tolerances[key] >= 0, f"tolerances.{key}", "must be a nonnegative number")
 
     out_raw = raw.get("output", {})
     _require(isinstance(out_raw, dict), "output", "must be an object")
@@ -201,7 +205,7 @@ def load_config(path: str) -> RunConfig:
         eval_points=eval_points,
         kernel_z=kernel_z,
         seed=seed,
-        tolerances=dict(tolerances),
+        tolerances=tolerances,
         out_path=out_path,
         out_format=out_format,
     )
@@ -364,7 +368,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_checks:
-        for check_id, description in CHECK_DESCRIPTIONS.items():
+        for check_id, (description, _) in CHECKS.items():
             print(f"{check_id}: {description}")
         return 0
 
@@ -375,9 +379,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.output is not None:
             config.out_path = args.output
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed", "must be an unsigned 64-bit integer")
-            config.seed = args.seed
+            config.seed = _seed("--seed", args.seed)
         return run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

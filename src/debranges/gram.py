@@ -5,8 +5,8 @@ G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For a
 function f, `GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the
 residual f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
 `Remainder` divides that residual by prod (w - z_i), crossing the trivial
-zeros by Taylor series. The derived structure function and its companion
-are the remainders of E and Estar (see structure.py); the derived-space
+zeros by Taylor series. The derived structure function is the remainder
+of E, and its companion the reflection of that (see structure.py); the derived-space
 kernel is the remainder of Z_z, whose fit beta is the projection of Z_z
 onto the span of the Z_j, rescaled in z:
 

@@ -31,7 +31,8 @@ Two families are implemented:
   mixed partial differentiates its monomials, so no diagonal switch is
   needed.
 
-Both families supply the kernel and its partials through the ``_mixed`` hook,
+Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
+the base class), the kernel and its partials through the ``_mixed`` hook,
 and the residual f - sum_j c_j Z_j of a fit on the imposed zeros (the
 gram layer's Remainder) through ``span_residual``. Its default subtracts
 one partial per term at every point; ``PolynomialHB``, whose Z_j are
@@ -96,7 +97,7 @@ def _series_coeffs(p: int) -> tuple[tuple[float, float], ...]:
 
 
 class StructureFunction:
-    """Shared public operations; families supply E / Estar derivatives and the kernel."""
+    """Shared public operations; families supply E derivatives and the kernel."""
 
     max_derivative_order: int
 
@@ -108,7 +109,8 @@ class StructureFunction:
         raise NotImplementedError
 
     def _eval_E_star_raw(self, w: complex, order: int) -> complex:
-        raise NotImplementedError
+        # Estar is the reflection of E, and so is each of its derivatives
+        return self._eval_E_raw(w.conjugate(), order).conjugate()
 
     def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
         """d^a/dw^a d^b/d(conj z)^b of the kernel; orders already validated."""
@@ -123,23 +125,14 @@ class StructureFunction:
     # public operations
     # ------------------------------------------------------------------
 
-    def _check_order(self, order: int) -> None:
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if order > self.max_derivative_order:
-            raise UnsupportedOrderError(
-                f"derivative order {order} exceeds the guaranteed budget "
-                f"{self.max_derivative_order}"
-            )
-
     def eval_E(self, w: complex, order: int = 0) -> complex:
         """order-th derivative of E at w."""
-        self._check_order(order)
+        self._check_partial(order)
         return self._eval_E_raw(complex(w), order)
 
     def eval_E_star(self, w: complex, order: int = 0) -> complex:
         """order-th derivative of Estar at w, Estar(w) = conj(E(conj(w)))."""
-        self._check_order(order)
+        self._check_partial(order)
         return self._eval_E_star_raw(complex(w), order)
 
     def kernel(self, z: complex, w: complex) -> complex:
@@ -155,12 +148,13 @@ class StructureFunction:
         self._check_partial(a, b)
         return self._mixed(a, b, complex(z), complex(w))
 
-    def _check_partial(self, a: int, b: int) -> None:
+    def _check_partial(self, a: int, b: int = 0) -> None:
+        """Orders of a derivative (b = 0) or a kernel partial against the budget."""
         if a < 0 or b < 0:
-            raise ValueError("partial orders must be nonnegative")
+            raise ValueError("derivative orders must be nonnegative")
         if a + b > self.max_derivative_order:
             raise UnsupportedOrderError(
-                f"mixed partial of total order {a + b} exceeds the budget "
+                f"derivative of total order {a + b} exceeds the budget "
                 f"{self.max_derivative_order}"
             )
 
@@ -225,30 +219,30 @@ class PaleyWiener(StructureFunction):
         except OverflowError:
             raise RangeError(f"E^({order})({w}) overflows the double range") from None
 
-    def _eval_E_star_raw(self, w: complex, order: int) -> complex:
-        try:
-            return _ipow(order) * self.x**order * cmath.exp(1j * self.x * w)
-        except OverflowError:
-            raise RangeError(f"Estar^({order})({w}) overflows the double range") from None
-
     # no budget check: moments serve any order (acceptance criterion 7, test_pw_route_unrestricted)
     def kernel_mixed_partial(self, a: int, b: int, z: complex, w: complex) -> complex:
         if a < 0 or b < 0:
             raise ValueError("partial orders must be nonnegative")
         return self._mixed(a, b, complex(z), complex(w))
 
+    # a closed moment can also reach inf or nan without raising, as a finite
+    # exp times a finite primitive; both end in RangeError
     def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
         u = w - z.conjugate()
         try:
             if a == b == 0:
                 x = self.x
                 v = u * x
-                return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
-            return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
+                value = 2.0 * x * (cmath.sin(v) / v if v else 1.0)
+            else:
+                value = _ipow(a) * _inegpow(b) * self._moment(a + b, u)
         except OverflowError:
             raise RangeError(
                 f"kernel partial ({a}, {b}) at z = {z}, w = {w} overflows the double range"
             ) from None
+        if not cmath.isfinite(value):
+            raise RangeError(f"kernel partial ({a}, {b}) at z = {z}, w = {w} is not finite ({value})")
+        return value
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,
@@ -335,16 +329,14 @@ class PolynomialHB(StructureFunction):
     def _deriv_table(self) -> dict:
         return {}
 
-    def _dcoeffs(self, order: int, star: bool) -> tuple[complex, ...]:
-        key = (order, star)
+    def _dcoeffs(self, order: int) -> tuple[complex, ...]:
         table = self._deriv_table
-        if key not in table:
-            coeffs = list(
-                c.conjugate() for c in self._coeffs) if star else list(self._coeffs)
+        if order not in table:
+            coeffs = list(self._coeffs)
             for _ in range(order):
                 coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-            table[key] = tuple(coeffs)
-        return table[key]
+            table[order] = tuple(coeffs)
+        return table[order]
 
     @staticmethod
     def _horner(coeffs: tuple[complex, ...], w: complex) -> complex:
@@ -356,15 +348,9 @@ class PolynomialHB(StructureFunction):
     # complex arithmetic does not raise past the double range, it returns
     # inf or nan; the hooks report that as the library's RangeError
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        value = self._horner(self._dcoeffs(order, False), w)
+        value = self._horner(self._dcoeffs(order), w)
         if not cmath.isfinite(value):
             raise RangeError(f"E^({order})({w}) is not finite ({value})")
-        return value
-
-    def _eval_E_star_raw(self, w: complex, order: int) -> complex:
-        value = self._horner(self._dcoeffs(order, True), w)
-        if not cmath.isfinite(value):
-            raise RangeError(f"Estar^({order})({w}) is not finite ({value})")
         return value
 
     @cached_property

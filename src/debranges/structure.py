@@ -3,9 +3,11 @@
 Imposing a zero sequence on a space with structure function E produces a
 new space whose structure function is determined by a finite datum: the
 incomplete form E(w) - sum_j c_j Z_j(w) must vanish on the sequence with
-multiplicity, which pins the coefficients c through one Gram fit (and
-d likewise for the reflected companion F = Estar). The complete forms are
-the gram layer's Remainder of E and Estar. Three routes exist:
+multiplicity, which pins the coefficients c through one Gram fit. The
+complete form E_sigma is the gram layer's Remainder of E with those
+coefficients; its companion F_sigma is its reflection,
+F_sigma(w) = conj(E_sigma(conj(w))), as for any structure function. Three
+routes exist:
 
 * ``derive``: the direct Gram solve; production path, handles repeated
   zeros through confluent mixed-partial entries.
@@ -27,8 +29,6 @@ from .errors import DomainError, InvalidScheduleError, LinearDependenceError
 from .gram import GramSystem, Remainder, build
 from .kernels import StructureFunction
 from .sigma import ZeroSequence, bracket_eps, canonicalize
-
-_WHICH = ("E", "F")
 
 # Relative floor on the projected kernel diagonal below which adding one
 # more zero is declared linearly dependent (mirrors the Gram condition cap).
@@ -58,49 +58,43 @@ def extrapolate_to_zero(steps: Sequence[float], values: Sequence[complex]) -> co
 class SigmaStructureFunction:
     """Structure function of the derived space, stored by coefficients.
 
-    The incomplete forms E(w) - sum c_j Z_j(w) and F(w) - sum d_j Z_j(w)
-    vanish on the zero sequence with multiplicity; the complete forms are
-    those divided by prod (w - z_i). Both are the :class:`Remainder` of E
-    (of Estar for F) with those coefficients.
+    The incomplete form E(w) - sum c_j Z_j(w) vanishes on the zero sequence
+    with multiplicity; the complete form E_sigma is that divided by
+    prod (w - z_i), the :class:`Remainder` of E with those coefficients.
+    The companion F_sigma is the reflection of E_sigma.
     """
 
     base: StructureFunction
     zeros: ZeroSequence
     coeffs_E: tuple[complex, ...]
-    coeffs_F: tuple[complex, ...]
 
     @cached_property
-    def _remainders(self) -> dict[str, Remainder]:
-        return {
-            "E": Remainder(self.base, self.zeros, self.base.eval_E, self.coeffs_E),
-            "F": Remainder(self.base, self.zeros, self.base.eval_E_star, self.coeffs_F),
-        }
+    def _remainder(self) -> Remainder:
+        return Remainder(self.base, self.zeros, self.base.eval_E, self.coeffs_E)
 
-    def _remainder(self, which: str) -> Remainder:
-        if which not in _WHICH:
-            raise ValueError("which must be 'E' or 'F'")
-        return self._remainders[which]
-
-    def incomplete(self, which: str, w: complex, order: int = 0) -> complex:
-        """order-th w-derivative of the incomplete form at w."""
-        return self._remainder(which).residual(complex(w), order)
+    def incomplete(self, w: complex, order: int = 0) -> complex:
+        """order-th w-derivative of the incomplete form of E at w."""
+        return self._remainder.residual(complex(w), order)
 
     def eval(self, which: str, w: complex) -> complex:
-        """Complete form at w; the trivial zeros are crossed by Taylor.
+        """E_sigma(w), or F_sigma(w) = conj(E_sigma(conj(w))).
 
-        Inside the de-singularization disk of a run of m equal zeros the
-        vanishing order m of the incomplete form is divided out against
-        (w - z)^m using its analytic derivatives, which are computed once
-        per run and order.
+        The trivial zeros are crossed by Taylor: inside the
+        de-singularization disk of a run of m equal zeros the vanishing
+        order m of the incomplete form is divided out against (w - z)^m
+        using its analytic derivatives, which are computed once per run
+        and order.
         """
-        return self._remainder(which)(w)
+        if which == "E":
+            return self._remainder(w)
+        if which == "F":
+            return self._remainder(complex(w).conjugate()).conjugate()
+        raise ValueError("which must be 'E' or 'F'")
 
 
 def derive(gs: GramSystem) -> SigmaStructureFunction:
-    """Coefficients from one Gram factorization, fitted to E and to Estar."""
-    return SigmaStructureFunction(
-        gs.space, gs.zeros, gs.fit(gs.space.eval_E), gs.fit(gs.space.eval_E_star)
-    )
+    """Coefficients of E from one fit on the Gram factorization."""
+    return SigmaStructureFunction(gs.space, gs.zeros, gs.fit(gs.space.eval_E))
 
 
 def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStructureFunction:
@@ -116,23 +110,19 @@ def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStru
         raise DomainError("iterative route requires distinct zeros; derive handles repetitions")
     pts = zeros.points
     c: list[complex] = []
-    d: list[complex] = []
     for m, znew in enumerate(pts):
         prefix = canonicalize(pts[:m])
         gs = build(space, prefix)
-        p_e = Remainder(space, prefix, space.eval_E, c).residual(znew)
-        p_f = Remainder(space, prefix, space.eval_E_star, d).residual(znew)
+        p = Remainder(space, prefix, space.eval_E, c).residual(znew)
         beta = gs.solve_beta(znew)
         diag = gs.incomplete_kernel(znew, znew, beta)
         if abs(diag) < _DIAGONAL_FLOOR * abs(space.kernel(znew, znew)):
             raise LinearDependenceError(
                 f"evaluator at {znew} is numerically in the span of the previous ones"
             )
-        mu_e = p_e / diag
-        mu_f = p_f / diag
-        c = [cj - mu_e * bj for cj, bj in zip(c, beta)] + [mu_e]
-        d = [dj - mu_f * bj for dj, bj in zip(d, beta)] + [mu_f]
-    return SigmaStructureFunction(space, zeros, tuple(c), tuple(d))
+        mu = p / diag
+        c = [cj - mu * bj for cj, bj in zip(c, beta)] + [mu]
+    return SigmaStructureFunction(space, zeros, tuple(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +141,9 @@ class EpsilonSplitOracle:
     systems: tuple[GramSystem, ...]
     derived: tuple[SigmaStructureFunction, ...]
 
-    def incomplete(self, which: str, w: complex) -> complex:
-        """Extrapolated incomplete form of the derived structure function."""
-        return extrapolate_to_zero(
-            self.schedule, [ssf.incomplete(which, w) for ssf in self.derived]
-        )
+    def incomplete(self, w: complex) -> complex:
+        """Extrapolated incomplete form of the derived E."""
+        return extrapolate_to_zero(self.schedule, [ssf.incomplete(w) for ssf in self.derived])
 
     def eval(self, which: str, w: complex) -> complex:
         """Extrapolated complete form; w should stay off the zero sequence."""

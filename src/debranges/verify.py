@@ -26,7 +26,7 @@ from .gram import (
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .rng import PCG64
 from .sigma import ZeroSequence, canonicalize
-from .structure import derive
+from .structure import SigmaStructureFunction, derive
 
 THEOREM2_BASE_TOL = 1e-8
 N1_BASE_TOL = 1e-10
@@ -37,15 +37,16 @@ HB_BASE_TOL = 0.0
 DIAGONAL_MARGIN = 1e-3
 SAMPLE_RADIUS = 3.0
 
-CHECK_DESCRIPTIONS = {
-    "theorem2": "derived kernel equals the structure-function quotient form",
-    "n1-star": "single-zero derived F equals the reflected derived E",
-    "n1-evaluator": "single-zero boundary-data combination reproduces the evaluator",
-    "n1-kernel": "single-zero bordered determinant equals the quotient form",
-    "pw-det-diag": "sinc-kernel determinant diagonal identity",
-    "pw-det-star": "sinc-kernel determinant reflection identity",
-    "hb-inheritance": "derived structure function keeps a positive half-plane margin",
-    "projection": "projection residual vanishes on the sequence; routes agree",
+# check id -> (description printed by --list-checks, base tolerance)
+CHECKS = {
+    "theorem2": ("derived kernel equals the structure-function quotient form", THEOREM2_BASE_TOL),
+    "n1-star": ("single-zero derived F equals the reflected derived E", N1_BASE_TOL),
+    "n1-evaluator": ("single-zero boundary-data combination reproduces the evaluator", N1_BASE_TOL),
+    "n1-kernel": ("single-zero bordered determinant equals the quotient form", N1_BASE_TOL),
+    "pw-det-diag": ("sinc-kernel determinant diagonal identity", PW_EXAMPLE_BASE_TOL),
+    "pw-det-star": ("sinc-kernel determinant reflection identity", PW_EXAMPLE_BASE_TOL),
+    "hb-inheritance": ("derived structure function keeps a positive half-plane margin", HB_BASE_TOL),
+    "projection": ("projection residual vanishes on the sequence; routes agree", PROJECTION_BASE_TOL),
 }
 
 
@@ -113,6 +114,13 @@ def _rel(diff: complex, scale: complex) -> float:
     return abs(diff) / max(1.0, abs(scale))
 
 
+def _quotient(ssf: SigmaStructureFunction, z: complex, w: complex) -> complex:
+    """(conj E(z) E(w) - conj F(z) F(w)) / (i (conj z - w)) of the derived pair."""
+    ez, ew = ssf.eval("E", z), ssf.eval("E", w)
+    fz, fw = ssf.eval("F", z), ssf.eval("F", w)
+    return (ez.conjugate() * ew - fz.conjugate() * fw) / (1j * (z.conjugate() - w))
+
+
 def check_theorem2(
     space: StructureFunction,
     zeros: ZeroSequence,
@@ -129,10 +137,7 @@ def check_theorem2(
     for _ in range(sample_count):
         z, w = _sample_pair(rng)
         lhs = gs.sigma_kernel(z, w)
-        ez, ew = ssf.eval("E", z), ssf.eval("E", w)
-        fz, fw = ssf.eval("F", z), ssf.eval("F", w)
-        rhs = (ez.conjugate() * ew - fz.conjugate() * fw) / (1j * (z.conjugate() - w))
-        worst = max(worst, _rel(lhs - rhs, lhs))
+        worst = max(worst, _rel(lhs - _quotient(ssf, z, w), lhs))
     tol = _scaled_tol(base_tolerance, gs.condition_estimate)
     return _report(_tagged("theorem2", tag), sample_count, worst, tol, gs.condition_estimate)
 
@@ -162,19 +167,18 @@ def check_n1_identities(
     for _ in range(sample_count):
         z, w = _sample_pair(rng, avoid=[z1, z1.conjugate()], avoid_margin=margin)
         ew, fw = ssf.eval("E", w), ssf.eval("F", w)
-        # reflected companion
-        star = ssf.eval("E", w.conjugate()).conjugate()
+        z1w = space.kernel(z1, w)
+        # the reflected derived E against the closed single-zero remainder of Estar
+        star = (space.eval_E_star(w) - f1 / g11 * z1w) / (w - z1)
         worst_star = max(worst_star, _rel(fw - star, fw))
         # boundary-data combination reproduces the evaluator
-        z1w = space.kernel(z1, w)
         worst_eval = max(
             worst_eval, _rel(e1.conjugate() * ew - f1.conjugate() * fw + 1j * z1w, z1w)
         )
         # bordered 2x2 determinant equals the quotient of the derived forms
         det2 = g11 * space.kernel(z, w) - space.kernel(z1, z).conjugate() * z1w
         lhs = det2 / ((w - z1) * (z - z1).conjugate() * g11)
-        ez, fz = ssf.eval("E", z), ssf.eval("F", z)
-        rhs = (ez.conjugate() * ew - fz.conjugate() * fw) / (1j * (z.conjugate() - w))
+        rhs = _quotient(ssf, z, w)
         worst_det = max(worst_det, _rel(lhs - rhs, rhs))
 
     tol = _scaled_tol(base_tolerance, gs.condition_estimate)
@@ -373,23 +377,11 @@ PW_EXAMPLE_ZEROS: tuple[complex, ...] = (1j, 1 + 1j, -0.5 + 2j)
 PW_EXAMPLE_SAMPLES: tuple[complex, ...] = (2j, 0.5 + 1.5j)
 PROJECTION_POINT = 0.7 + 1.3j
 
-_BASE_TOLERANCES = {
-    "theorem2": THEOREM2_BASE_TOL,
-    "n1-star": N1_BASE_TOL,
-    "n1-evaluator": N1_BASE_TOL,
-    "n1-kernel": N1_BASE_TOL,
-    "pw-det-diag": PW_EXAMPLE_BASE_TOL,
-    "pw-det-star": PW_EXAMPLE_BASE_TOL,
-    "hb-inheritance": HB_BASE_TOL,
-    "projection": PROJECTION_BASE_TOL,
-}
-
-
 def base_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
     family = check_id.split(":", 1)[0]
     if overrides and family in overrides:
         return float(overrides[family])
-    return _BASE_TOLERANCES[family]
+    return CHECKS[family][1]
 
 
 def _sequence_checks(

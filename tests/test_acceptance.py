@@ -103,9 +103,6 @@ def test_criterion_3_route_equivalence():
             for got, want in zip(iterative.coeffs_E, direct.coeffs_E):
                 scale = max(abs(c) for c in direct.coeffs_E)
                 assert abs(got - want) <= 1e-9 * scale, f"{space_tag}/{pts}"
-            for got, want in zip(iterative.coeffs_F, direct.coeffs_F):
-                scale = max(abs(c) for c in direct.coeffs_F)
-                assert abs(got - want) <= 1e-9 * scale, f"{space_tag}/{pts}"
     # kernel: solve route vs bordered determinant on 100 samples
     rng = np.random.default_rng(42)
     for space_tag, space in [("pw-x1", PaleyWiener(1.0)), ("hb-deg3", SPACES[4][1])]:
@@ -147,12 +144,11 @@ def test_criterion_4_confluence_limits():
             worst = max(worst, err)
             assert err <= 1e-5, f"kernel at ({z},{w}) of {pts}"
         for w in (0j, 1 + 0.5j):
-            for which in ("E", "F"):
-                got = oracle.incomplete(which, w)
-                want = ssf.incomplete(which, w)
-                err = abs(got - want) / max(1.0, abs(want))
-                worst = max(worst, err)
-                assert err <= 1e-5, f"incomplete {which} at {w} of {pts}"
+            got = oracle.incomplete(w)
+            want = ssf.incomplete(w)
+            err = abs(got - want) / max(1.0, abs(want))
+            worst = max(worst, err)
+            assert err <= 1e-5, f"incomplete E at {w} of {pts}"
     _announce("criterion-4 confluence-limits", True, f"worst rel err {worst:.3e}")
 
 

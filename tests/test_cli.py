@@ -83,6 +83,52 @@ class TestConfigValidation:
             load_config(str(path))
         assert err.value.field == "seed"
 
+    # a JSON integer too large for a float; float() and math.isfinite() overflow on it
+    HUGE = 10**400
+    GRID = {"re_min": 0, "re_max": 1, "re_steps": 2, "im_min": 0, "im_max": 1, "im_steps": 2}
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"command": "structure", "eval_points": [[0.0, 0.5], [HUGE, 1.0]]}, "eval_points[1]"),
+            ({"sigma": [[0.0, 1.0], [0.0, HUGE]]}, "sigma[1]"),
+            ({"space": {"family": "polynomial-hb", "roots": [[HUGE, -1.0]]}}, "space.roots[0]"),
+            ({"space": {"family": "paley-wiener", "x": HUGE}}, "space.x"),
+            ({"command": "kernel", "grid": dict(GRID, re_max=HUGE)}, "grid.re_max"),
+            ({"command": "kernel", "grid": dict(GRID, im_min=-HUGE)}, "grid.im_min"),
+            ({"command": "kernel", "eval_points": [[0.0, 0.5]], "z": [0.0, HUGE]}, "z"),
+            ({"tolerances": {"theorem2": HUGE}}, "tolerances.theorem2"),
+        ],
+    )
+    def test_huge_integer_is_a_config_error(self, tmp_path, capsys, overrides, field):
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field == field
+        assert main(["--config", str(path)]) == 2
+        assert f"configuration error: {field}: " in capsys.readouterr().err
+
+    def test_messages_name_the_failed_test(self, tmp_path):
+        cases = [
+            ({"sigma": [[0.0, True]]}, "re and im must be numbers"),
+            ({"sigma": [[0.0, float("inf")]]}, "re and im must be finite"),
+            ({"space": {"family": "paley-wiener", "x": "1"}}, "must be a positive number"),
+            ({"space": {"family": "paley-wiener", "x": -1.0}}, "must be a positive number"),
+            ({"space": {"family": "paley-wiener", "x": float("inf")}}, "positive finite real"),
+            ({"command": "kernel", "grid": dict(self.GRID, re_min=float("nan"))}, "must be a finite number"),
+            ({"tolerances": {"theorem2": -1.0}}, "must be a nonnegative number"),
+        ]
+        for overrides, message in cases:
+            path = write_config(tmp_path, **overrides)
+            with pytest.raises(ConfigError) as err:
+                load_config(str(path))
+            assert str(err.value).endswith(message), overrides
+
+    def test_seed_override_range(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["--config", str(path), "--seed", "-1"]) == 2
+        assert "configuration error: --seed: " in capsys.readouterr().err
+
     def test_noncontiguous_duplicates_canonicalized(self, tmp_path):
         path = write_config(tmp_path, sigma=[[0.0, 1.0], [0.0, 2.0], [0.0, 1.0]])
         cfg = load_config(str(path))

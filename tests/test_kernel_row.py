@@ -79,17 +79,22 @@ def reference_sigma_kernel(gs, z, w):
 
 
 def reference_structure_eval(ssf, which, w):
-    """Complete form at w with the incomplete-form derivatives taken afresh."""
+    """Complete form at w with the incomplete-form derivatives taken afresh.
+
+    F is the reflection of E: the conjugate of the E reference at conj(w).
+    """
+    if which == "F":
+        return reference_structure_eval(ssf, "E", w.conjugate()).conjugate()
     group = ssf.zeros.local_group(w)
     if group is None:
-        return ssf.incomplete(which, w) / ssf.zeros.product(w)
+        return ssf.incomplete(w) / ssf.zeros.product(w)
     v, m = group
     delta = w - v
     jmax = 0 if delta == 0 else DESINGULARIZATION_TERMS
     total = 0j
     dpow = 1.0 + 0j
     for j in range(jmax + 1):
-        total += ssf.incomplete(which, v, order=m + j) / math.factorial(m + j) * dpow
+        total += ssf.incomplete(v, order=m + j) / math.factorial(m + j) * dpow
         dpow *= delta
     return total / ssf.zeros.product(w, exclude_value=v)
 
@@ -156,6 +161,17 @@ def test_row_solves_once_inside_a_disk(pw1, solve_calls):
     row = gs.kernel_row(1j + (7e-4 + 3e-4j))
     for w in ws:
         row(w)
+    assert len(solve_calls) == 1
+
+
+@pytest.mark.parametrize("family", sorted(SPACES))
+def test_derive_solves_once(family, solve_calls):
+    # F is the reflection of E, so only E is fitted
+    gs = build(SPACES[family], canonicalize(ZEROS))
+    ssf = derive(gs)
+    for w in (0.3 + 0.7j, 1j, 1j + 1e-4, -1j):
+        ssf.eval("E", w)
+        ssf.eval("F", w)
     assert len(solve_calls) == 1
 
 

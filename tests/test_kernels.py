@@ -297,6 +297,11 @@ class TestOverflow:
         with pytest.raises(RangeError):
             PaleyWiener(1.0).kernel_mixed_partial(3, 2, 0.5j, 800j)
 
+    def test_moment_not_finite(self):
+        # the closed moment's exp and primitive are finite, their product is not
+        with pytest.raises(RangeError):
+            PaleyWiener(2.0).kernel_mixed_partial(10, 0, 0j, 354.4j)
+
     def test_structure_function_overflow(self):
         pw = PaleyWiener(1.0)
         with pytest.raises(RangeError):

@@ -47,7 +47,6 @@ class TestDerive:
     def test_single_zero_closed_form(self, pw1):
         ssf = derive(build(pw1, canonicalize([1j])))
         assert ssf.coeffs_E[0] == pytest.approx(math.e / math.sinh(2))
-        assert ssf.coeffs_F[0] == pytest.approx(math.exp(-1) / math.sinh(2))
 
     @pytest.mark.parametrize("family", ["pw", "hb"])
     @pytest.mark.parametrize("pts", [[1j], [1j, 2j], [1j, 1j]])
@@ -56,10 +55,9 @@ class TestDerive:
         zs = canonicalize(pts)
         ssf = derive(build(sf, zs))
         data_scale = max(abs(sf.eval_E(p, k)) for p, k in zip(zs.points, zs.confluence))
-        for which in ("E", "F"):
-            for i in range(len(zs)):
-                val = bracket(lambda w, order=0: ssf.incomplete(which, w, order), zs, i)
-                assert abs(val) <= 1e-9 * max(1.0, data_scale)
+        for i in range(len(zs)):
+            val = bracket(lambda w, order=0: ssf.incomplete(w, order), zs, i)
+            assert abs(val) <= 1e-9 * max(1.0, data_scale)
 
 
 class TestEval:
@@ -205,7 +203,6 @@ class TestDeriveIterative:
         it = derive_iterative(pw1, zs)
         dr = derive(build(pw1, zs))
         assert it.coeffs_E[0] == pytest.approx(dr.coeffs_E[0])
-        assert it.coeffs_F[0] == pytest.approx(dr.coeffs_F[0])
 
     def test_empty(self, pw1):
         ssf = derive_iterative(pw1, canonicalize([]))
@@ -228,8 +225,6 @@ class TestDeriveIterative:
         scale = max(abs(c) for c in dr.coeffs_E)
         for a, b in zip(it.coeffs_E, dr.coeffs_E):
             assert abs(a - b) <= 1e-9 * scale
-        for a, b in zip(it.coeffs_F, dr.coeffs_F):
-            assert abs(a - b) <= 1e-9 * max(abs(c) for c in dr.coeffs_F)
 
     def test_repeated_zeros_rejected(self, pw1):
         with pytest.raises(DomainError):
@@ -242,15 +237,15 @@ class TestEpsilonOracle:
         oracle = derive_epsilon_oracle(pw1, zs, [1e-2, 5e-3])
         ssf = derive(build(pw1, zs))
         for w in (0j, 0.5 + 0.5j):
-            assert oracle.incomplete("E", w) == pytest.approx(ssf.incomplete("E", w))
+            assert oracle.incomplete(w) == pytest.approx(ssf.incomplete(w))
 
     def test_confluent_incomplete_form(self, pw1):
         zs = canonicalize([1j, 1j])
         oracle = derive_epsilon_oracle(pw1, zs, [1e-2, 5e-3, 2.5e-3])
         ssf = derive(build(pw1, zs))
         for w in (0j, 1 + 0.5j):
-            got = oracle.incomplete("E", w)
-            want = ssf.incomplete("E", w)
+            got = oracle.incomplete(w)
+            want = ssf.incomplete(w)
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
     def test_confluent_gram_entries(self, pw1):
