@@ -36,7 +36,6 @@ from .verify import (
     CheckReport,
     PW_EXAMPLE_SAMPLES,
     check_pw_example,
-    base_tolerance,
     run_config_checks,
 )
 
@@ -105,6 +104,15 @@ def _as_complex(fld: str, value) -> complex:
     return complex(_number(fld, re, numbers, finite), _number(fld, im, numbers, finite))
 
 
+def _complex_array(fld: str, value, message: str, allow_empty: bool = False) -> list[complex]:
+    """A JSON array of [re, im] pairs as complex numbers.
+
+    Anything but an array, or an empty one unless allowed, raises ConfigError(fld, message).
+    """
+    _require(isinstance(value, list) and (allow_empty or value), fld, message)
+    return [_as_complex(f"{fld}[{i}]", v) for i, v in enumerate(value)]
+
+
 def _parse_space(raw) -> StructureFunction:
     _require(isinstance(raw, dict), "space", "must be an object")
     family = raw.get("family")
@@ -117,9 +125,7 @@ def _parse_space(raw) -> StructureFunction:
         _require(x > 0, "space.x", "must be a positive number")
         return PaleyWiener(x)
     if family == "polynomial-hb":
-        roots_raw = raw.get("roots")
-        _require(isinstance(roots_raw, list) and roots_raw, "space.roots", "must be a non-empty array")
-        roots = [_as_complex(f"space.roots[{i}]", r) for i, r in enumerate(roots_raw)]
+        roots = _complex_array("space.roots", raw.get("roots"), "must be a non-empty array")
         try:
             return PolynomialHB(tuple(roots))
         except ValueError as exc:
@@ -161,15 +167,15 @@ def load_config(path: str) -> RunConfig:
     space = _parse_space(raw.get("space"))
 
     sigma_raw = raw.get("sigma", [])
-    _require(isinstance(sigma_raw, list), "sigma", "must be an array of [re, im] pairs")
-    sigma = canonicalize([_as_complex(f"sigma[{i}]", p) for i, p in enumerate(sigma_raw)])
+    sigma = canonicalize(
+        _complex_array("sigma", sigma_raw, "must be an array of [re, im] pairs", allow_empty=True)
+    )
 
     grid = _parse_grid(raw["grid"]) if "grid" in raw and raw["grid"] is not None else None
     pts_raw = raw.get("eval_points")
     eval_points = None
     if pts_raw is not None:
-        _require(isinstance(pts_raw, list) and pts_raw, "eval_points", "must be a non-empty array")
-        eval_points = [_as_complex(f"eval_points[{i}]", p) for i, p in enumerate(pts_raw)]
+        eval_points = _complex_array("eval_points", pts_raw, "must be a non-empty array")
 
     if command in ("kernel", "structure"):
         _require(
@@ -186,8 +192,10 @@ def load_config(path: str) -> RunConfig:
     _require(isinstance(tolerances_raw, dict), "tolerances", "must be an object")
     tolerances = {}
     for key, val in tolerances_raw.items():
-        tolerances[key] = _number(f"tolerances.{key}", val, "must be a nonnegative number")
-        _require(tolerances[key] >= 0, f"tolerances.{key}", "must be a nonnegative number")
+        fld = f"tolerances.{key}"
+        _require(key in CHECKS, fld, "is not a check identifier (see --list-checks)")
+        tolerances[key] = _number(fld, val, "must be a nonnegative number")
+        _require(tolerances[key] >= 0, fld, "must be a nonnegative number")
 
     out_raw = raw.get("output", {})
     _require(isinstance(out_raw, dict), "output", "must be an object")
@@ -302,53 +310,35 @@ def run(config: RunConfig) -> int:
 
 
 def _run(config: RunConfig) -> int:
-    points = config.eval_points if config.eval_points is not None else (
-        _grid_points(config.grid) if config.grid is not None else None
-    )
-
-    if config.command == "kernel":
+    if config.command in ("kernel", "structure"):
+        points = config.eval_points if config.eval_points is not None else _grid_points(config.grid)
         gs = build(config.space, config.sigma)
-        z = config.kernel_z
-        values = _finite_values(gs.kernel_row(z), points)
-        rows = [(z.real, z.imag, w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
-        _write(
-            config.out_path,
-            _value_lines(["re_z", "im_z", "re_w", "im_w", "re_val", "im_val"], rows, config.out_format),
-        )
-        return 0
-
-    if config.command == "structure":
-        ssf = derive(build(config.space, config.sigma))
-        values = _finite_values(lambda w: ssf.eval("E", w), points)
-        rows = [(w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
-        _write(
-            config.out_path,
-            _value_lines(["re_w", "im_w", "re_val", "im_val"], rows, config.out_format),
-        )
+        if config.command == "kernel":
+            z = config.kernel_z
+            fn, lead, lead_header = gs.kernel_row(z), (z.real, z.imag), ["re_z", "im_z"]
+        else:
+            ssf = derive(gs)
+            fn, lead, lead_header = (lambda w: ssf.eval("E", w)), (), []
+        values = _finite_values(fn, points)
+        rows = [lead + (w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
+        header = [*lead_header, "re_w", "im_w", "re_val", "im_val"]
+        _write(config.out_path, _value_lines(header, rows, config.out_format))
         return 0
 
     if config.command == "verify":
         reports = run_config_checks(
             config.space, config.sigma, seed=config.seed, tolerances=config.tolerances
         )
-        _write(config.out_path, _report_lines(reports, config.out_format))
-        return 0 if all(r.passed for r in reports) else 1
-
-    # pw-example
-    if not isinstance(config.space, PaleyWiener):
-        raise ConfigError("space.family", "the pw-example command requires the paley-wiener family")
-    if any(k != 0 for k in config.sigma.confluence):
-        raise ConfigError("sigma", "the pw-example command requires distinct zeros")
-    samples = config.eval_points if config.eval_points else list(PW_EXAMPLE_SAMPLES)
-    try:
-        reports = check_pw_example(
-            config.space.x,
-            config.sigma.points,
-            samples,
-            base_tolerance("pw-det-diag", config.tolerances),
-        )
-    except DomainError as exc:
-        raise ConfigError("eval_points", str(exc)) from None
+    else:  # pw-example
+        if not isinstance(config.space, PaleyWiener):
+            raise ConfigError("space.family", "the pw-example command requires the paley-wiener family")
+        if any(k != 0 for k in config.sigma.confluence):
+            raise ConfigError("sigma", "the pw-example command requires distinct zeros")
+        samples = config.eval_points if config.eval_points else list(PW_EXAMPLE_SAMPLES)
+        try:
+            reports = check_pw_example(config.space.x, config.sigma.points, samples, config.tolerances)
+        except DomainError as exc:
+            raise ConfigError("eval_points", str(exc)) from None
     _write(config.out_path, _report_lines(reports, config.out_format))
     return 0 if all(r.passed for r in reports) else 1
 

@@ -14,9 +14,11 @@ onto the span of the Z_j, rescaled in z:
 
 The linear-solve route is the production path. The bordered-determinant
 route exists purely as an independent cross-check and is therefore kept
-free of any shared intermediate beyond the Gram matrix itself: it has its
-own LU factorization. All of it is plain Python on rows of complex
-numbers; at n <= ~10 that is as fast as array calls and needs no numpy.
+free of any shared intermediate beyond the Gram matrix itself: both of
+its determinants, det G (`GramSystem.det`) and the bordered one, come
+from its own LU factorization, never from the Cholesky factor. All of it
+is plain Python on rows of complex numbers; at n <= ~10 that is as fast
+as array calls and needs no numpy.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class GramSystem:
     zeros: ZeroSequence
     rows: tuple[tuple[complex, ...], ...]  # the Gram matrix by rows, exactly Hermitian
     factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, rows = L L^H
-    det: float
+    det: float  # det G by LU (`determinant`), for the determinant route only
     condition_estimate: float
 
     @property
@@ -337,10 +339,10 @@ class Remainder:
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
     """Assemble, symmetrize and factor the Gram matrix of the evaluators.
 
-    Raises LinearDependenceError when the matrix has a non-positive pivot
-    or a condition estimate above CONDITION_LIMIT, both of which signal
-    numerically dependent evaluators, and RangeError when an entry is not
-    finite.
+    Raises LinearDependenceError when the matrix has a non-positive
+    Cholesky pivot or eigenvalue, or a condition estimate above
+    CONDITION_LIMIT, all of which signal numerically dependent evaluators,
+    and RangeError when an entry is not finite.
     """
     n = len(zeros)
     pts, ks = zeros.points, zeros.confluence
@@ -359,26 +361,15 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
         return GramSystem(space, zeros, rows, (), 1.0, 1.0)
 
     eig = hermitian_eigenvalues(rows)
+    cond = spectral_condition(eig)
     low = _cholesky(rows)
-    if low is None:
-        cond = spectral_condition(eig)
-        raise LinearDependenceError(
-            f"Gram matrix has a non-positive pivot (condition estimate {cond:.3e}); "
-            "the evaluators are numerically linearly dependent",
-            cond,
+    indefinite = low is None or eig[0] <= 0
+    if indefinite or cond > CONDITION_LIMIT:
+        reason = (
+            f"has a non-positive pivot (condition estimate {cond:.3e})" if indefinite
+            else f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    if eig[0] <= 0:
         raise LinearDependenceError(
-            "Gram matrix is numerically indefinite; the evaluators are "
-            "linearly dependent",
-            float("inf"),
+            f"Gram matrix {reason}; the evaluators are numerically linearly dependent", cond
         )
-    cond = eig[-1] / eig[0]
-    if cond > CONDITION_LIMIT:
-        raise LinearDependenceError(
-            f"Gram condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-            "the evaluators are numerically linearly dependent",
-            cond,
-        )
-    det = math.prod(row[i].real for i, row in enumerate(low)) ** 2
-    return GramSystem(space, zeros, rows, low, det, cond)
+    return GramSystem(space, zeros, rows, low, determinant(rows).real, cond)

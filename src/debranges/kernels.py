@@ -411,8 +411,6 @@ class PolynomialHB(StructureFunction):
         one Horner pass for the whole span, where the default pays one
         partial per term. Orders past the budget raise like the partials.
         """
-        if not coeffs:
-            return super().span_residual(f, points, orders, coeffs)
         d = len(self._bezoutian)
         span = [0j] * d
         for c, k, p in zip(coeffs, orders, points):
@@ -421,7 +419,7 @@ class PolynomialHB(StructureFunction):
             for row in reversed(self._partial_table(0, k)):
                 col = [acc * s + v for acc, v in zip(col, row)]
             span = [acc + c * v for acc, v in zip(span, col)]
-        top = max(orders)
+        top = max(orders, default=0)
         tables: dict[int, tuple[complex, ...]] = {}
         horner = self._horner
 

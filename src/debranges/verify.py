@@ -28,25 +28,20 @@ from .rng import PCG64
 from .sigma import ZeroSequence, canonicalize
 from .structure import SigmaStructureFunction, derive
 
-THEOREM2_BASE_TOL = 1e-8
-N1_BASE_TOL = 1e-10
-PW_EXAMPLE_BASE_TOL = 1e-9
-PROJECTION_BASE_TOL = 1e-9
-HB_BASE_TOL = 0.0
-
 DIAGONAL_MARGIN = 1e-3
 SAMPLE_RADIUS = 3.0
 
-# check id -> (description printed by --list-checks, base tolerance)
+# check id -> (description printed by --list-checks, base tolerance); the
+# one place a base lives, overridden per id by a `tolerances` mapping
 CHECKS = {
-    "theorem2": ("derived kernel equals the structure-function quotient form", THEOREM2_BASE_TOL),
-    "n1-star": ("single-zero derived F equals the reflected derived E", N1_BASE_TOL),
-    "n1-evaluator": ("single-zero boundary-data combination reproduces the evaluator", N1_BASE_TOL),
-    "n1-kernel": ("single-zero bordered determinant equals the quotient form", N1_BASE_TOL),
-    "pw-det-diag": ("sinc-kernel determinant diagonal identity", PW_EXAMPLE_BASE_TOL),
-    "pw-det-star": ("sinc-kernel determinant reflection identity", PW_EXAMPLE_BASE_TOL),
-    "hb-inheritance": ("derived structure function keeps a positive half-plane margin", HB_BASE_TOL),
-    "projection": ("projection residual vanishes on the sequence; routes agree", PROJECTION_BASE_TOL),
+    "theorem2": ("derived kernel equals the structure-function quotient form", 1e-8),
+    "n1-star": ("single-zero derived F equals the closed single-zero remainder of Estar", 1e-10),
+    "n1-evaluator": ("single-zero boundary-data combination reproduces the evaluator", 1e-10),
+    "n1-kernel": ("single-zero bordered determinant equals the quotient form", 1e-10),
+    "pw-det-diag": ("sinc-kernel determinant diagonal identity", 1e-9),
+    "pw-det-star": ("sinc-kernel determinant reflection identity", 1e-9),
+    "hb-inheritance": ("derived structure function keeps a positive half-plane margin", 0.0),
+    "projection": ("projection residual vanishes on the sequence; routes agree", 1e-9),
 }
 
 
@@ -75,21 +70,34 @@ def _report(
     return CheckReport(check_id, samples, residual, tolerance, float(condition_estimate), passed, note)
 
 
-def _scaled_tol(base: float, condition_estimate: float) -> float:
-    return base * max(1.0, condition_estimate / 1e4)
+def base_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
+    """The base tolerance of one check id: its override if given, else its CHECKS entry."""
+    if overrides and check_id in overrides:
+        return float(overrides[check_id])
+    return CHECKS[check_id][1]
 
 
 def _tagged(check_id: str, tag: str) -> str:
     return f"{check_id}:{tag}" if tag else check_id
 
 
+def _scaled_report(
+    check_id: str,
+    tag: str,
+    samples: int,
+    residual: float,
+    tolerances: Optional[dict],
+    condition_estimate: float,
+    note: str = "",
+) -> CheckReport:
+    """The report of check_id, whose base tolerance scales linearly with the condition estimate."""
+    tol = base_tolerance(check_id, tolerances) * max(1.0, condition_estimate / 1e4)
+    return _report(_tagged(check_id, tag), samples, residual, tol, condition_estimate, note)
+
+
 def _sample_point(rng: PCG64, radius: float = SAMPLE_RADIUS) -> complex:
-    # rng.uniform(-radius, radius) twice, with the span computed once
-    lo = -radius
-    span = radius - lo
     while True:
-        re = lo + span * rng.random()
-        im = lo + span * rng.random()
+        re, im = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
         if re * re + im * im <= radius * radius:
             return complex(re, im)
 
@@ -114,10 +122,11 @@ def _rel(diff: complex, scale: complex) -> float:
     return abs(diff) / max(1.0, abs(scale))
 
 
-def _quotient(ssf: SigmaStructureFunction, z: complex, w: complex) -> complex:
-    """(conj E(z) E(w) - conj F(z) F(w)) / (i (conj z - w)) of the derived pair."""
-    ez, ew = ssf.eval("E", z), ssf.eval("E", w)
-    fz, fw = ssf.eval("F", z), ssf.eval("F", w)
+def _quotient(
+    ssf: SigmaStructureFunction, z: complex, w: complex, ew: complex, fw: complex
+) -> complex:
+    """(conj E(z) E(w) - conj F(z) F(w)) / (i (conj z - w)) of the derived pair, given E(w), F(w)."""
+    ez, fz = ssf.eval("E", z), ssf.eval("F", z)
     return (ez.conjugate() * ew - fz.conjugate() * fw) / (1j * (z.conjugate() - w))
 
 
@@ -126,7 +135,7 @@ def check_theorem2(
     zeros: ZeroSequence,
     sample_count: int = 200,
     seed: int = 0,
-    base_tolerance: float = THEOREM2_BASE_TOL,
+    tolerances: Optional[dict] = None,
     tag: str = "",
 ) -> CheckReport:
     """Derived kernel against the quotient built from the derived E and F."""
@@ -137,9 +146,9 @@ def check_theorem2(
     for _ in range(sample_count):
         z, w = _sample_pair(rng)
         lhs = gs.sigma_kernel(z, w)
-        worst = max(worst, _rel(lhs - _quotient(ssf, z, w), lhs))
-    tol = _scaled_tol(base_tolerance, gs.condition_estimate)
-    return _report(_tagged("theorem2", tag), sample_count, worst, tol, gs.condition_estimate)
+        rhs = _quotient(ssf, z, w, ssf.eval("E", w), ssf.eval("F", w))
+        worst = max(worst, _rel(lhs - rhs, lhs))
+    return _scaled_report("theorem2", tag, sample_count, worst, tolerances, gs.condition_estimate)
 
 
 def check_n1_identities(
@@ -147,7 +156,7 @@ def check_n1_identities(
     z1: complex,
     sample_count: int = 50,
     seed: int = 0,
-    base_tolerance: float = N1_BASE_TOL,
+    tolerances: Optional[dict] = None,
     tag: str = "",
 ) -> list[CheckReport]:
     """The three exact single-zero identities, sampled pointwise."""
@@ -178,14 +187,14 @@ def check_n1_identities(
         # bordered 2x2 determinant equals the quotient of the derived forms
         det2 = g11 * space.kernel(z, w) - space.kernel(z1, z).conjugate() * z1w
         lhs = det2 / ((w - z1) * (z - z1).conjugate() * g11)
-        rhs = _quotient(ssf, z, w)
+        rhs = _quotient(ssf, z, w, ew, fw)
         worst_det = max(worst_det, _rel(lhs - rhs, rhs))
 
-    tol = _scaled_tol(base_tolerance, gs.condition_estimate)
     return [
-        _report(_tagged("n1-star", tag), sample_count, worst_star, tol, gs.condition_estimate),
-        _report(_tagged("n1-evaluator", tag), sample_count, worst_eval, tol, gs.condition_estimate),
-        _report(_tagged("n1-kernel", tag), sample_count, worst_det, tol, gs.condition_estimate),
+        _scaled_report(check_id, tag, sample_count, worst, tolerances, gs.condition_estimate)
+        for check_id, worst in (
+            ("n1-star", worst_star), ("n1-evaluator", worst_eval), ("n1-kernel", worst_det)
+        )
     ]
 
 
@@ -193,7 +202,7 @@ def check_pw_example(
     x: float,
     zeros: Sequence[complex],
     z_samples: Sequence[complex],
-    base_tolerance: float = PW_EXAMPLE_BASE_TOL,
+    tolerances: Optional[dict] = None,
     tag: str = "",
 ) -> list[CheckReport]:
     """Determinant identities of the sinc-kernel family.
@@ -250,7 +259,6 @@ def check_pw_example(
         worst_conj = max(worst_conj, _rel(fz - blaschke * reflected.conjugate(), fz))
         worst_bare = max(worst_bare, _rel(fz - blaschke * reflected, fz))
 
-    tol = _scaled_tol(base_tolerance, cond)
     if worst_conj <= worst_bare:
         star_worst = worst_conj
         note = (
@@ -266,8 +274,8 @@ def check_pw_example(
             f"conjugated reading residual {worst_conj:.3e}"
         )
     return [
-        _report(_tagged("pw-det-diag", tag), len(samples), worst_diag, tol, cond),
-        _report(_tagged("pw-det-star", tag), len(samples), star_worst, tol, cond, note),
+        _scaled_report("pw-det-diag", tag, len(samples), worst_diag, tolerances, cond),
+        _scaled_report("pw-det-star", tag, len(samples), star_worst, tolerances, cond, note),
     ]
 
 
@@ -276,10 +284,10 @@ def check_hb_inheritance(
     zeros: ZeroSequence,
     sample_count: int = 100,
     seed: int = 0,
-    base_tolerance: float = HB_BASE_TOL,
+    tolerances: Optional[dict] = None,
     tag: str = "",
 ) -> CheckReport:
-    """Strict positivity of |E(z)|^2 - |F(z)|^2 for the derived pair."""
+    """Strict positivity of |E(z)|^2 - |F(z)|^2 for the derived pair; its tolerance is not scaled."""
     gs = build(space, zeros)
     ssf = derive(gs)
     rng = PCG64(seed)
@@ -294,7 +302,7 @@ def check_hb_inheritance(
         _tagged("hb-inheritance", tag),
         sample_count,
         -min_margin,
-        base_tolerance,
+        base_tolerance("hb-inheritance", tolerances),
         gs.condition_estimate,
         note,
     )
@@ -306,7 +314,7 @@ def check_projection(
     z: complex,
     sample: int = 50,
     seed: int = 0,
-    base_tolerance: float = PROJECTION_BASE_TOL,
+    tolerances: Optional[dict] = None,
     tag: str = "",
 ) -> CheckReport:
     """Projection-residual orthogonality plus solve/determinant agreement."""
@@ -315,10 +323,7 @@ def check_projection(
         raise DomainError("projection check requires z off the zero sequence")
     gs = build(space, zeros)
     pts, ks = zeros.points, zeros.confluence
-
-    def z_kernel(w: complex, a: int) -> complex:
-        return space.kernel_mixed_partial(a, 0, z, w)
-
+    z_kernel = gs._evaluator(z)
     # the projection residual of Z_z, which the constraints make vanish on the zeros
     residual = Remainder(space, zeros, z_kernel, gs.fit(z_kernel)).residual
     rhs = [z_kernel(p, k) for p, k in zip(pts, ks)]
@@ -338,12 +343,12 @@ def check_projection(
         via_det = gs.sigma_kernel_det(z, w)
         worst_route = max(worst_route, _rel(via_det - via_solve, via_solve))
 
-    tol = _scaled_tol(base_tolerance, gs.condition_estimate)
-    return _report(
-        _tagged("projection", tag),
+    return _scaled_report(
+        "projection",
+        tag,
         sample,
         max(worst_orth, worst_route),
-        tol,
+        tolerances,
         gs.condition_estimate,
         f"orthogonality {worst_orth:.3e}, route agreement {worst_route:.3e}",
     )
@@ -377,12 +382,6 @@ PW_EXAMPLE_ZEROS: tuple[complex, ...] = (1j, 1 + 1j, -0.5 + 2j)
 PW_EXAMPLE_SAMPLES: tuple[complex, ...] = (2j, 0.5 + 1.5j)
 PROJECTION_POINT = 0.7 + 1.3j
 
-def base_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
-    family = check_id.split(":", 1)[0]
-    if overrides and family in overrides:
-        return float(overrides[family])
-    return CHECKS[family][1]
-
 
 def _sequence_checks(
     space: StructureFunction,
@@ -394,19 +393,13 @@ def _sequence_checks(
     """theorem2, projection and, where it applies, hb-inheritance for one configuration."""
     dim = space.dimension
     reports = [
-        check_theorem2(space, zeros, 200, seed, base_tolerance("theorem2", tolerances), tag),
-        check_projection(
-            space, zeros, PROJECTION_POINT, 50, seed, base_tolerance("projection", tolerances), tag
-        ),
+        check_theorem2(space, zeros, 200, seed, tolerances, tag),
+        check_projection(space, zeros, PROJECTION_POINT, 50, seed, tolerances, tag),
     ]
     # a full set of constraints in a finite-dimensional space leaves only
     # the zero space, whose margin is identically zero; skip the strict check
     if dim is None or len(zeros) < dim:
-        reports.append(
-            check_hb_inheritance(
-                space, zeros, 100, seed, base_tolerance("hb-inheritance", tolerances), tag
-            )
-        )
+        reports.append(check_hb_inheritance(space, zeros, 100, seed, tolerances, tag))
     return reports
 
 
@@ -421,27 +414,17 @@ def run_config_checks(
     n = len(zeros)
     reports = _sequence_checks(space, zeros, seed, tolerances, tag)
     if n == 1:
-        reports.extend(
-            check_n1_identities(
-                space, zeros.points[0], 50, seed, base_tolerance("n1-star", tolerances), tag
-            )
-        )
+        reports.extend(check_n1_identities(space, zeros.points[0], 50, seed, tolerances, tag))
     if isinstance(space, PaleyWiener) and n and all(k == 0 for k in zeros.confluence):
         forbidden = set(zeros.points) | {p.conjugate() for p in zeros.points}
         samples = [z for z in PW_EXAMPLE_SAMPLES if z not in forbidden]
         if samples:
-            reports.extend(
-                check_pw_example(
-                    space.x, zeros.points, samples, base_tolerance("pw-det-diag", tolerances), tag
-                )
-            )
+            reports.extend(check_pw_example(space.x, zeros.points, samples, tolerances, tag))
     return reports
 
 
 def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
     """The whole desk-scale matrix of spaces and zero sequences."""
-    n1_tol = base_tolerance("n1-star", tolerances)
-    pw_tol = base_tolerance("pw-det-diag", tolerances)
     reports: list[CheckReport] = []
     for space_tag, space in DEFAULT_SPACES:
         dim = space.dimension
@@ -452,11 +435,12 @@ def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[
             reports.extend(_sequence_checks(space, canonicalize(pts), seed, tolerances, tag))
         for z1 in N1_POINTS:
             tag = f"{space_tag}:z1={z1:g}"
-            reports.extend(check_n1_identities(space, z1, 50, seed, n1_tol, tag))
+            reports.extend(check_n1_identities(space, z1, 50, seed, tolerances, tag))
         if isinstance(space, PaleyWiener):
             for n in (1, 2, 3):
                 tag = f"{space_tag}:pw-n{n}"
+                zeros = PW_EXAMPLE_ZEROS[:n]
                 reports.extend(
-                    check_pw_example(space.x, PW_EXAMPLE_ZEROS[:n], PW_EXAMPLE_SAMPLES, pw_tol, tag)
+                    check_pw_example(space.x, zeros, PW_EXAMPLE_SAMPLES, tolerances, tag)
                 )
     return reports

@@ -124,6 +124,14 @@ class TestConfigValidation:
                 load_config(str(path))
             assert str(err.value).endswith(message), overrides
 
+    def test_unknown_tolerance_key_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, tolerances={"theorm2": 1e-3})
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field == "tolerances.theorm2"
+        assert main(["--config", str(path)]) == 2
+        assert "configuration error: tolerances.theorm2: " in capsys.readouterr().err
+
     def test_seed_override_range(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["--config", str(path), "--seed", "-1"]) == 2
@@ -283,6 +291,17 @@ class TestPwExampleCommand:
         assert main(["--config", str(path)]) == 0
         text = out.read_text()
         assert "pw-det-diag" in text and "pw-det-star" in text
+
+    def test_tolerance_override_per_id(self, tmp_path):
+        out = tmp_path / "pw.csv"
+        path = write_config(
+            tmp_path, command="pw-example", sigma=[[0.0, 1.0], [1.0, 1.0]],
+            tolerances={"pw-det-star": 0.0}, output={"path": str(out), "format": "csv"},
+        )
+        main(["--config", str(path)])
+        rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()}
+        assert float(rows["pw-det-star"][3]) == 0.0
+        assert float(rows["pw-det-diag"][3]) > 0.0
 
     def test_requires_pw_family(self, tmp_path):
         path = write_config(

@@ -17,7 +17,7 @@ from debranges import (
     run_config_checks,
     run_default_suite,
 )
-from debranges.verify import CheckReport, _report
+from debranges.verify import CHECKS, CheckReport, _report
 
 
 class TestReportSemantics:
@@ -32,8 +32,8 @@ class TestReportSemantics:
 
     def test_loosening_tolerance_is_monotone(self, pw1):
         zs = canonicalize([1j, 2j])
-        tight = check_theorem2(pw1, zs, 50, seed=3, base_tolerance=1e-8)
-        loose = check_theorem2(pw1, zs, 50, seed=3, base_tolerance=1e-4)
+        tight = check_theorem2(pw1, zs, 50, seed=3, tolerances={"theorem2": 1e-8})
+        loose = check_theorem2(pw1, zs, 50, seed=3, tolerances={"theorem2": 1e-4})
         assert tight.max_rel_residual == loose.max_rel_residual
         assert tight.passed
         assert loose.passed
@@ -157,6 +157,18 @@ class TestSuites:
         )
         th = next(r for r in reports if r.check_id.startswith("theorem2"))
         assert th.tolerance == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("check_id", list(CHECKS))
+    def test_each_id_override_takes_effect(self, pw1, check_id):
+        # the pw-det ids need two distinct zeros, every other id runs on one
+        zs = canonicalize((1j, 2j) if check_id.startswith("pw-det") else (1j,))
+        default = {r.check_id: r.tolerance for r in run_config_checks(pw1, zs, seed=0)}
+        overridden = {
+            r.check_id: r.tolerance
+            for r in run_config_checks(pw1, zs, seed=0, tolerances={check_id: 0.0})
+        }
+        assert check_id in default
+        assert overridden == {cid: 0.0 if cid == check_id else tol for cid, tol in default.items()}
 
     def test_default_suite_green_and_deterministic(self):
         a = run_default_suite(seed=0)
