@@ -1,14 +1,16 @@
 """Gram systems of point evaluators and the remainder built on them.
 
 The Gram matrix couples the evaluators attached to a zero sequence,
-G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For a
-function f, `GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the
-residual f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
+G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For
+f = e E + sum_t weight_t Z_t (`StructureFunction.combination`),
+`GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the residual
+f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
 `Remainder` divides that residual by prod (w - z_i), crossing the trivial
 zeros by Taylor series. The derived structure function is the remainder
-of E, and its companion the reflection of that (see structure.py); the derived-space
-kernel is the remainder of Z_z, whose fit beta is the projection of Z_z
-onto the span of the Z_j, rescaled in z:
+of E (e = 1, no terms), and its companion the reflection of that (see
+structure.py); the derived-space kernel is the remainder of Z_z (e = 0,
+one term (1, 0, z)), whose fit beta is the projection of Z_z onto the
+span of the Z_j, rescaled in z:
 
     K_z(w) = gamma(w) * conj(gamma(z)) * (Z_z(w) - sum_j beta_j Z_j(w)).
 
@@ -26,11 +28,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError, RangeError
-from .kernels import StructureFunction
+from .kernels import StructureFunction, Term
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
 CONDITION_LIMIT = 1e12
@@ -196,21 +197,18 @@ class GramSystem:
             x[i] = acc / low[i][i].conjugate()
         return tuple(x)
 
-    def fit(self, f: Callable[[complex, int], complex]) -> tuple[complex, ...]:
-        """Coefficients c of the span of the Z_j that match f on the sequence.
+    def fit(self, e: complex, terms: Sequence[Term]) -> tuple[complex, ...]:
+        """Coefficients c of the span of the Z_j matching f = e E + sum_t weight_t Z_t on the sequence.
 
-        Solves G c = (f^(k_i)(z_i))_i; `f` is called as f(point, order) for
-        the order-th derivative.
+        Solves G c = (f^(k_i)(z_i))_i.
         """
+        # term by term: at n points, collapsing the combination costs more than it saves
+        f = StructureFunction.combination(self.space, e, terms)
         return self.solve([f(p, k) for p, k in zip(self.zeros.points, self.zeros.confluence)])
-
-    def _evaluator(self, z: complex) -> Callable[[complex, int], complex]:
-        """Z_z as an f for :meth:`fit` and :class:`Remainder`."""
-        return lambda w, a: self.space.kernel_mixed_partial(a, 0, z, w)
 
     def solve_beta(self, z: complex) -> tuple[complex, ...]:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
-        return self.fit(self._evaluator(complex(z)))
+        return self.fit(0, ((1.0, 0, complex(z)),))
 
     def incomplete_kernel(self, z: complex, w: complex, beta=None) -> complex:
         """Projection residual Z_z(w) - sum_j beta_j(z) Z_j(w).
@@ -219,36 +217,32 @@ class GramSystem:
         by symmetry, anti-analytically in z. A caller that already holds
         solve_beta(z) passes it as `beta` to skip the solve.
         """
-        f = self._evaluator(complex(z))
+        terms = ((1.0, 0, complex(z)),)
         if beta is None:
-            beta = self.fit(f)
-        return Remainder(self.space, self.zeros, f, beta).residual(complex(w))
+            beta = self.fit(0, terms)
+        return Remainder(self.space, self.zeros, 0, terms, beta).residual(complex(w))
 
     def kernel_row(self, z: complex) -> Callable[[complex], complex]:
         """The derived-space evaluator K_z as a function of w, for fixed z.
 
-        Off the de-singularization disks the fitted f is Z_z itself. When z
-        sits in the disk of a run z0 of m equal zeros, the projection
-        residual vanishes to order m in conj(z) at z0, so f is its
-        conj(z)-Taylor sum from order m on,
-        sum_q dz^q/(m+q)! d^(m+q)/d(conj z)^(m+q) Z_z0 with dz = conj(z - z0).
-        The factors conj prod (z - z_i), without z0's run, are divided out
-        after the remainder. Either way one solve serves every w.
+        Off the de-singularization disks the fitted function is Z_z itself.
+        When z sits in the disk of a run z0 of m equal zeros, the projection
+        residual vanishes to order m in conj(z) at z0, so the fitted
+        function is its conj(z)-Taylor sum from order m on, the terms
+        `_taylor_terms(m, conj(z - z0), z0)`. The factors conj prod (z - z_i),
+        without z0's run, are divided out after the remainder. Either way
+        one solve serves every w.
         """
         z = complex(z)
-        zs, space = self.zeros, self.space
+        zs = self.zeros
         group = zs.local_group(z)
         if group is None:
-            f, zprod_conj = self._evaluator(z), zs.product(z).conjugate()
+            terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
         else:
             z0, mz = group
-            dz = (z - z0).conjugate()
-
-            def f(w: complex, a: int) -> complex:
-                return _taylor_sum(lambda b: space.kernel_mixed_partial(a, b, z0, w), mz, dz)
-
+            terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
-        remainder = Remainder(space, zs, f, self.fit(f))
+        remainder = Remainder(self.space, zs, 0, terms, self.fit(0, terms))
         return lambda w: remainder(w) / zprod_conj
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
@@ -281,41 +275,40 @@ class GramSystem:
         return det / (self.det * denom)
 
 
-def _taylor_sum(derivative: Callable[[int], complex], m: int, delta: complex) -> complex:
-    """sum_j derivative(m + j) / (m + j)! * delta^j over the de-singularization terms.
+def _taylor_terms(m: int, delta: complex, v: complex) -> tuple[Term, ...]:
+    """Terms (delta^q / (m+q)!, m + q, v) over the de-singularization terms q.
 
-    With derivative(o) the o-th derivative at v of a g vanishing to order m
-    there, this is g(v + delta) / delta^m; at delta == 0 only its leading
-    term is taken.
+    Summed against the (m+q)-th derivatives at v of a g vanishing to order
+    m there, they give g(v + delta) / delta^m; at delta == 0 only the
+    leading term is taken.
     """
-    total = 0j
+    terms = []
     dpow = 1.0 + 0j
     for order in range(m, m + 1 + (0 if delta == 0 else DESINGULARIZATION_TERMS)):
-        total += derivative(order) / math.factorial(order) * dpow
+        terms.append((dpow / math.factorial(order), order, v))
         dpow *= delta
-    return total
+    return tuple(terms)
 
 
 class Remainder:
-    """f minus its fit on the zero sequence, divided by prod (w - z_i).
+    """f = e E + sum_t weight_t Z_t minus its fit on the zeros, divided by prod (w - z_i).
 
-    `f` is a function of w called as f(w, order) for its order-th
-    derivative; `coeffs` are its fit from :meth:`GramSystem.fit`, so the
-    residual f - sum_j c_j Z_j vanishes at each run to the run's
-    multiplicity. The residual is the space's `span_residual` hook: one
-    partial per term by default, one polynomial for the whole span on
-    `PolynomialHB`. Inside the de-singularization disk of a run v of m
-    equal zeros the quotient is the Taylor series of the residual at v
-    from order m on, divided by the other factors; each derivative of the
+    `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
+    f - sum_j c_j Z_j, the space's `combination` of e with f's terms and
+    the span's terms (-c_j, k_j, z_j), vanishes at each run to the run's
+    multiplicity. Inside the de-singularization disk of a run v of m equal
+    zeros the quotient is the Taylor series of the residual at v from
+    order m on, divided by the other factors; each derivative of the
     residual at a run is computed the first time a point needs it and kept.
     """
 
     def __init__(
-        self, space: StructureFunction, zeros: ZeroSequence, f: Callable[[complex, int], complex], coeffs
+        self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term], coeffs
     ):
         self.zeros = zeros
+        span = [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
         # residual(w, order=0): order-th derivative at w of f - sum_j c_j Z_j
-        self.residual = space.span_residual(f, zeros.points, zeros.confluence, coeffs)
+        self.residual = space.combination(e, [*terms, *span])
         self._taylor: dict[tuple[complex, int], complex] = {}
 
     def _run_derivative(self, v: complex, order: int) -> complex:
@@ -332,7 +325,8 @@ class Remainder:
         if group is None:
             return self.residual(w) / zs.product(w)
         v, m = group
-        quotient = _taylor_sum(partial(self._run_derivative, v), m, w - v)
+        terms = _taylor_terms(m, w - v, v)
+        quotient = sum(weight * self._run_derivative(v, order) for weight, order, _ in terms)
         return quotient / zs.product(w, exclude_value=v)
 
 

@@ -32,12 +32,11 @@ Two families are implemented:
   needed.
 
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
-the base class), the kernel and its partials through the ``_mixed`` hook,
-and the residual f - sum_j c_j Z_j of a fit on the imposed zeros (the
-gram layer's Remainder) through ``span_residual``. Its default subtracts
-one partial per term at every point; ``PolynomialHB``, whose Z_j are
-polynomials of degree d - 1 in w, sums the span into one polynomial per
-remainder and pays one Horner pass per point.
+the base class) and the kernel and its partials through the ``_mixed``
+hook. ``combination`` serves e E + sum_t weight_t Z_t, the form of every
+function the gram layer's Remainder divides. Its default sums one partial
+per term at every point; ``PolynomialHB``, whose E and Z_t are polynomials
+in w, sums them into one polynomial and pays one Horner pass per point.
 """
 
 from __future__ import annotations
@@ -46,11 +45,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, RangeError, UnsupportedOrderError
 
 DEFAULT_DERIVATIVE_BUDGET = 64
+Term = tuple[complex, int, complex]  # (weight, order, point), see StructureFunction.combination
 
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # 1j**n for n mod 4
 
@@ -94,6 +95,11 @@ def _series_coeffs(p: int) -> tuple[tuple[float, float], ...]:
         pairs.append((1 / math.perm(p + 1 + k, k), 1 / math.perm(p + 2 + k, k + 1)))
         term *= r * r / ((p + 2 + k) * (p + 3 + k))
     return tuple(pairs)
+
+
+def _differentiate(coeffs: Sequence[complex], a: int) -> tuple[complex, ...]:
+    """Ascending monomial coefficients of the a-th derivative: k!/(k-a)! c_k for k >= a."""
+    return tuple(math.perm(k, a) * coeffs[k] for k in range(a, len(coeffs)))
 
 
 class StructureFunction:
@@ -158,30 +164,23 @@ class StructureFunction:
                 f"{self.max_derivative_order}"
             )
 
-    def span_residual(
-        self,
-        f: Callable[[complex, int], complex],
-        points: Sequence[complex],
-        orders: Sequence[int],
-        coeffs: Sequence[complex],
-    ) -> Callable[..., complex]:
-        """(w, a) -> f^(a)(w) - sum_j coeffs[j] d^a/dw^a Z_j(w), a defaulting to 0.
+    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
+        """(w, a) -> d^a/dw^a of e E(w) + sum_t weight_t Z_t(w), a defaulting to 0.
 
-        Z_j(w) = kernel_mixed_partial(., orders[j], points[j], w), the
-        evaluator of the orders[j]-th derivative at points[j]; `f` is
-        called as f(w, a). This default subtracts the terms one partial
-        at a time; a family may collapse them for fixed coefficients.
+        A term (weight, order, point) stands for the evaluator
+        Z_t(w) = kernel_mixed_partial(., order, point, w) of the order-th
+        derivative at point. This default sums one partial per term at
+        every point; a family may collapse the terms once per combination.
         """
-        mixed = self.kernel_mixed_partial
-        terms = tuple(zip(coeffs, orders, points))
+        eval_E, mixed = self.eval_E, self.kernel_mixed_partial
 
-        def residual(w: complex, a: int = 0) -> complex:
-            acc = f(w, a)
-            for c, k, p in terms:
-                acc -= c * mixed(a, k, p, w)
-            return complex(acc)
+        def combined(w: complex, a: int = 0) -> complex:
+            acc = e * eval_E(w, a) if e else 0j
+            for weight, k, p in terms:
+                acc += weight * mixed(a, k, p, w)
+            return acc
 
-        return residual
+        return combined
 
     def hb_margin(self, z: complex) -> float:
         """|E(z)|^2 - |Estar(z)|^2; strictly positive for Im(z) > 0."""
@@ -325,19 +324,6 @@ class PolynomialHB(StructureFunction):
             coeffs = nxt
         return tuple(coeffs)
 
-    @cached_property
-    def _deriv_table(self) -> dict:
-        return {}
-
-    def _dcoeffs(self, order: int) -> tuple[complex, ...]:
-        table = self._deriv_table
-        if order not in table:
-            coeffs = list(self._coeffs)
-            for _ in range(order):
-                coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-            table[order] = tuple(coeffs)
-        return table[order]
-
     @staticmethod
     def _horner(coeffs: tuple[complex, ...], w: complex) -> complex:
         acc = 0j
@@ -348,7 +334,7 @@ class PolynomialHB(StructureFunction):
     # complex arithmetic does not raise past the double range, it returns
     # inf or nan; the hooks report that as the library's RangeError
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        value = self._horner(self._dcoeffs(order), w)
+        value = self._horner(_differentiate(self._coeffs, order), w)
         if not cmath.isfinite(value):
             raise RangeError(f"E^({order})({w}) is not finite ({value})")
         return value
@@ -395,43 +381,39 @@ class PolynomialHB(StructureFunction):
             raise RangeError(f"kernel partial ({a}, {b}) at z = {z}, w = {w} is not finite ({total})")
         return total
 
-    def span_residual(
-        self,
-        f: Callable[[complex, int], complex],
-        points: Sequence[complex],
-        orders: Sequence[int],
-        coeffs: Sequence[complex],
-    ) -> Callable[..., complex]:
-        """The fitted span collapsed into one polynomial in w.
+    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
+        """e E + sum_t weight_t Z_t collapsed into one polynomial in w.
 
-        Each Z_j is the polynomial sum_k (d^k_j/ds^k_j sum_r B[r][k] s^r)
-        w^k at s = conj(points[j]), so the span sum_j c_j Z_j is one
-        coefficient vector, summed once here; its w-derivative tables are
-        built the first time an order is asked for. Every point then costs
-        one Horner pass for the whole span, where the default pays one
-        partial per term. Orders past the budget raise like the partials.
+        E has degree d and each Z_t is the polynomial
+        sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point),
+        so the whole combination is one coefficient vector, summed once
+        here; its w-derivative tables are built the first time an order is
+        asked for. Every point then costs one Horner pass, where the default
+        pays one partial per term. Orders past the budget raise like the
+        partials.
         """
         d = len(self._bezoutian)
-        span = [0j] * d
-        for c, k, p in zip(coeffs, orders, points):
-            s = p.conjugate()
-            col = [0j] * d
-            for row in reversed(self._partial_table(0, k)):
-                col = [acc * s + v for acc, v in zip(col, row)]
-            span = [acc + c * v for acc, v in zip(span, col)]
-        top = max(orders, default=0)
+        columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
+        poly = [e * c for c in self._coeffs]
+        for weight, k, p in terms:
+            s, spow = p.conjugate(), 1.0
+            ds = [0.0] * d  # d^k/ds^k s^r, r = 0..d-1
+            for r in range(k, d):
+                ds[r] = math.perm(r, k) * spow
+                spow *= s
+            poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
+        top = max((k for _, k, _ in terms), default=0)
         tables: dict[int, tuple[complex, ...]] = {}
         horner = self._horner
 
-        def residual(w: complex, a: int = 0) -> complex:
-            acc = f(w, a)
+        def combined(w: complex, a: int = 0) -> complex:
             table = tables.get(a)
             if table is None:
                 self._check_partial(a, top)
-                table = tables[a] = tuple(math.perm(k, a) * span[k] for k in range(a, d))
-            value = complex(acc - horner(table, w))
+                table = tables[a] = _differentiate(poly, a)
+            value = horner(table, w)
             if not cmath.isfinite(value):
-                raise RangeError(f"span residual of order {a} at w = {w} is not finite ({value})")
+                raise RangeError(f"combination of order {a} at w = {w} is not finite ({value})")
             return value
 
-        return residual
+        return combined

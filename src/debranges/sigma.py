@@ -23,7 +23,8 @@ from .errors import PoleError
 # Distance to a zero, relative to 1 + |zero|, below which evaluation
 # switches from the direct rational form to the Taylor form that absorbs
 # the vanishing order (local_group), and the number of Taylor terms past
-# that order the gram layer sums there (Remainder and kernel_row).
+# that order the gram layer sums there (`gram._taylor_terms`, in w for
+# Remainder and in conj(z) for kernel_row).
 DESINGULARIZATION_RADIUS_FACTOR = 1e-3
 DESINGULARIZATION_TERMS = 8
 

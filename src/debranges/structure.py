@@ -70,7 +70,7 @@ class SigmaStructureFunction:
 
     @cached_property
     def _remainder(self) -> Remainder:
-        return Remainder(self.base, self.zeros, self.base.eval_E, self.coeffs_E)
+        return Remainder(self.base, self.zeros, 1.0, (), self.coeffs_E)
 
     def incomplete(self, w: complex, order: int = 0) -> complex:
         """order-th w-derivative of the incomplete form of E at w."""
@@ -94,7 +94,7 @@ class SigmaStructureFunction:
 
 def derive(gs: GramSystem) -> SigmaStructureFunction:
     """Coefficients of E from one fit on the Gram factorization."""
-    return SigmaStructureFunction(gs.space, gs.zeros, gs.fit(gs.space.eval_E))
+    return SigmaStructureFunction(gs.space, gs.zeros, gs.fit(1.0, ()))
 
 
 def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStructureFunction:
@@ -113,7 +113,7 @@ def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStru
     for m, znew in enumerate(pts):
         prefix = canonicalize(pts[:m])
         gs = build(space, prefix)
-        p = Remainder(space, prefix, space.eval_E, c).residual(znew)
+        p = Remainder(space, prefix, 1.0, (), c).residual(znew)
         beta = gs.solve_beta(znew)
         diag = gs.incomplete_kernel(znew, znew, beta)
         if abs(diag) < _DIAGONAL_FLOOR * abs(space.kernel(znew, znew)):

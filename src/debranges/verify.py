@@ -77,6 +77,13 @@ def base_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
     return CHECKS[check_id][1]
 
 
+def _reject_unknown_keys(tolerances: Optional[dict]) -> None:
+    """DomainError for a key of a `tolerances` mapping that names no check in CHECKS."""
+    for key in tolerances or ():
+        if key not in CHECKS:
+            raise DomainError(f"unknown tolerance key {key!r}; the check ids are {', '.join(CHECKS)}")
+
+
 def _tagged(check_id: str, tag: str) -> str:
     return f"{check_id}:{tag}" if tag else check_id
 
@@ -139,6 +146,7 @@ def check_theorem2(
     tag: str = "",
 ) -> CheckReport:
     """Derived kernel against the quotient built from the derived E and F."""
+    _reject_unknown_keys(tolerances)
     gs = build(space, zeros)
     ssf = derive(gs)
     rng = PCG64(seed)
@@ -160,6 +168,7 @@ def check_n1_identities(
     tag: str = "",
 ) -> list[CheckReport]:
     """The three exact single-zero identities, sampled pointwise."""
+    _reject_unknown_keys(tolerances)
     z1 = complex(z1)
     zeros = canonicalize([z1])
     gs = build(space, zeros)
@@ -214,6 +223,7 @@ def check_pw_example(
     whole reflected determinant value versus not conjugating it) and the
     note records which reading holds.
     """
+    _reject_unknown_keys(tolerances)
     space = PaleyWiener(x)
     pts = [complex(p) for p in zeros]
     if len(set(pts)) != len(pts):
@@ -288,6 +298,7 @@ def check_hb_inheritance(
     tag: str = "",
 ) -> CheckReport:
     """Strict positivity of |E(z)|^2 - |F(z)|^2 for the derived pair; its tolerance is not scaled."""
+    _reject_unknown_keys(tolerances)
     gs = build(space, zeros)
     ssf = derive(gs)
     rng = PCG64(seed)
@@ -318,15 +329,16 @@ def check_projection(
     tag: str = "",
 ) -> CheckReport:
     """Projection-residual orthogonality plus solve/determinant agreement."""
+    _reject_unknown_keys(tolerances)
     z = complex(z)
     if any(z == p for p in zeros.points):
         raise DomainError("projection check requires z off the zero sequence")
     gs = build(space, zeros)
     pts, ks = zeros.points, zeros.confluence
-    z_kernel = gs._evaluator(z)
+    z_kernel = ((1.0, 0, z),)
     # the projection residual of Z_z, which the constraints make vanish on the zeros
-    residual = Remainder(space, zeros, z_kernel, gs.fit(z_kernel)).residual
-    rhs = [z_kernel(p, k) for p, k in zip(pts, ks)]
+    residual = Remainder(space, zeros, 0, z_kernel, gs.fit(0, z_kernel)).residual
+    rhs = [space.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
     scale = max(math.hypot(*(part for v in rhs for part in (v.real, v.imag))), 1e-300)
     worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
@@ -411,6 +423,7 @@ def run_config_checks(
     tag: str = "",
 ) -> list[CheckReport]:
     """All checks that apply to one (space, zero sequence) configuration."""
+    _reject_unknown_keys(tolerances)
     n = len(zeros)
     reports = _sequence_checks(space, zeros, seed, tolerances, tag)
     if n == 1:
@@ -425,6 +438,7 @@ def run_config_checks(
 
 def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
     """The whole desk-scale matrix of spaces and zero sequences."""
+    _reject_unknown_keys(tolerances)
     reports: list[CheckReport] = []
     for space_tag, space in DEFAULT_SPACES:
         dim = space.dimension

@@ -1,13 +1,17 @@
-"""The collapsed PolynomialHB span residual, audited three ways.
+"""The collapsed PolynomialHB combination, audited three ways.
 
-`PolynomialHB.span_residual` sums the fitted span sum_j c_j Z_j into one
-polynomial in w per remainder. It is checked (a) against the base-class
-hook, which subtracts one kernel partial per term, (b) through the derived
-structure functions E_sigma and F_sigma against a 50-digit mpmath
-construction that shares nothing with the library but the inputs, off the
-de-singularization disks, inside them and exactly on the zeros, and (c) on
-the derivative budget: a tight budget raises UnsupportedOrderError exactly
-where the per-term loop does.
+`PolynomialHB.combination(e, terms)` sums e E + sum_t weight_t Z_t, with a
+term (weight, order, point) standing for the evaluator of the order-th
+derivative at point, into one polynomial in w. A remainder passes it the
+fitted function's terms and the span's terms (-c_j, k_j, z_j). It is
+checked (a) against the base-class hook, which sums one kernel partial per
+term, with and without E, a Z_z term and the conj(z)-Taylor terms of a z
+in a disk, (b) through the derived structure functions E_sigma and F_sigma
+and the derived kernel K_z against 50-digit mpmath constructions that
+share nothing with the library but the inputs, off the de-singularization
+disks, inside them and exactly on the zeros, and (c) on the derivative
+budget: a tight budget raises UnsupportedOrderError exactly where the
+per-term loop does.
 """
 
 import mpmath
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from debranges import PolynomialHB, StructureFunction, UnsupportedOrderError, build, canonicalize, derive
+from debranges.gram import _taylor_terms
 
 ROOTS = {
     1: (-1j,),
@@ -38,7 +43,7 @@ AUDIT_POINTS = (
 
 def _coefficients(hb, zeros, source):
     if source == "fit":
-        return build(hb, zeros).fit(hb.eval_E)
+        return build(hb, zeros).fit(1.0, ())
     rng = np.random.default_rng(len(hb.roots))
     return tuple(complex(*rng.uniform(-2, 2, 2)) for _ in zeros.points)
 
@@ -53,19 +58,30 @@ AUDIT_CASES = [
 ]
 
 
+def _fitted_terms(zeros):
+    """Terms of a fitted function besides E: none, Z_z, or the Taylor terms of a z in the disk of 1j."""
+    z_in = 1j + (7e-4 + 3e-4j)
+    v, m = zeros.local_group(z_in)
+    taylor = _taylor_terms(m, (z_in - v).conjugate(), v)
+    return {"none": (), "Z_z": ((1.0, 0, 0.3 + 0.7j),), "taylor": taylor}
+
+
 @pytest.mark.parametrize("d, zero_set, source", AUDIT_CASES)
 def test_collapsed_span_matches_the_per_term_loop(d, zero_set, source):
     hb = PolynomialHB(ROOTS[d])
     zeros = canonicalize(ZERO_SETS[zero_set])
-    pts, ks = zeros.points, zeros.confluence
     coeffs = _coefficients(hb, zeros, source)
-    collapsed = hb.span_residual(hb.eval_E, pts, ks, coeffs)
-    loop = StructureFunction.span_residual(hb, hb.eval_E, pts, ks, coeffs)
-    for a in range(d + 2):
-        for w in AUDIT_POINTS:
-            terms = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in zip(coeffs, ks, pts)]
-            scale = abs(hb.eval_E(w, a)) + sum(abs(t) for t in terms)
-            assert abs(collapsed(w, a) - loop(w, a)) <= 1e-13 * scale, (a, w)
+    span = [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
+    for e in (0, 1):
+        for name, fitted in _fitted_terms(zeros).items():
+            terms = [*fitted, *span]
+            collapsed = hb.combination(e, terms)
+            loop = StructureFunction.combination(hb, e, terms)
+            for a in range(d + 2):
+                for w in AUDIT_POINTS:
+                    parts = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in terms]
+                    scale = abs(e * hb.eval_E(w, a)) + sum(abs(t) for t in parts)
+                    assert abs(collapsed(w, a) - loop(w, a)) <= 1e-13 * scale, (e, name, a, w)
 
 
 def _mp_structure(roots, zero_points, which):
@@ -152,10 +168,116 @@ def test_structure_matches_mpmath(zero_set, which):
         assert abs(ssf.eval(which, w) - ref) <= 1e-10 * abs(ref), w
 
 
-class _LoopHB(PolynomialHB):
-    """PolynomialHB with the base-class span residual, one partial per term."""
+def _mp_kernel(roots, zero_points):
+    """K_z(w) as a function of (z, w), in 50-digit arithmetic.
 
-    span_residual = StructureFunction.span_residual
+    The base kernel Z_z(w) = (Estar(s) E(w) - E(s) Estar(w)) / (1j (s - w)),
+    s = conj(z), is a polynomial of degree < d in s and in w; its
+    coefficients are interpolated on two circles of d-th roots of unity
+    that never meet. The projection residual
+    R(s, w) = Z(s, w) - sum_j beta_j(s) b_j(w), with beta = G^-1 a,
+    a_i(s) = d^k_i/dw^k_i Z(s, z_i) and b_j(w) = d^k_j/ds^k_j Z(conj z_j, w),
+    is then a coefficient matrix too, and it is divided synthetically by
+    prod (w - z_i) and by prod (s - conj z_i), so the quotient, which is
+    K_z(w), holds inside the disks and on the zeros too.
+    """
+    zeros = canonicalize(zero_points)
+    d = len(roots)
+    with mpmath.workdps(50):
+        rts = [mpmath.mpc(r) for r in roots]
+
+        def e(u):
+            return mpmath.fprod(u - r for r in rts)
+
+        def estar(u):
+            return mpmath.fprod(u - mpmath.conj(r) for r in rts)
+
+        def kernel(s, w):
+            return (estar(s) * e(w) - e(s) * estar(w)) / (1j * (s - w))
+
+        nodes = [mpmath.expjpi(2 * mpmath.mpf(m) / d) for m in range(d)]
+        radius = 2  # s on a circle of radius 2, w on the unit circle
+        values = [[kernel(radius * u, v) for v in nodes] for u in nodes]
+        # coef[j][k] of s^j w^k, by the inverse discrete Fourier transform in both variables
+        coef = [
+            [
+                sum(values[a][b] * nodes[a] ** -j * nodes[b] ** -k for a in range(d) for b in range(d))
+                / (d * d * radius**j)
+                for k in range(d)
+            ]
+            for j in range(d)
+        ]
+        pts = [mpmath.mpc(p) for p in zeros.points]
+        ks = zeros.confluence
+        n = len(pts)
+
+        def dpoly(c, order, at):
+            # order-th derivative at `at` of sum_k c[k] x^k
+            return sum(mpmath.ff(k, order) * c[k] * at ** (k - order) for k in range(order, d))
+
+        # a_i(s) as coefficients in s, b_j(w) as coefficients in w
+        a_poly = [[dpoly(coef[j], ks[i], pts[i]) for j in range(d)] for i in range(n)]
+        columns = [[coef[j][k] for j in range(d)] for k in range(d)]
+        b_poly = [[dpoly(columns[k], ks[i], mpmath.conj(pts[i])) for k in range(d)] for i in range(n)]
+        gram = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                gram[i, j] = dpoly(b_poly[j], ks[i], pts[i])
+        ginv = gram**-1
+        beta = [[sum(ginv[j, i] * a_poly[i][r] for i in range(n)) for r in range(d)] for j in range(n)]
+        resid = [
+            [coef[r][k] - sum(beta[j][r] * b_poly[j][k] for j in range(n)) for k in range(d)]
+            for r in range(d)
+        ]
+
+        def divide(c, roots_):
+            # ascending coefficients of c(x) / prod (x - r), each remainder ~ 0
+            for r in roots_:
+                high = c[::-1]
+                quotient = [high[0]]
+                for q in high[1:]:
+                    quotient.append(q + quotient[-1] * r)
+                assert abs(quotient[-1]) < mpmath.mpf(10) ** -30 * max(abs(q) for q in quotient)
+                c = quotient[:-1][::-1]
+            return c
+
+        rows = [divide(row, pts) for row in resid]  # in w, per power of s
+        conj_pts = [mpmath.conj(p) for p in pts]
+        cols = [divide([row[k] for row in rows], conj_pts) for k in range(len(rows[0]))]  # in s, per power of w
+
+    def evaluate(z, w):
+        with mpmath.workdps(50):
+            s, w = mpmath.conj(mpmath.mpc(z)), mpmath.mpc(w)
+            return complex(sum(c * s**r * w**k for k, col in enumerate(cols) for r, c in enumerate(col)))
+
+    return evaluate
+
+
+KERNEL_ROW_Z = (
+    0.3 + 0.7j,  # off every disk
+    1.05j,  # within 0.05 of 1j, off its disk
+    1j + (7e-4 + 3e-4j),  # inside the disk of 1j
+    1j,  # exactly on a zero
+)
+# w off the disks, inside them and on the zeros; the band just outside a
+# disk, where the direct quotient loses digits, is left to an audit of its own
+KERNEL_ROW_W = tuple(w for w in STRUCTURE_POINTS if w not in (1j + 0.19, 1j + 0.05j, 1 + 1j - 0.01))
+
+
+@pytest.mark.parametrize("z", KERNEL_ROW_Z)
+def test_kernel_row_matches_mpmath(z):
+    roots, zero_points = ROOTS[5], ZERO_SETS["double"]
+    row = build(PolynomialHB(roots), canonicalize(zero_points)).kernel_row(z)
+    want = _mp_kernel(roots, zero_points)
+    for w in KERNEL_ROW_W:
+        ref = want(z, w)
+        assert abs(row(w) - ref) <= 1e-9 * abs(ref), w
+
+
+class _LoopHB(PolynomialHB):
+    """PolynomialHB with the base-class combination, one partial per term."""
+
+    combination = StructureFunction.combination
 
 
 def _outcome(run):

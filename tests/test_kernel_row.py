@@ -1,13 +1,14 @@
 """Reuse of per-z solves and per-run Taylor derivatives, checked bit for bit.
 
-`GramSystem.kernel_row` fits Z_z (or, for z inside a disk, its conj(z)-Taylor
-sum) with one solve per z, and its `Remainder` keeps each residual
-derivative at a zero run; `SigmaStructureFunction.eval` keeps those of E and
-F. The references below are per-point loops without those caches: they
-re-solve and re-differentiate for every point, and take the residual
-through the same `span_residual` hook (one partial per term on
-PaleyWiener, one collapsed polynomial on PolynomialHB), so the arithmetic
-order is the library's and every value must match exactly.
+`GramSystem.kernel_row` fits Z_z (or, for z inside a disk, the terms of its
+conj(z)-Taylor sum) with one solve per z, and its `Remainder` keeps each
+residual derivative at a zero run; `SigmaStructureFunction.eval` keeps those
+of E and F. The references below are per-point loops without those caches:
+they re-solve and re-differentiate for every point, fit the Taylor terms
+term by term, and take the residual through the same `combination` hook
+(one partial per term on PaleyWiener, one collapsed polynomial on
+PolynomialHB), so the arithmetic order is the library's and every value
+must match exactly.
 """
 
 import math
@@ -54,25 +55,29 @@ def reference_sigma_kernel(gs, z, w):
     dz = (z - z0).conjugate()
     dw = w - w0
 
+    # the conj(z)-Taylor sum from order mz on, as weighted evaluators at z0
+    z_terms = []
+    dpow = 1.0 + 0j
+    for q in range(qmax + 1):
+        z_terms.append((dpow / math.factorial(mz + q), mz + q, z0))
+        dpow *= dz
+
     def z_sum(at, a):
-        # a-th w-derivative at `at` of the conj(z)-Taylor sum from order mz on
+        # a-th w-derivative at `at` of that sum, term by term
         total = 0j
-        dpow = 1.0 + 0j
-        for q in range(qmax + 1):
-            b = mz + q
-            total += space.kernel_mixed_partial(a, b, z0, at) / math.factorial(b) * dpow
-            dpow *= dz
+        for weight, b, p in z_terms:
+            total += weight * space.kernel_mixed_partial(a, b, p, at)
         return total
 
     # one solve of the summed right-hand side, then the Taylor sum in w of
-    # its residual through the space's span hook, then the two products
+    # its residual through the space's combination hook, then the two products
     beta = [complex(c) for c in gs.solve([z_sum(p, k) for p, k in zip(pts, ks)])]
-    residual = space.span_residual(z_sum, pts, ks, beta)
+    residual = space.combination(0, [*z_terms, *((-c, k, p) for c, k, p in zip(beta, ks, pts))])
     total = 0j
     dpow = 1.0 + 0j
     for j in range(jmax + 1):
         a = mw + j
-        total += residual(w0, a) / math.factorial(a) * dpow
+        total += dpow / math.factorial(a) * residual(w0, a)
         dpow *= dw
     w_part = total / zs.product(w, exclude_value=w_excl)
     return w_part / zs.product(z, exclude_value=z_excl).conjugate()
@@ -94,7 +99,7 @@ def reference_structure_eval(ssf, which, w):
     total = 0j
     dpow = 1.0 + 0j
     for j in range(jmax + 1):
-        total += ssf.incomplete(v, order=m + j) / math.factorial(m + j) * dpow
+        total += dpow / math.factorial(m + j) * ssf.incomplete(v, order=m + j)
         dpow *= delta
     return total / ssf.zeros.product(w, exclude_value=v)
 

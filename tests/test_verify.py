@@ -7,6 +7,7 @@ import pytest
 
 from debranges import (
     DomainError,
+    PaleyWiener,
     PolynomialHB,
     canonicalize,
     check_hb_inheritance,
@@ -17,7 +18,20 @@ from debranges import (
     run_config_checks,
     run_default_suite,
 )
+from debranges import verify
 from debranges.verify import CHECKS, CheckReport, _report
+
+_PW1, _ZEROS = PaleyWiener(1.0), canonicalize([1j])
+# every library entry point that takes a `tolerances` mapping, called with it
+UNKNOWN_KEY_CALLS = {
+    "check_theorem2": lambda tol: check_theorem2(_PW1, _ZEROS, tolerances=tol),
+    "check_n1_identities": lambda tol: check_n1_identities(_PW1, 1j, tolerances=tol),
+    "check_pw_example": lambda tol: check_pw_example(1.0, [1j], [2j], tolerances=tol),
+    "check_hb_inheritance": lambda tol: check_hb_inheritance(_PW1, _ZEROS, tolerances=tol),
+    "check_projection": lambda tol: check_projection(_PW1, _ZEROS, 0.7 + 1.3j, tolerances=tol),
+    "run_config_checks": lambda tol: run_config_checks(_PW1, _ZEROS, tolerances=tol),
+    "run_default_suite": lambda tol: run_default_suite(tolerances=tol),
+}
 
 
 class TestReportSemantics:
@@ -169,6 +183,16 @@ class TestSuites:
         }
         assert check_id in default
         assert overridden == {cid: 0.0 if cid == check_id else tol for cid, tol in default.items()}
+
+    @pytest.mark.parametrize("entry", sorted(UNKNOWN_KEY_CALLS))
+    def test_unknown_tolerance_key_raises_before_any_work(self, monkeypatch, entry):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the tolerance keys were checked")
+
+        for name in ("PCG64", "build", "determinant"):
+            monkeypatch.setattr(verify, name, no_work)
+        with pytest.raises(DomainError, match="theorm2"):
+            UNKNOWN_KEY_CALLS[entry]({"theorem2": 1e-8, "theorm2": 0.0})
 
     def test_default_suite_green_and_deterministic(self):
         a = run_default_suite(seed=0)
