@@ -25,12 +25,11 @@ as array calls and needs no numpy.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, LinearDependenceError, RangeError
+from .errors import DomainError, LinearDependenceError
 from .kernels import StructureFunction, Term
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
@@ -168,13 +167,6 @@ class GramSystem:
     @property
     def n(self) -> int:
         return len(self.zeros)
-
-    @property
-    def matrix(self):
-        """The Gram matrix as an n x n numpy array, for callers that want one."""
-        import numpy as np
-
-        return np.array(self.rows, dtype=complex).reshape(self.n, self.n)
 
     def solve(self, rhs) -> tuple[complex, ...]:
         """G x = rhs for one right-hand side sequence.
@@ -335,8 +327,9 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
 
     Raises LinearDependenceError when the matrix has a non-positive
     Cholesky pivot or eigenvalue, or a condition estimate above
-    CONDITION_LIMIT, all of which signal numerically dependent evaluators,
-    and RangeError when an entry is not finite.
+    CONDITION_LIMIT, all of which signal numerically dependent evaluators.
+    An entry past the double range raises RangeError from
+    `kernel_mixed_partial`, before any arithmetic on the matrix.
     """
     n = len(zeros)
     pts, ks = zeros.points, zeros.confluence
@@ -344,8 +337,6 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
         [space.kernel_mixed_partial(ks[i], ks[j], pts[j], pts[i]) for j in range(n)]
         for i in range(n)
     ]
-    if not all(cmath.isfinite(v) for row in g for v in row):
-        raise RangeError("Gram matrix has non-finite entries; the zeros lie outside the double range")
     # entries come from two different partial routes; symmetry is exact in
     # theory, so average away the rounding asymmetry before factoring
     rows = tuple(

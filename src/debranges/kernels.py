@@ -33,10 +33,11 @@ Two families are implemented:
 
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
-hook. ``combination`` serves e E + sum_t weight_t Z_t, the form of every
-function the gram layer's Remainder divides. Its default sums one partial
-per term at every point; ``PolynomialHB``, whose E and Z_t are polynomials
-in w, sums them into one polynomial and pays one Horner pass per point.
+hook, as plain math. ``combination`` serves e E + sum_t weight_t Z_t, the
+form of every function the gram layer's Remainder divides. Its default
+sums one ``_mixed`` per term at every point; ``PolynomialHB``, whose E and
+Z_t are polynomials in w, sums them into one polynomial and pays one
+Horner pass per point.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .errors import DomainError, RangeError, UnsupportedOrderError
 
 DEFAULT_DERIVATIVE_BUDGET = 64
 Term = tuple[complex, int, complex]  # (weight, order, point), see StructureFunction.combination
+_PARTIAL = "kernel partial ({0}, {1}) at z = {2}, w = {3}"
 
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # 1j**n for n mod 4
 
@@ -97,13 +99,32 @@ def _series_coeffs(p: int) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
+def _in_range(what: str, fn: Callable[..., complex], *args) -> complex:
+    """fn(*args), or RangeError if it raises OverflowError (cmath, float powers) or is inf or nan.
+
+    `what` names the value as a format string over args; it is formatted only to raise.
+    """
+    try:
+        value = fn(*args)
+    except OverflowError:
+        raise RangeError(f"{what.format(*args)} overflows the double range") from None
+    if not cmath.isfinite(value):
+        raise RangeError(f"{what.format(*args)} is not finite ({value})")
+    return value
+
+
 def _differentiate(coeffs: Sequence[complex], a: int) -> tuple[complex, ...]:
     """Ascending monomial coefficients of the a-th derivative: k!/(k-a)! c_k for k >= a."""
     return tuple(math.perm(k, a) * coeffs[k] for k in range(a, len(coeffs)))
 
 
 class StructureFunction:
-    """Shared public operations; families supply E derivatives and the kernel."""
+    """Shared public operations over the family hooks.
+
+    The hooks are plain math. The public operations and the `combination`
+    closures check the orders and, through `_in_range`, raise RangeError
+    for a value that overflows or is not finite.
+    """
 
     max_derivative_order: int
 
@@ -134,25 +155,26 @@ class StructureFunction:
     def eval_E(self, w: complex, order: int = 0) -> complex:
         """order-th derivative of E at w."""
         self._check_partial(order)
-        return self._eval_E_raw(complex(w), order)
+        return _in_range("E^({1})({0})", self._eval_E_raw, complex(w), order)
 
     def eval_E_star(self, w: complex, order: int = 0) -> complex:
         """order-th derivative of Estar at w, Estar(w) = conj(E(conj(w)))."""
         self._check_partial(order)
-        return self._eval_E_star_raw(complex(w), order)
+        return _in_range("Estar^({1})({0})", self._eval_E_star_raw, complex(w), order)
 
     def kernel(self, z: complex, w: complex) -> complex:
         """Reproducing kernel Z_z(w); total, stable across w = conj(z)."""
-        return self._mixed(0, 0, complex(z), complex(w))
+        return _in_range(_PARTIAL, self._mixed, 0, 0, complex(z), complex(w))
 
     def kernel_mixed_partial(self, a: int, b: int, z: complex, w: complex) -> complex:
         """d^a/dw^a d^b/d(conj z)^b of the kernel.
 
         a differentiates the analytic evaluation point, b the conjugated
-        parameter. a + b is capped by the family's derivative budget.
+        parameter. a + b is capped by the family's derivative budget unless
+        the family's `_check_mixed` lifts it.
         """
-        self._check_partial(a, b)
-        return self._mixed(a, b, complex(z), complex(w))
+        self._check_mixed(a, b)
+        return _in_range(_PARTIAL, self._mixed, a, b, complex(z), complex(w))
 
     def _check_partial(self, a: int, b: int = 0) -> None:
         """Orders of a derivative (b = 0) or a kernel partial against the budget."""
@@ -164,21 +186,37 @@ class StructureFunction:
                 f"{self.max_derivative_order}"
             )
 
+    def _check_mixed(self, a: int, b: int) -> None:
+        """Orders of a kernel partial; the budget caps them by default."""
+        self._check_partial(a, b)
+
     def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
         """(w, a) -> d^a/dw^a of e E(w) + sum_t weight_t Z_t(w), a defaulting to 0.
 
         A term (weight, order, point) stands for the evaluator
         Z_t(w) = kernel_mixed_partial(., order, point, w) of the order-th
-        derivative at point. This default sums one partial per term at
-        every point; a family may collapse the terms once per combination.
+        derivative at point. This default checks each order a against E
+        and every term the first time a is asked for, sums one `_mixed` per
+        term at every point and checks the range once per point; a family
+        may collapse the terms once per combination.
         """
-        eval_E, mixed = self.eval_E, self.kernel_mixed_partial
+        eval_E, mixed = self._eval_E_raw, self._mixed
+        checked: set[int] = set()
 
-        def combined(w: complex, a: int = 0) -> complex:
+        def total(w: complex, a: int) -> complex:
             acc = e * eval_E(w, a) if e else 0j
             for weight, k, p in terms:
                 acc += weight * mixed(a, k, p, w)
             return acc
+
+        def combined(w: complex, a: int = 0) -> complex:
+            if a not in checked:
+                if e:
+                    self._check_partial(a)
+                for _, k, _ in terms:
+                    self._check_mixed(a, k)
+                checked.add(a)
+            return _in_range("combination of order {1} at w = {0}", total, complex(w), a)
 
         return combined
 
@@ -187,8 +225,8 @@ class StructureFunction:
         z = complex(z)
         if not z.imag > 0:
             raise DomainError("hb_margin requires Im(z) > 0")
-        e = self._eval_E_raw(z, 0)
-        f = self._eval_E_star_raw(z, 0)
+        e = self.eval_E(z)
+        f = self.eval_E_star(z)
         return (e.real * e.real + e.imag * e.imag) - (f.real * f.real + f.imag * f.imag)
 
 
@@ -210,38 +248,21 @@ class PaleyWiener(StructureFunction):
             raise ValueError("exponential type x must be a positive finite real")
         object.__setattr__(self, "x", x)
 
-    # cmath and float powers raise OverflowError past the double range;
-    # the hooks report it as the library's RangeError
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        try:
-            return _inegpow(order) * self.x**order * cmath.exp(-1j * self.x * w)
-        except OverflowError:
-            raise RangeError(f"E^({order})({w}) overflows the double range") from None
+        return _inegpow(order) * self.x**order * cmath.exp(-1j * self.x * w)
 
     # no budget check: moments serve any order (acceptance criterion 7, test_pw_route_unrestricted)
-    def kernel_mixed_partial(self, a: int, b: int, z: complex, w: complex) -> complex:
+    def _check_mixed(self, a: int, b: int) -> None:
         if a < 0 or b < 0:
             raise ValueError("partial orders must be nonnegative")
-        return self._mixed(a, b, complex(z), complex(w))
 
-    # a closed moment can also reach inf or nan without raising, as a finite
-    # exp times a finite primitive; both end in RangeError
     def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
         u = w - z.conjugate()
-        try:
-            if a == b == 0:
-                x = self.x
-                v = u * x
-                value = 2.0 * x * (cmath.sin(v) / v if v else 1.0)
-            else:
-                value = _ipow(a) * _inegpow(b) * self._moment(a + b, u)
-        except OverflowError:
-            raise RangeError(
-                f"kernel partial ({a}, {b}) at z = {z}, w = {w} overflows the double range"
-            ) from None
-        if not cmath.isfinite(value):
-            raise RangeError(f"kernel partial ({a}, {b}) at z = {z}, w = {w} is not finite ({value})")
-        return value
+        if a == b == 0:
+            x = self.x
+            v = u * x
+            return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
+        return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,
@@ -331,21 +352,17 @@ class PolynomialHB(StructureFunction):
             acc = acc * w + c
         return acc
 
-    # complex arithmetic does not raise past the double range, it returns
-    # inf or nan; the hooks report that as the library's RangeError
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        value = self._horner(_differentiate(self._coeffs, order), w)
-        if not cmath.isfinite(value):
-            raise RangeError(f"E^({order})({w}) is not finite ({value})")
-        return value
+        return self._horner(_differentiate(self._coeffs, order), w)
 
     @cached_property
     def _bezoutian(self) -> tuple[tuple[float, ...], ...]:
         # Estar(s)E(w) - E(s)Estar(w) = sum_jk c[j][k] s^j w^k with
         # c[j][k] = conj(e_j) e_k - e_j conj(e_k) = 2j Im(conj(e_j) e_k);
         # dividing by (s - w) leaves the Bezoutian B, B[j][k] =
-        # c[j+1][k] + B[j+1][k-1]. Stored as B / 1j, real and symmetric, so
-        # Z_z(w) = sum_jk B[j][k] conj(z)^j w^k.
+        # c[j+1][k] + B[j+1][k-1]. Stored as B / 1j, real, so Z_z(w) =
+        # sum_jk B[j][k] conj(z)^j w^k. B is symmetric only up to rounding:
+        # B[j][k] and B[k][j] add the c's in different orders.
         e = self._coeffs
         d = len(e) - 1
         c = [[2.0 * (e[j].conjugate() * e[k]).imag for k in range(d)] for j in range(d + 1)]
@@ -377,8 +394,6 @@ class PolynomialHB(StructureFunction):
         total = 0j
         for row in reversed(self._partial_table(a, b)):
             total = total * s + self._horner(row, w)
-        if not cmath.isfinite(total):
-            raise RangeError(f"kernel partial ({a}, {b}) at z = {z}, w = {w} is not finite ({total})")
         return total
 
     def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
@@ -411,9 +426,6 @@ class PolynomialHB(StructureFunction):
             if table is None:
                 self._check_partial(a, top)
                 table = tables[a] = _differentiate(poly, a)
-            value = horner(table, w)
-            if not cmath.isfinite(value):
-                raise RangeError(f"combination of order {a} at w = {w} is not finite ({value})")
-            return value
+            return _in_range("combination at w = {1}", horner, table, w)
 
         return combined

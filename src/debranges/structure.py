@@ -145,22 +145,10 @@ class EpsilonSplitOracle:
         """Extrapolated incomplete form of the derived E."""
         return extrapolate_to_zero(self.schedule, [ssf.incomplete(w) for ssf in self.derived])
 
-    def eval(self, which: str, w: complex) -> complex:
-        """Extrapolated complete form; w should stay off the zero sequence."""
-        return extrapolate_to_zero(
-            self.schedule, [ssf.eval(which, w) for ssf in self.derived]
-        )
-
     def incomplete_kernel(self, z: complex, w: complex) -> complex:
         """Extrapolated projection residual of the split configurations."""
         return extrapolate_to_zero(
             self.schedule, [gs.incomplete_kernel(z, w) for gs in self.systems]
-        )
-
-    def sigma_kernel(self, z: complex, w: complex) -> complex:
-        """Extrapolated derived kernel; z, w off the confluent sequence."""
-        return extrapolate_to_zero(
-            self.schedule, [gs.sigma_kernel(z, w) for gs in self.systems]
         )
 
     def gram_entry(self, i: int, j: int) -> complex:

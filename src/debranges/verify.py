@@ -194,8 +194,7 @@ def check_n1_identities(
             worst_eval, _rel(e1.conjugate() * ew - f1.conjugate() * fw + 1j * z1w, z1w)
         )
         # bordered 2x2 determinant equals the quotient of the derived forms
-        det2 = g11 * space.kernel(z, w) - space.kernel(z1, z).conjugate() * z1w
-        lhs = det2 / ((w - z1) * (z - z1).conjugate() * g11)
+        lhs = gs.sigma_kernel_det(z, w)
         rhs = _quotient(ssf, z, w, ew, fw)
         worst_det = max(worst_det, _rel(lhs - rhs, rhs))
 
@@ -402,11 +401,18 @@ def _sequence_checks(
     tolerances: Optional[dict],
     tag: str,
 ) -> list[CheckReport]:
-    """theorem2, projection and, where it applies, hb-inheritance for one configuration."""
+    """theorem2, projection and, where it applies, hb-inheritance for one configuration.
+
+    The projection point is PROJECTION_POINT, stepped by 0.25j until it is
+    off the zeros.
+    """
     dim = space.dimension
+    z = PROJECTION_POINT
+    while z in zeros.points:
+        z += 0.25j
     reports = [
         check_theorem2(space, zeros, 200, seed, tolerances, tag),
-        check_projection(space, zeros, PROJECTION_POINT, 50, seed, tolerances, tag),
+        check_projection(space, zeros, z, 50, seed, tolerances, tag),
     ]
     # a full set of constraints in a finite-dimensional space leaves only
     # the zero space, whose margin is identically zero; skip the strict check

@@ -133,7 +133,7 @@ def test_criterion_4_confluence_limits():
         for i in range(len(zs)):
             for j in range(len(zs)):
                 got = oracle.gram_entry(i, j)
-                want = complex(gs.matrix[i, j])
+                want = complex(np.array(gs.rows)[i, j])
                 err = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, err)
                 assert err <= 1e-5, f"gram entry ({i},{j}) of {pts}"

@@ -150,6 +150,16 @@ class TestExitCodes:
         text = (tmp_path / "out.txt").read_text()
         assert text.strip().endswith("PASS 8/8")
 
+    def test_verify_sigma_on_the_projection_point(self, tmp_path):
+        # 0.7+1.3j is the suite's projection point; the check steps off it
+        path = write_config(tmp_path, sigma=[[0.7, 1.3]])
+        assert main(["--config", str(path)]) == 0
+        assert (tmp_path / "out.txt").read_text().strip().endswith("PASS 8/8")
+
+    def test_no_config_option(self, capsys):
+        assert main([]) == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2
 
@@ -207,6 +217,11 @@ class TestExitCodes:
         assert not out.exists()
         assert "range error" in capsys.readouterr().err
 
+    def test_hb_root_in_upper_half_plane(self, tmp_path, capsys):
+        path = write_config(tmp_path, space={"family": "polynomial-hb", "roots": [[0.0, 1.0]]})
+        assert main(["--config", str(path)]) == 2
+        assert "space.roots" in capsys.readouterr().err
+
     def test_list_checks(self, capsys):
         assert main(["--list-checks"]) == 0
         out = capsys.readouterr().out
@@ -229,6 +244,16 @@ class TestKernelCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "re_z,im_z,re_w,im_w,re_val,im_val"
         assert len(lines) == 1 + 6
+
+    def test_stdout_without_output_path(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, command="kernel", z=[0.5, 0.5], eval_points=[[0.0, 0.5]], output={}
+        )
+        assert main(["--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "re_z,im_z,re_w,im_w,re_val,im_val"
+        assert len(lines) == 2
+        assert not (tmp_path / "out.txt").exists()
 
     def test_csv_round_trip(self, tmp_path):
         from debranges import PaleyWiener, build, canonicalize
@@ -316,6 +341,14 @@ class TestPwExampleCommand:
             tmp_path, command="pw-example", sigma=[[0.0, 1.0], [0.0, 1.0]]
         )
         assert main(["--config", str(path)]) == 2
+
+    def test_sample_on_a_zero(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, command="pw-example", sigma=[[0.0, 1.0], [1.0, 1.0]],
+            eval_points=[[1.0, 1.0]],
+        )
+        assert main(["--config", str(path)]) == 2
+        assert "eval_points" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -20,14 +20,14 @@ from conftest import pw_moment_quadrature
 
 
 def herm_cond_entries(gs):
-    g = gs.matrix
+    g = np.array(gs.rows)
     return np.max(np.abs(g - g.conj().T))
 
 
 class TestBuild:
     def test_single_zero(self, pw1):
         gs = build(pw1, canonicalize([1j]))
-        assert gs.matrix[0, 0] == pytest.approx(math.sinh(2))
+        assert np.array(gs.rows)[0, 0] == pytest.approx(math.sinh(2))
         assert gs.det == pytest.approx(math.sinh(2))
         assert gs.condition_estimate == pytest.approx(1.0)
 
@@ -52,17 +52,17 @@ class TestBuild:
         g00 = math.sinh(2)
         g11 = (math.exp(2) - 5 * math.exp(-2)) / 4
         g01 = 1j * (3 * math.exp(-2) + math.exp(2)) / 4
-        assert gs.matrix[0, 0] == pytest.approx(g00)
-        assert gs.matrix[1, 1] == pytest.approx(g11)
-        assert gs.matrix[0, 1] == pytest.approx(g01)
-        assert gs.matrix[1, 0] == pytest.approx(g01.conjugate())
+        assert np.array(gs.rows)[0, 0] == pytest.approx(g00)
+        assert np.array(gs.rows)[1, 1] == pytest.approx(g11)
+        assert np.array(gs.rows)[0, 1] == pytest.approx(g01)
+        assert np.array(gs.rows)[1, 0] == pytest.approx(g01.conjugate())
 
     def test_confluent_entries_match_quadrature(self, pw1):
         gs = build(pw1, canonicalize([1j, 1j]))
         for i, ki in enumerate((0, 1)):
             for j, kj in enumerate((0, 1)):
                 want = (1j**ki) * ((-1j) ** kj) * pw_moment_quadrature(1.0, ki + kj, 1j, 1j)
-                assert gs.matrix[i, j] == pytest.approx(want, rel=1e-12)
+                assert np.array(gs.rows)[i, j] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "pts",
@@ -71,7 +71,7 @@ class TestBuild:
     def test_hermitian_positive_definite(self, pw2, pts):
         gs = build(pw2, canonicalize(pts))
         assert herm_cond_entries(gs) == 0.0  # symmetrized on assembly
-        eig = np.linalg.eigvalsh(gs.matrix)
+        eig = np.linalg.eigvalsh(np.array(gs.rows))
         assert eig[0] > 0
         assert gs.det > 0
 

@@ -8,7 +8,14 @@ import pytest
 
 import mpmath
 
-from debranges import DomainError, PaleyWiener, PolynomialHB, RangeError, UnsupportedOrderError
+from debranges import (
+    DomainError,
+    PaleyWiener,
+    PolynomialHB,
+    RangeError,
+    StructureFunction,
+    UnsupportedOrderError,
+)
 from debranges.kernels import _series_cutoff
 
 from conftest import (
@@ -284,6 +291,18 @@ class TestHbMargin:
             assert sf.hb_margin(z) > 0
 
 
+class _ConstantSpace(StructureFunction):
+    """Every kernel partial is one constant, whatever it is."""
+
+    max_derivative_order = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def _mixed(self, a, b, z, w):
+        return self.value
+
+
 class TestOverflow:
     """Values past the double range end in RangeError, not a bare OverflowError."""
 
@@ -334,6 +353,30 @@ class TestOverflow:
         assert cmath.isfinite(residual(1.0))
         with pytest.raises(RangeError):
             residual(1e300)
+
+    def test_pw_derivative_overflow_without_raising(self):
+        # x**2 * exp(100) is past the double range, yet no step raises
+        pw = PaleyWiener(1e150)
+        with pytest.raises(RangeError):
+            pw.eval_E(1e-148j, 2)
+        with pytest.raises(RangeError):
+            pw.eval_E_star(-1e-148j, 2)
+
+    def test_pw_combination_overflow(self):
+        # 1e308 times the sinc kernel's 2x at v = 0 is inf
+        with pytest.raises(RangeError):
+            PaleyWiener(1.0).combination(0, ((1e308, 0, 0j),))(0j)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_raw_hook_value_is_checked_by_the_public_operations(self, bad):
+        # a family hook returns plain math; the public operations own the range rule
+        space = _ConstantSpace(complex(bad, 0))
+        with pytest.raises(RangeError):
+            space.kernel(1j, 2j)
+        with pytest.raises(RangeError):
+            space.kernel_mixed_partial(0, 0, 1j, 2j)
+        with pytest.raises(RangeError):
+            space.combination(0, ((1.0, 0, 1j),))(2j)
 
 
 class TestConstruction:

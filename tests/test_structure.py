@@ -143,7 +143,7 @@ class TestSingleZeroIdentities:
         z1 = 1j
         gs = build(sf, canonicalize([z1]))
         ssf = derive(gs)
-        g11 = gs.matrix[0, 0]
+        g11 = np.array(gs.rows)[0, 0]
         rng = np.random.default_rng(43)
         checked = 0
         while checked < 50:
@@ -255,7 +255,7 @@ class TestEpsilonOracle:
         for i in range(2):
             for j in range(2):
                 got = oracle.gram_entry(i, j)
-                want = gs.matrix[i, j]
+                want = np.array(gs.rows)[i, j]
                 assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
     def test_confluent_kernel(self, pw1):
