@@ -12,14 +12,14 @@ Commands:
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
 2 configuration error, 3 numerical breakdown (dependent evaluators),
-4 range error (a value overflows the double range, or a kernel or
-structure value is not finite; nothing is written).
+4 range error (a value overflows the double range; the library raises
+RangeError for any kernel or structure value past it, and nothing is
+written).
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -278,17 +278,6 @@ def _report_lines(reports: list[CheckReport], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite_values(fn, points: list[complex]) -> list[complex]:
-    """fn(w) for every point; a value outside the double range raises RangeError."""
-    values = []
-    for w in points:
-        val = fn(w)
-        if not cmath.isfinite(val):
-            raise RangeError(f"value at w = {w} is not finite ({val})")
-        values.append(val)
-    return values
-
-
 def _write(path: str, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -301,7 +290,9 @@ def run(config: RunConfig) -> int:
     """Execute one parsed configuration; returns the process exit code.
 
     A value that overflows the double range, in any command, raises
-    RangeError before anything is written.
+    RangeError before anything is written: kernel and structure values
+    raise it from the library, and an OverflowError in a check's own
+    arithmetic is turned into it here.
     """
     try:
         return _run(config)
@@ -319,7 +310,7 @@ def _run(config: RunConfig) -> int:
         else:
             ssf = derive(gs)
             fn, lead, lead_header = (lambda w: ssf.eval("E", w)), (), []
-        values = _finite_values(fn, points)
+        values = [fn(w) for w in points]
         rows = [lead + (w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
         header = [*lead_header, "re_w", "im_w", "re_val", "im_val"]
         _write(config.out_path, _value_lines(header, rows, config.out_format))

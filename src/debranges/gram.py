@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError
-from .kernels import StructureFunction, Term
+from .kernels import StructureFunction, Term, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
 CONDITION_LIMIT = 1e12
@@ -223,7 +224,8 @@ class GramSystem:
         function is its conj(z)-Taylor sum from order m on, the terms
         `_taylor_terms(m, conj(z - z0), z0)`. The factors conj prod (z - z_i),
         without z0's run, are divided out after the remainder. Either way
-        one solve serves every w.
+        one solve serves every w. A value past the double range raises
+        RangeError (`kernels._in_range`).
         """
         z = complex(z)
         zs = self.zeros
@@ -235,7 +237,7 @@ class GramSystem:
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
         remainder = Remainder(self.space, zs, 0, terms, self.fit(0, terms))
-        return lambda w: remainder(w) / zprod_conj
+        return partial(_in_range, "K_z(w) at w = {0}", lambda w: remainder(w) / zprod_conj)
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -249,16 +251,21 @@ class GramSystem:
         """Bordered-determinant form of K_z(w); cross-validation route.
 
         Undefined when z or w equals a zero of the sequence (those limits
-        are served by :meth:`sigma_kernel`).
+        are served by :meth:`sigma_kernel`). A value past the double range
+        raises RangeError (`kernels._in_range`).
         """
         z, w = complex(z), complex(w)
-        zs = self.zeros
-        pts, ks = zs.points, zs.confluence
+        pts = self.zeros.points
         if any(z == p for p in pts) or any(w == p for p in pts):
             raise DomainError(
                 "determinant route is undefined on the zero sequence; "
                 "sigma_kernel evaluates those limits"
             )
+        return _in_range("determinant-route K_z(w) at z = {0}, w = {1}", self._kernel_det, z, w)
+
+    def _kernel_det(self, z: complex, w: complex) -> complex:
+        zs = self.zeros
+        pts, ks = zs.points, zs.confluence
         space, n = self.space, self.n
         col = [space.kernel_mixed_partial(ks[i], 0, z, pts[i]) for i in range(n)]
         row = [space.kernel_mixed_partial(0, ks[j], pts[j], w) for j in range(n)]

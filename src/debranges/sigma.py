@@ -14,6 +14,7 @@ instead of being merged away here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
@@ -70,30 +71,27 @@ class ZeroSequence:
         return len(self.points)
 
     @cached_property
-    def group_list(self) -> tuple[tuple[complex, int], ...]:
-        """Runs of equal zeros as (value, multiplicity), in order."""
-        groups: list[tuple[complex, int]] = []
-        for p, k in zip(self.points, self.confluence):
-            if k == 0:
-                groups.append((p, 1))
-            else:
-                value, count = groups[-1]
-                groups[-1] = (value, count + 1)
-        return tuple(groups)
-
-    @cached_property
     def _disks(self) -> tuple[tuple[complex, int, float], ...]:
-        """Runs as (value, multiplicity, de-singularization radius)."""
+        """Runs of equal zeros as (value, multiplicity, de-singularization radius), in order."""
         return tuple(
-            (v, count, DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v))) for v, count in self.group_list
+            (v, count, DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v)))
+            for v, count in Counter(self.points).items()
         )
 
     def local_group(self, w: complex) -> Optional[tuple[complex, int]]:
-        """Nearest run whose de-singularization disk contains w, or None."""
+        """Nearest run whose de-singularization disk contains w, or None.
+
+        This is the one rule for "w is near a zero": the gram layer's
+        Taylor routes and the checks' sampling both ask it. A distance past
+        the double range is in no disk.
+        """
         w = complex(w)
         best: Optional[tuple[float, complex, int]] = None
         for v, count, radius in self._disks:
-            d = abs(w - v)
+            try:
+                d = abs(w - v)
+            except OverflowError:
+                continue
             if d <= radius and (best is None or d < best[0]):
                 best = (d, v, count)
         return None if best is None else (best[1], best[2])

@@ -102,25 +102,22 @@ def _scaled_report(
     return _report(_tagged(check_id, tag), samples, residual, tol, condition_estimate, note)
 
 
-def _sample_point(rng: PCG64, radius: float = SAMPLE_RADIUS) -> complex:
+def _sample_point(rng: PCG64) -> complex:
+    r = SAMPLE_RADIUS
     while True:
-        re, im = rng.uniform(-radius, radius), rng.uniform(-radius, radius)
-        if re * re + im * im <= radius * radius:
+        re, im = rng.uniform(-r, r), rng.uniform(-r, r)
+        if re * re + im * im <= r * r:
             return complex(re, im)
 
 
-def _sample_pair(
-    rng: PCG64,
-    radius: float = SAMPLE_RADIUS,
-    avoid: Sequence[complex] = (),
-    avoid_margin: float = 0.0,
-) -> tuple[complex, complex]:
+def _sample_pair(rng: PCG64, avoid: Optional[ZeroSequence] = None) -> tuple[complex, complex]:
+    """z, w off the diagonal w = conj(z) and, given `avoid`, both outside its disks."""
     while True:
-        z = _sample_point(rng, radius)
-        w = _sample_point(rng, radius)
+        z = _sample_point(rng)
+        w = _sample_point(rng)
         if abs(z.conjugate() - w) < DIAGONAL_MARGIN:
             continue
-        if any(abs(z - p) < avoid_margin or abs(w - p) < avoid_margin for p in avoid):
+        if avoid is not None and (avoid.local_group(z) or avoid.local_group(w)):
             continue
         return z, w
 
@@ -176,14 +173,14 @@ def check_n1_identities(
     e1 = space.eval_E(z1)
     f1 = space.eval_E_star(z1)
     g11 = gs.rows[0][0]
-    margin = 1e-3 * (1.0 + abs(z1))
+    z1_and_conj = canonicalize([z1, z1.conjugate()])
     rng = PCG64(seed)
 
     worst_star = 0.0
     worst_eval = 0.0
     worst_det = 0.0
     for _ in range(sample_count):
-        z, w = _sample_pair(rng, avoid=[z1, z1.conjugate()], avoid_margin=margin)
+        z, w = _sample_pair(rng, z1_and_conj)
         ew, fw = ssf.eval("E", w), ssf.eval("F", w)
         z1w = space.kernel(z1, w)
         # the reflected derived E against the closed single-zero remainder of Estar
@@ -327,11 +324,16 @@ def check_projection(
     tolerances: Optional[dict] = None,
     tag: str = "",
 ) -> CheckReport:
-    """Projection-residual orthogonality plus solve/determinant agreement."""
+    """Projection-residual orthogonality plus solve/determinant agreement.
+
+    z must lie outside every de-singularization disk of the zeros
+    (`ZeroSequence.local_group`), where the determinant route is an
+    independent check of the solve; the samples w are drawn outside them too.
+    """
     _reject_unknown_keys(tolerances)
     z = complex(z)
-    if any(z == p for p in zeros.points):
-        raise DomainError("projection check requires z off the zero sequence")
+    if zeros.local_group(z) is not None:
+        raise DomainError("projection check requires z outside the disks of the zeros")
     gs = build(space, zeros)
     pts, ks = zeros.points, zeros.confluence
     z_kernel = ((1.0, 0, z),)
@@ -342,14 +344,10 @@ def check_projection(
     worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
     rng = PCG64(seed)
-    margin = max((1e-3 * (1.0 + abs(p)) for p in pts), default=0.0)
     worst_route = 0.0
-    z_ok = all(abs(z - p) >= margin for p in pts)
-    row = gs.kernel_row(z) if z_ok else None
+    row = gs.kernel_row(z)
     for _ in range(sample):
-        _, w = _sample_pair(rng, avoid=pts, avoid_margin=margin)
-        if row is None:
-            continue
+        _, w = _sample_pair(rng, zeros)
         via_solve = row(w)
         via_det = gs.sigma_kernel_det(z, w)
         worst_route = max(worst_route, _rel(via_det - via_solve, via_solve))
@@ -404,11 +402,11 @@ def _sequence_checks(
     """theorem2, projection and, where it applies, hb-inheritance for one configuration.
 
     The projection point is PROJECTION_POINT, stepped by 0.25j until it is
-    off the zeros.
+    outside the disks of the zeros.
     """
     dim = space.dimension
     z = PROJECTION_POINT
-    while z in zeros.points:
+    while zeros.local_group(z) is not None:
         z += 0.25j
     reports = [
         check_theorem2(space, zeros, 200, seed, tolerances, tag),

@@ -217,6 +217,20 @@ class TestExitCodes:
         assert not out.exists()
         assert "range error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["kernel", "structure"])
+    def test_point_past_the_double_range_exit_four(self, tmp_path, capsys, command):
+        # |w - zero| overflows: the library raises RangeError, not OverflowError
+        out = tmp_path / "values.csv"
+        path = write_config(
+            tmp_path, command=command, z=[0.5, 0.5],
+            sigma=[[0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [1.0, 1.0]],
+            eval_points=[[1.5e308, 1.5e308]],
+            output={"path": str(out)},
+        )
+        assert main(["--config", str(path)]) == 4
+        assert not out.exists()
+        assert "range error" in capsys.readouterr().err
+
     def test_hb_root_in_upper_half_plane(self, tmp_path, capsys):
         path = write_config(tmp_path, space={"family": "polynomial-hb", "roots": [[0.0, 1.0]]})
         assert main(["--config", str(path)]) == 2

@@ -13,6 +13,7 @@ from debranges import (
     RangeError,
     build,
     canonicalize,
+    derive,
 )
 from debranges.structure import extrapolate_to_zero
 
@@ -263,3 +264,33 @@ class TestSigmaKernelDet:
         a = gs.sigma_kernel(2j, 3j)
         b = gs.sigma_kernel_det(2j, 3j)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+class TestDerivedRange:
+    """Derived values past the double range raise RangeError, never nan or a bare OverflowError."""
+
+    Z = 0.5 + 0.5j
+    FACES = {
+        "kernel_row": lambda gs, z, w: gs.kernel_row(z)(w),
+        "sigma_kernel": lambda gs, z, w: gs.sigma_kernel(z, w),
+        "E": lambda gs, z, w: derive(gs).eval("E", w),
+        "F": lambda gs, z, w: derive(gs).eval("F", w),
+        "sigma_kernel_det": lambda gs, z, w: gs.sigma_kernel_det(z, w),
+    }
+
+    @pytest.fixture
+    def gs(self, pw1):
+        return build(pw1, canonicalize([1j, 1j, 2j, 1 + 1j]))
+
+    # at 1e155 the zero products overflow and the quotients are nan; at
+    # 1.5e308+1.5e308j the distance to a zero is past the double range
+    @pytest.mark.parametrize("w", [1e155, 1.5e308 + 1.5e308j])
+    @pytest.mark.parametrize("face", FACES)
+    def test_far_w(self, gs, face, w):
+        with pytest.raises(RangeError):
+            self.FACES[face](gs, self.Z, w)
+
+    @pytest.mark.parametrize("z", [1e200, 1.5e308 + 1.5e308j])
+    def test_row_of_a_far_z(self, gs, z):
+        with pytest.raises(RangeError):
+            gs.kernel_row(z)(0.3 + 0.7j)

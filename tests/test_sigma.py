@@ -152,6 +152,10 @@ class TestLocalGroup:
         assert zs.local_group(1j + 1e-4) == (1j, 1)
         assert zs.local_group(1j + 0.5) is None
 
+    def test_distance_past_the_double_range_is_in_no_disk(self):
+        # abs(w - 1j) overflows for this w
+        assert canonicalize([1j]).local_group(1.5e308 + 1.5e308j) is None
+
     def test_deflated_product(self):
         zs = canonicalize([1j, 1j, 2j])
         at = 3.0 + 0j

@@ -156,6 +156,20 @@ class TestProjection:
         with pytest.raises(DomainError):
             check_projection(pw1, canonicalize([1j]), 1j, 10, seed=3)
 
+    def test_z_in_a_disk_rejected(self, pw1):
+        # 4e-4 from the zero, inside its disk of radius 1e-3 * (1 + |p|)
+        with pytest.raises(DomainError):
+            check_projection(pw1, canonicalize([0.7 + 1.3004j]), 0.7 + 1.3j, 50, 1)
+
+    def test_config_checks_step_off_a_disk(self, pw1):
+        # the suite's projection point is in this zero's disk; the check
+        # steps off it and compares both routes
+        reports = run_config_checks(pw1, canonicalize([0.7 + 1.3004j]))
+        (projection,) = [r for r in reports if r.check_id == "projection"]
+        route = float(projection.note.rsplit("route agreement ", 1)[1])
+        assert 0 < route <= 1e-9
+        assert projection.passed
+
 
 class TestSuites:
     def test_config_checks_pass_and_tag(self, pw1):
