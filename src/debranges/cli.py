@@ -110,7 +110,16 @@ def _complex_array(fld: str, value, message: str, allow_empty: bool = False) -> 
     Anything but an array, or an empty one unless allowed, raises ConfigError(fld, message).
     """
     _require(isinstance(value, list) and (allow_empty or value), fld, message)
-    return [_as_complex(f"{fld}[{i}]", v) for i, v in enumerate(value)]
+    points = []
+    for i, v in enumerate(value):
+        # the common [float, float] directly; anything else gets _as_complex's checks and messages
+        if type(v) is list and len(v) == 2:
+            re, im = v
+            if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+                points.append(complex(re, im))
+                continue
+        points.append(_as_complex(f"{fld}[{i}]", v))
+    return points
 
 
 def _parse_space(raw) -> StructureFunction:
@@ -245,9 +254,16 @@ def _grid_points(grid: dict) -> list[complex]:
     return [complex(re, im) for im in ims for re in res]
 
 
-def _value_lines(header: list[str], rows: list[tuple[float, ...]], fmt: str) -> str:
+def _value_lines(
+    header: list[str], rows: list[tuple[float, ...]], fmt: str, lead: tuple[float, ...] = ()
+) -> str:
+    """The header and one line of "%.17g" values per row, each row led by the constant `lead`.
+
+    The lead columns are formatted once, into the row format itself.
+    """
     sep = "," if fmt == "csv" else "  "
-    row_format = sep.join(["%.17g"] * len(header))
+    # a formatted float holds no "%", so the formatted lead is a literal of the row format
+    row_format = sep.join(["%.17g" % v for v in lead] + ["%.17g"] * (len(header) - len(lead)))
     lines = [sep.join(header)]
     lines.extend(row_format % row for row in rows)
     return "\n".join(lines) + "\n"
@@ -311,9 +327,9 @@ def _run(config: RunConfig) -> int:
             ssf = derive(gs)
             fn, lead, lead_header = (lambda w: ssf.eval("E", w)), (), []
         values = [fn(w) for w in points]
-        rows = [lead + (w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
+        rows = [(w.real, w.imag, v.real, v.imag) for w, v in zip(points, values)]
         header = [*lead_header, "re_w", "im_w", "re_val", "im_val"]
-        _write(config.out_path, _value_lines(header, rows, config.out_format))
+        _write(config.out_path, _value_lines(header, rows, config.out_format, lead))
         return 0
 
     if config.command == "verify":

@@ -25,9 +25,9 @@ as array calls and needs no numpy.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError
@@ -237,7 +237,18 @@ class GramSystem:
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
         remainder = Remainder(self.space, zs, 0, terms, self.fit(0, terms))
-        return partial(_in_range, "K_z(w) at w = {0}", lambda w: remainder(w) / zprod_conj)
+
+        def row(w: complex) -> complex:
+            try:
+                value = remainder(w) / zprod_conj
+                if cmath.isfinite(value):
+                    return value
+            except OverflowError:
+                pass
+            # out of range: the same deterministic quotient again, raised with _in_range's wording
+            return _in_range("K_z(w) at w = {0}", lambda w: remainder(w) / zprod_conj, w)
+
+        return row
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.

@@ -35,9 +35,11 @@ Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
 hook, as plain math. ``combination`` serves e E + sum_t weight_t Z_t, the
 form of every function the gram layer's Remainder divides. Its default
-sums one ``_mixed`` per term at every point; ``PolynomialHB``, whose E and
-Z_t are polynomials in w, sums them into one polynomial and pays one
-Horner pass per point.
+sums one ``_mixed`` per term at every point. ``PaleyWiener`` sums the same
+sinc and moment values, in the same order and so to the same bits, from
+terms prepared once per order, without the per-term dispatch.
+``PolynomialHB``, whose E and Z_t are polynomials in w, sums them into one
+polynomial and pays one Horner pass per point.
 """
 
 from __future__ import annotations
@@ -264,15 +266,54 @@ class PaleyWiener(StructureFunction):
             return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
         return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
+    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
+        """The default's sum without the per-term `_mixed` dispatch, bit for bit.
+
+        Each order's terms are prepared once, as (weight, conj(point),
+        _ipow(a) * _inegpow(order), a + order), after the default's checks;
+        a point then sums the inline sinc (total order 0) or the moment of
+        each term in the terms' own order. Near a multiple zero the terms
+        cancel to about 1e-8 of their size, so any other order of summation
+        would move the result.
+        """
+        x, eval_E, moment = self.x, self._eval_E_raw, self._moment
+        prepared: dict[int, list[tuple[complex, complex, complex, int]]] = {}
+
+        def total(w: complex, rows: list[tuple[complex, complex, complex, int]], a: int) -> complex:
+            acc = e * eval_E(w, a) if e else 0j
+            for weight, s, factor, p in rows:
+                u = w - s
+                if p:
+                    acc += weight * (factor * moment(p, u))
+                else:
+                    v = u * x
+                    acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
+            return acc
+
+        def combined(w: complex, a: int = 0) -> complex:
+            rows = prepared.get(a)
+            if rows is None:
+                if e:
+                    self._check_partial(a)
+                for _, k, _ in terms:
+                    self._check_mixed(a, k)
+                rows = prepared[a] = [
+                    (weight, p.conjugate(), _ipow(a) * _inegpow(k), a + k) for weight, k, p in terms
+                ]
+            return _in_range("combination of order {2} at w = {0}", total, complex(w), rows, a)
+
+        return combined
+
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,
     # the closed antiderivative beyond
     def _moment(self, p: int, u: complex) -> complex:
-        if abs(u * self.x) <= _series_cutoff(p):
-            return self._moment_series(p, u)
+        v = u * self.x
+        if abs(v) <= _series_cutoff(p):
+            return self._moment_series(p, v)
         return self._moment_closed(p, u)
 
-    def _moment_series(self, p: int, u: complex) -> complex:
+    def _moment_series(self, p: int, v: complex) -> complex:
         # Kummer's transformation gives int_0^x t^p exp(1j*u*t) dt =
         # x^(p+1)/(p+1) exp(1j*v) F(-1j*v) with v = u*x and
         # F(w) = sum_k w^k / (p+2)_k, whose terms shrink while |v| < p + 2.
@@ -282,36 +323,37 @@ class PaleyWiener(StructureFunction):
         #   2j x^(p+1)/(p+1) (sin(v) Fe(s) - v cos(v) Fo(s))   for odd p,
         # with Fe and Fo summed by Horner in s.
         pairs = _series_coeffs(p)
-        x = self.x
-        v = u * x
         s = -(v * v)
         fe = fo = 0j
         for even, odd in pairs[_series_pairs(abs(v)) - 1::-1]:
             fe = fe * s + even
             fo = fo * s + odd
         cos, sin = cmath.cos(v), cmath.sin(v)
-        scale = 2.0 * x ** (p + 1) / (p + 1)
+        scale = 2.0 * self.x ** (p + 1) / (p + 1)
         if p % 2:
             return 1j * scale * (sin * fe - v * cos * fo)
         return scale * (cos * fe + v * sin * fo)
 
     def _moment_closed(self, p: int, u: complex) -> complex:
-        # antiderivative exp(1j*u*t) * sum_j (-1)^j p!/(p-j)! t^(p-j) / (1j*u)^(j+1),
-        # each term built from the one before it so that neither the falling
-        # factorial nor the power of 1j*u overflows on its own; the rounding
-        # error falls as |u*x| grows past the series cutoff
+        # the antiderivative exp(1j*u*t) * _primitive(p, t, 1j*u) between -x and x
         iu = 1j * u
-
-        def primitive(t: float) -> complex:
-            term = t**p / iu
-            acc = term
-            for j in range(p, 0, -1):
-                term *= -j / (t * iu)
-                acc += term
-            return acc
-
         x = self.x
-        return cmath.exp(iu * x) * primitive(x) - cmath.exp(-iu * x) * primitive(-x)
+        return cmath.exp(iu * x) * _primitive(p, x, iu) - cmath.exp(-iu * x) * _primitive(p, -x, iu)
+
+
+def _primitive(p: int, t: float, iu: complex) -> complex:
+    """sum_j (-1)^j p!/(p-j)! t^(p-j) / iu^(j+1), times exp(iu t) an antiderivative of t^p exp(iu t).
+
+    Each term is built from the one before it, so that neither the falling
+    factorial nor the power of iu overflows on its own; the rounding error
+    falls as |u*x| grows past the series cutoff.
+    """
+    term = t**p / iu
+    acc = term
+    for j in range(p, 0, -1):
+        term *= -j / (t * iu)
+        acc += term
+    return acc
 
 
 @dataclass(frozen=True)

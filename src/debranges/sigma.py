@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .errors import PoleError
+from .errors import PoleError, RangeError
 
 # Distance to a zero, relative to 1 + |zero|, below which evaluation
 # switches from the direct rational form to the Taylor form that absorbs
@@ -72,11 +72,18 @@ class ZeroSequence:
 
     @cached_property
     def _disks(self) -> tuple[tuple[complex, int, float], ...]:
-        """Runs of equal zeros as (value, multiplicity, de-singularization radius), in order."""
-        return tuple(
-            (v, count, DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v)))
-            for v, count in Counter(self.points).items()
-        )
+        """Runs of equal zeros as (value, multiplicity, de-singularization radius), in order.
+
+        A zero whose modulus is past the double range has no radius and raises RangeError.
+        """
+        disks = []
+        for v, count in Counter(self.points).items():
+            try:
+                radius = DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v))
+            except OverflowError:
+                raise RangeError(f"the zero {v} has a modulus past the double range") from None
+            disks.append((v, count, radius))
+        return tuple(disks)
 
     def local_group(self, w: complex) -> Optional[tuple[complex, int]]:
         """Nearest run whose de-singularization disk contains w, or None.

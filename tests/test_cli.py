@@ -406,6 +406,15 @@ class TestDeterminism:
             "-0", "4.9406564584124654e-324", "9.9999999999999694e-311", "1.0000000000000001e+300"
         ]
 
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("txt", "  ")])
+    def test_lead_columns_format_like_the_rest_of_the_row(self, fmt, sep):
+        # the constant lead is formatted once; each line must read as "%.17g" of lead + row
+        lead = (-0.0, 5e-324)
+        rows = [(1e-310, 1e300, 0.1, -2.5), (-0.0, 0.0, 3.0, -7.25)]
+        header = ["a", "b", "c", "d", "e", "f"]
+        want = "".join(sep.join("%.17g" % v for v in lead + row) + "\n" for row in rows)
+        assert _value_lines(header, rows, fmt, lead) == sep.join(header) + "\n" + want
+
 
 def _stdlib_configs(tmp_path) -> list[Path]:
     """One kernel, one structure and one verify configuration, each writing into tmp_path."""

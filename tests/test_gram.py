@@ -294,3 +294,9 @@ class TestDerivedRange:
     def test_row_of_a_far_z(self, gs, z):
         with pytest.raises(RangeError):
             gs.kernel_row(z)(0.3 + 0.7j)
+
+    def test_row_with_a_zero_past_the_double_range(self):
+        # a degree-1 kernel is constant, so the Gram build succeeds; the zero's disk radius overflows
+        gs = build(PolynomialHB((-1j,)), canonicalize([1.5e308 + 1.5e308j]))
+        with pytest.raises(RangeError, match="zero"):
+            gs.kernel_row(0.5j)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -377,6 +378,49 @@ class TestOverflow:
             space.kernel_mixed_partial(0, 0, 1j, 2j)
         with pytest.raises(RangeError):
             space.combination(0, ((1.0, 0, 1j),))(2j)
+
+
+class TestPaleyWienerCombination:
+    """The PaleyWiener override sums the default's values in the default's order: the same bits."""
+
+    @staticmethod
+    def _bits(value: complex) -> bytes:
+        return struct.pack("<dd", value.real, value.imag)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.7])
+    @pytest.mark.parametrize("e", [0, 1, 0.3 - 0.2j])
+    def test_bitwise_equal_to_the_default(self, x, e):
+        rng = np.random.default_rng(14)
+        space = PaleyWiener(x)
+        points = [complex(*rng.uniform(-2, 2, 2)) for _ in range(3)] + [1j]
+        terms = [(complex(*rng.normal(size=2)), k, p) for p in points for k in range(4)]
+        fast = space.combination(e, terms)
+        default = StructureFunction.combination(space, e, terms)
+        # both moment routes (|u x| up to about 40), and w = conj(point), where the sinc's v is 0
+        ws = [complex(rng.uniform(-8, 8), rng.uniform(-3, 3)) for _ in range(40)]
+        ws += [p.conjugate() for p in points]
+        for a in range(4):
+            for w in ws:
+                assert self._bits(fast(w, a)) == self._bits(default(w, a)), (a, w)
+        assert all(self._bits(fast(w)) == self._bits(default(w)) for w in ws)
+
+    @pytest.mark.parametrize(
+        "e, terms, w, a, error",
+        [
+            (0, ((1.0, -1, 1j),), 1j, 0, ValueError),  # a negative term order
+            (1, ((1.0, 0, 1j),), 1j, 65, UnsupportedOrderError),  # E past the budget
+            (0, ((1.0, 0, 0.5j), (1.0, 2, 0.5j)), 800j, 0, RangeError),  # sin(800.5j) overflows
+        ],
+    )
+    def test_same_errors_as_the_default(self, e, terms, w, a, error):
+        space = PaleyWiener(1.0)
+        messages = []
+        default = StructureFunction.combination(space, e, terms)
+        for combination in (space.combination(e, terms), default):
+            with pytest.raises(error) as info:
+                combination(w, a)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestConstruction:

@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from debranges import PaleyWiener, PoleError, ZeroSequence, bracket, bracket_eps, canonicalize
+from debranges import (
+    PaleyWiener, PoleError, RangeError, ZeroSequence, bracket, bracket_eps, canonicalize,
+)
 from debranges.structure import extrapolate_to_zero
 
 POOL = [0j, 1j, 2j, 1 + 1j, -1 + 2j, 0.5 - 0.5j]
@@ -155,6 +157,11 @@ class TestLocalGroup:
     def test_distance_past_the_double_range_is_in_no_disk(self):
         # abs(w - 1j) overflows for this w
         assert canonicalize([1j]).local_group(1.5e308 + 1.5e308j) is None
+
+    def test_zero_past_the_double_range_raises_range_error(self):
+        # abs(zero) overflows, so the zero has no disk radius
+        with pytest.raises(RangeError, match="zero"):
+            canonicalize([1.5e308 + 1.5e308j]).local_group(0)
 
     def test_deflated_product(self):
         zs = canonicalize([1j, 1j, 2j])
