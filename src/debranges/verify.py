@@ -1,18 +1,21 @@
 """Floating-point verification of the library's identities.
 
-Every check samples seeded pseudorandom points from `rng.PCG64`, the
-PCG64 stream of numpy's default_rng drawn in plain Python, so reports are
-bit-reproducible for a given seed with or without numpy. It measures the
-worst relative residual of one identity and reports it against a base
-tolerance scaled linearly with the Gram condition estimate (floored at
-the base). A NaN residual never passes.
+Every check samples seeded points from `random.Random(seed)`, the standard
+library's Mersenne Twister (Matsumoto & Nishimura, ACM TOMACS 8, 1998), for
+a non-negative integer seed. It draws only through `random()`, whose output
+Python keeps across versions, so reports are bit-reproducible for a given
+seed on any Python. Each check measures the worst relative residual of one
+identity and reports it against a base tolerance scaled linearly with the
+Gram condition estimate (floored at the base). A NaN residual never passes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError
 from .gram import (
@@ -24,12 +27,12 @@ from .gram import (
     spectral_condition,
 )
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
-from .rng import PCG64
 from .sigma import ZeroSequence, canonicalize
 from .structure import SigmaStructureFunction, derive
 
 DIAGONAL_MARGIN = 1e-3
 SAMPLE_RADIUS = 3.0
+_Uniform = Callable[[float, float], float]  # (lo, hi) -> a uniform draw between lo and hi
 
 # check id -> (description printed by --list-checks, base tolerance); the
 # one place a base lives, overridden per id by a `tolerances` mapping
@@ -102,19 +105,28 @@ def _scaled_report(
     return _report(_tagged(check_id, tag), samples, residual, tol, condition_estimate, note)
 
 
-def _sample_point(rng: PCG64) -> complex:
+def _uniforms(seed: int) -> _Uniform:
+    """uniform(lo, hi) = lo + (hi - lo) * random(): Python does not promise `Random.uniform`'s code."""
+    seed = operator.index(seed)  # TypeError for a float or a string
+    if seed < 0:  # Random would seed it as its absolute value
+        raise ValueError(f"the sampling seed must be a non-negative integer, got {seed}")
+    draw = random.Random(seed).random
+    return lambda lo, hi: lo + (hi - lo) * draw()
+
+
+def _sample_point(uniform: _Uniform) -> complex:
     r = SAMPLE_RADIUS
     while True:
-        re, im = rng.uniform(-r, r), rng.uniform(-r, r)
+        re, im = uniform(-r, r), uniform(-r, r)
         if re * re + im * im <= r * r:
             return complex(re, im)
 
 
-def _sample_pair(rng: PCG64, avoid: Optional[ZeroSequence] = None) -> tuple[complex, complex]:
+def _sample_pair(uniform: _Uniform, avoid: Optional[ZeroSequence] = None) -> tuple[complex, complex]:
     """z, w off the diagonal w = conj(z) and, given `avoid`, both outside its disks."""
     while True:
-        z = _sample_point(rng)
-        w = _sample_point(rng)
+        z = _sample_point(uniform)
+        w = _sample_point(uniform)
         if abs(z.conjugate() - w) < DIAGONAL_MARGIN:
             continue
         if avoid is not None and (avoid.local_group(z) or avoid.local_group(w)):
@@ -146,10 +158,10 @@ def check_theorem2(
     _reject_unknown_keys(tolerances)
     gs = build(space, zeros)
     ssf = derive(gs)
-    rng = PCG64(seed)
+    uniform = _uniforms(seed)
     worst = 0.0
     for _ in range(sample_count):
-        z, w = _sample_pair(rng)
+        z, w = _sample_pair(uniform)
         lhs = gs.sigma_kernel(z, w)
         rhs = _quotient(ssf, z, w, ssf.eval("E", w), ssf.eval("F", w))
         worst = max(worst, _rel(lhs - rhs, lhs))
@@ -174,13 +186,13 @@ def check_n1_identities(
     f1 = space.eval_E_star(z1)
     g11 = gs.rows[0][0]
     z1_and_conj = canonicalize([z1, z1.conjugate()])
-    rng = PCG64(seed)
+    uniform = _uniforms(seed)
 
     worst_star = 0.0
     worst_eval = 0.0
     worst_det = 0.0
     for _ in range(sample_count):
-        z, w = _sample_pair(rng, z1_and_conj)
+        z, w = _sample_pair(uniform, z1_and_conj)
         ew, fw = ssf.eval("E", w), ssf.eval("F", w)
         z1w = space.kernel(z1, w)
         # the reflected derived E against the closed single-zero remainder of Estar
@@ -297,10 +309,10 @@ def check_hb_inheritance(
     _reject_unknown_keys(tolerances)
     gs = build(space, zeros)
     ssf = derive(gs)
-    rng = PCG64(seed)
+    uniform = _uniforms(seed)
     min_margin = math.inf
     for _ in range(sample_count):
-        z = complex(rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS), rng.uniform(0.05, SAMPLE_RADIUS))
+        z = complex(uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS), uniform(0.05, SAMPLE_RADIUS))
         ev = ssf.eval("E", z)
         fv = ssf.eval("F", z)
         min_margin = min(min_margin, abs(ev) ** 2 - abs(fv) ** 2)
@@ -343,11 +355,11 @@ def check_projection(
     scale = max(math.hypot(*(part for v in rhs for part in (v.real, v.imag))), 1e-300)
     worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
-    rng = PCG64(seed)
+    uniform = _uniforms(seed)
     worst_route = 0.0
     row = gs.kernel_row(z)
     for _ in range(sample):
-        _, w = _sample_pair(rng, zeros)
+        _, w = _sample_pair(uniform, zeros)
         via_solve = row(w)
         via_det = gs.sigma_kernel_det(z, w)
         worst_route = max(worst_route, _rel(via_det - via_solve, via_solve))

@@ -1,4 +1,4 @@
-"""The plain-Python numerics pinned to numpy: sample stream, grid, eigenvalues, determinant, factor."""
+"""The plain-Python numerics pinned to numpy: grid, eigenvalues, determinant, factor."""
 
 import math
 
@@ -9,27 +9,7 @@ from debranges import LinearDependenceError, build, canonicalize
 from debranges.cli import _linspace
 from debranges.gram import bordered_det, determinant, hermitian_eigenvalues, spectral_condition
 from debranges.kernels import StructureFunction
-from debranges.rng import PCG64
 from debranges.verify import DEFAULT_SIGMAS, DEFAULT_SPACES
-
-SEEDS = [*range(200), 2**32 + 5, 2**64 - 1, 10**30]
-
-
-class TestPCG64:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_stream_matches_default_rng(self, seed):
-        ours, theirs = PCG64(seed), np.random.default_rng(seed)
-        assert [ours.random() for _ in range(200)] == [theirs.random() for _ in range(200)]
-        assert [ours.uniform(-3, 3) for _ in range(200)] == [theirs.uniform(-3, 3) for _ in range(200)]
-        assert [ours.uniform(0.05, 3) for _ in range(200)] == [
-            theirs.uniform(0.05, 3) for _ in range(200)
-        ]
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            np.random.default_rng(-1)
-        with pytest.raises(ValueError):
-            PCG64(-1)
 
 
 def _same_doubles(ours, theirs):

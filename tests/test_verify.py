@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from debranges import (
@@ -171,6 +172,41 @@ class TestProjection:
         assert projection.passed
 
 
+class TestSampleStream:
+    # the first pairs a seed draws; any change to how the checks sample moves them
+    PAIRS = {
+        0: [
+            (2.0665311091502883 + 1.5477264176418153j, -0.47657051501493 - 1.44649949824222j),
+            (0.0676483282116509 - 0.5703951752975143j, 1.702791534208636 - 1.1801236435264353j),
+            (-0.14041827508586513 + 0.5002922367301874j, 2.448677311172011 + 0.028121134904341538j),
+        ],
+        2**64 - 1: [
+            (-1.728195080635076 + 0.6907559973754367j, 2.5174258903031896 - 0.7737346991303831j),
+            (1.392674700716694 + 1.4551626319149147j, 1.4227521207577913 + 1.3798190444285714j),
+            (-0.1817606691229825 + 2.2713392950486666j, -2.5305790543089026 - 1.0211051486395801j),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PAIRS))
+    def test_first_pairs_are_pinned(self, seed):
+        uniform = verify._uniforms(seed)
+        assert [verify._sample_pair(uniform) for _ in range(3)] == self.PAIRS[seed]
+
+    def test_seed_contract(self, pw1):
+        zs = canonicalize([1j])
+        with pytest.raises(ValueError):
+            run_default_suite(-1)
+        with pytest.raises(ValueError):
+            check_theorem2(pw1, zs, 5, seed=-1)
+        with pytest.raises(TypeError):
+            check_theorem2(pw1, zs, 5, seed=1.5)
+        with pytest.raises(TypeError):
+            check_theorem2(pw1, zs, 5, seed="1")
+        # an integer of another type seeds as its value
+        assert check_theorem2(pw1, zs, 5, seed=True) == check_theorem2(pw1, zs, 5, seed=1)
+        assert check_theorem2(pw1, zs, 5, seed=np.uint64(7)) == check_theorem2(pw1, zs, 5, seed=7)
+
+
 class TestSuites:
     def test_config_checks_pass_and_tag(self, pw1):
         reports = run_config_checks(pw1, canonicalize([1j]), seed=0, tag="t")
@@ -203,7 +239,7 @@ class TestSuites:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the tolerance keys were checked")
 
-        for name in ("PCG64", "build", "determinant"):
+        for name in ("_uniforms", "build", "determinant"):
             monkeypatch.setattr(verify, name, no_work)
         with pytest.raises(DomainError, match="theorm2"):
             UNKNOWN_KEY_CALLS[entry]({"theorem2": 1e-8, "theorm2": 0.0})
