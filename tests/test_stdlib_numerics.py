@@ -1,6 +1,8 @@
-"""The plain-Python numerics pinned to numpy: grid, eigenvalues, determinant, factor."""
+"""The plain-Python numerics pinned to a reference: sample stream (the standard
+library's `random.Random`), grid, eigenvalues, determinant, factor (numpy)."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +11,29 @@ from debranges import LinearDependenceError, build, canonicalize
 from debranges.cli import _linspace
 from debranges.gram import bordered_det, determinant, hermitian_eigenvalues, spectral_condition
 from debranges.kernels import StructureFunction
-from debranges.verify import DEFAULT_SIGMAS, DEFAULT_SPACES
+from debranges.verify import DEFAULT_SIGMAS, DEFAULT_SPACES, _uniforms
+
+SEEDS = [*range(200), 2**32 + 5, 2**64 - 1, 10**30]
+
+
+class TestPCG64:
+    # The checks' sample stream, `verify._uniforms`. The names date from its
+    # port of numpy's PCG64 default_rng; the default generator it now draws
+    # from is the standard library's `random.Random`, seeded with the exact
+    # integer and read only through `random()`.
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stream_matches_default_rng(self, seed):
+        ours, theirs = _uniforms(seed), random.Random(seed).random
+        for lo, hi in ((-3.0, 3.0), (0.05, 3.0)):
+            draws = [ours(lo, hi) for _ in range(200)]
+            assert draws == [lo + (hi - lo) * theirs() for _ in range(200)]
+            assert all(lo <= x <= hi for x in draws)
+
+    def test_negative_seed_rejected(self):
+        # Random seeds a negative integer as its absolute value
+        assert random.Random(-1).random() == random.Random(1).random()
+        with pytest.raises(ValueError):
+            _uniforms(-1)
 
 
 def _same_doubles(ours, theirs):
