@@ -11,7 +11,8 @@ Commands:
   pw-example  run the sinc-kernel determinant identities
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 configuration error, 3 numerical breakdown (dependent evaluators),
+2 configuration error (also an unreadable config or an unwritable
+output), 3 numerical breakdown (dependent evaluators),
 4 range error (a value overflows the double range; the library raises
 RangeError for any kernel or structure value past it, and nothing is
 written).
@@ -168,6 +169,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8: {exc}") from None
     _require(isinstance(raw, dict), "config", "top level must be an object")
 
     command = raw.get("command")
@@ -296,8 +299,11 @@ def _report_lines(reports: list[CheckReport], fmt: str) -> str:
 
 def _write(path: str, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError("output.path", f"cannot write {path}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -34,12 +34,14 @@ Two families are implemented:
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
 hook, as plain math. ``combination`` serves e E + sum_t weight_t Z_t, the
-form of every function the gram layer's Remainder divides. Its default
-sums one ``_mixed`` per term at every point. ``PaleyWiener`` sums the same
-sinc and moment values, in the same order and so to the same bits, from
-terms prepared once per order, without the per-term dispatch.
-``PolynomialHB``, whose E and Z_t are polynomials in w, sums them into one
-polynomial and pays one Horner pass per point.
+form of every function the gram layer's Remainder divides: each family
+writes its per-order math and ``StructureFunction._checked``, the one
+closure around it, owns the order checks, the per-order cache and the
+range check. The default sums one ``_mixed`` per term at every point.
+``PaleyWiener`` sums the same sinc and moment values, in the same order and
+so to the same bits, without the per-term dispatch. ``PolynomialHB``,
+whose E and Z_t are polynomials in w, sums them into one polynomial and
+pays one Horner pass per point.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -197,28 +199,40 @@ class StructureFunction:
 
         A term (weight, order, point) stands for the evaluator
         Z_t(w) = kernel_mixed_partial(., order, point, w) of the order-th
-        derivative at point. This default checks each order a against E
-        and every term the first time a is asked for, sums one `_mixed` per
-        term at every point and checks the range once per point; a family
-        may collapse the terms once per combination.
+        derivative at point. This default sums one `_mixed` per term at
+        every point; a family may collapse the terms once per order.
         """
         eval_E, mixed = self._eval_E_raw, self._mixed
-        checked: set[int] = set()
 
-        def total(w: complex, a: int) -> complex:
+        def total(a: int, w: complex) -> complex:
             acc = e * eval_E(w, a) if e else 0j
             for weight, k, p in terms:
                 acc += weight * mixed(a, k, p, w)
             return acc
 
+        return self._checked(e, terms, lambda a: partial(total, a))
+
+    def _checked(
+        self, e: complex, terms: Sequence[Term], at_order: Callable[[int], Callable[[complex], complex]]
+    ) -> Callable[..., complex]:
+        """The `combination` closure (w, a=0) over a family's plain math.
+
+        The first time an order a is asked for, it checks a against E (when
+        e != 0) and against every term, then keeps at_order(a), the order-a
+        combination as w -> value. Every point is range-checked once.
+        """
+        orders: dict[int, tuple[Callable[[complex], complex], str]] = {}
+
         def combined(w: complex, a: int = 0) -> complex:
-            if a not in checked:
+            entry = orders.get(a)
+            if entry is None:
                 if e:
                     self._check_partial(a)
                 for _, k, _ in terms:
                     self._check_mixed(a, k)
-                checked.add(a)
-            return _in_range("combination of order {1} at w = {0}", total, complex(w), a)
+                entry = orders[a] = (at_order(a), f"combination of order {a} at w = {{0}}")
+            fn, what = entry
+            return _in_range(what, fn, complex(w))
 
         return combined
 
@@ -270,39 +284,30 @@ class PaleyWiener(StructureFunction):
         """The default's sum without the per-term `_mixed` dispatch, bit for bit.
 
         Each order's terms are prepared once, as (weight, conj(point),
-        _ipow(a) * _inegpow(order), a + order), after the default's checks;
-        a point then sums the inline sinc (total order 0) or the moment of
-        each term in the terms' own order. Near a multiple zero the terms
-        cancel to about 1e-8 of their size, so any other order of summation
-        would move the result.
+        _ipow(a) * _inegpow(order), a + order); a point sums the inline
+        sinc (total order 0) or the moment of each term in the terms' own
+        order. Near a multiple zero the terms cancel to about 1e-8 of their
+        size, so any other order of summation would move the result.
         """
         x, eval_E, moment = self.x, self._eval_E_raw, self._moment
-        prepared: dict[int, list[tuple[complex, complex, complex, int]]] = {}
 
-        def total(w: complex, rows: list[tuple[complex, complex, complex, int]], a: int) -> complex:
-            acc = e * eval_E(w, a) if e else 0j
-            for weight, s, factor, p in rows:
-                u = w - s
-                if p:
-                    acc += weight * (factor * moment(p, u))
-                else:
-                    v = u * x
-                    acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
-            return acc
+        def at_order(a: int) -> Callable[[complex], complex]:
+            rows = [(weight, p.conjugate(), _ipow(a) * _inegpow(k), a + k) for weight, k, p in terms]
 
-        def combined(w: complex, a: int = 0) -> complex:
-            rows = prepared.get(a)
-            if rows is None:
-                if e:
-                    self._check_partial(a)
-                for _, k, _ in terms:
-                    self._check_mixed(a, k)
-                rows = prepared[a] = [
-                    (weight, p.conjugate(), _ipow(a) * _inegpow(k), a + k) for weight, k, p in terms
-                ]
-            return _in_range("combination of order {2} at w = {0}", total, complex(w), rows, a)
+            def total(w: complex) -> complex:
+                acc = e * eval_E(w, a) if e else 0j
+                for weight, s, factor, p in rows:
+                    u = w - s
+                    if p:
+                        acc += weight * (factor * moment(p, u))
+                    else:
+                        v = u * x
+                        acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
+                return acc
 
-        return combined
+            return total
+
+        return self._checked(e, terms, at_order)
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,
@@ -443,31 +448,25 @@ class PolynomialHB(StructureFunction):
 
         E has degree d and each Z_t is the polynomial
         sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point),
-        so the whole combination is one coefficient vector, summed once
-        here; its w-derivative tables are built the first time an order is
-        asked for. Every point then costs one Horner pass, where the default
-        pays one partial per term. Orders past the budget raise like the
-        partials.
+        so the whole combination is one coefficient vector, summed after
+        the first order's checks; each order's w-derivative is taken once.
+        Every point then costs one Horner pass, where the default pays one
+        partial per term.
         """
-        d = len(self._bezoutian)
-        columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
-        poly = [e * c for c in self._coeffs]
-        for weight, k, p in terms:
-            s, spow = p.conjugate(), 1.0
-            ds = [0.0] * d  # d^k/ds^k s^r, r = 0..d-1
-            for r in range(k, d):
-                ds[r] = math.perm(r, k) * spow
-                spow *= s
-            poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
-        top = max((k for _, k, _ in terms), default=0)
-        tables: dict[int, tuple[complex, ...]] = {}
-        horner = self._horner
+        poly: list[complex] = []
 
-        def combined(w: complex, a: int = 0) -> complex:
-            table = tables.get(a)
-            if table is None:
-                self._check_partial(a, top)
-                table = tables[a] = _differentiate(poly, a)
-            return _in_range("combination at w = {1}", horner, table, w)
+        def at_order(a: int) -> Callable[[complex], complex]:
+            if not poly:  # collapsed once, after the first order's checks passed every term
+                d = len(self._bezoutian)
+                columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
+                poly.extend(e * c for c in self._coeffs)
+                for weight, k, p in terms:
+                    s, spow = p.conjugate(), 1.0
+                    ds = [0.0] * d  # d^k/ds^k s^r, r = 0..d-1
+                    for r in range(k, d):
+                        ds[r] = math.perm(r, k) * spow
+                        spow *= s
+                    poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
+            return partial(self._horner, _differentiate(poly, a))
 
-        return combined
+        return self._checked(e, terms, at_order)

@@ -47,6 +47,8 @@ def extrapolate_to_zero(steps: Sequence[float], values: Sequence[complex]) -> co
     if not steps:
         raise ValueError("at least one step is required")
     e = [float(s) for s in steps]
+    if len(set(e)) != len(e):
+        raise ValueError("steps must be distinct")
     p = [complex(v) for v in values]
     n = len(p)
     for level in range(1, n):

@@ -168,6 +168,32 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["--config", str(bad)]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"command": "verify"}')
+        with pytest.raises(ConfigError) as err:
+            load_config(str(bad))
+        assert err.value.field == "config"
+        assert main(["--config", str(bad)]) == 2
+        assert f"configuration error: config: {bad} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_output_exit_two(self, tmp_path, where):
+        # the process itself: exit 2 and one line naming the path, no traceback;
+        # the missing directory comes by --output, the directory by output.path
+        path = write_config(tmp_path, output={"path": str(tmp_path)})
+        args = [sys.executable, "-m", "debranges", "--config", str(path)]
+        out = tmp_path
+        if where == "missing-directory":
+            out = tmp_path / "nope" / "out.txt"
+            args += ["--output", str(out)]
+        env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+        proc = subprocess.run(args, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"configuration error: output.path: cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "nope").exists()
+
     def test_validation_error(self, tmp_path):
         path = write_config(tmp_path, command="kernel")  # no grid, no points
         assert main(["--config", str(path)]) == 2

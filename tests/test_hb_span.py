@@ -14,11 +14,22 @@ budget: a tight budget raises UnsupportedOrderError exactly where the
 per-term loop does.
 """
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
-from debranges import PolynomialHB, StructureFunction, UnsupportedOrderError, build, canonicalize, derive
+from debranges import (
+    PaleyWiener,
+    PolynomialHB,
+    RangeError,
+    StructureFunction,
+    UnsupportedOrderError,
+    build,
+    canonicalize,
+    derive,
+)
 from debranges.gram import _taylor_terms
 
 ROOTS = {
@@ -319,6 +330,30 @@ def test_tight_budget_raises_where_the_loop_does(budget):
         else:
             assert got is not UnsupportedOrderError
             assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("family", ["pw", "hb"])
+@pytest.mark.parametrize(
+    "e, terms, w, a, error",
+    [
+        (0, ((1.0, -1, 1j),), 1j, 0, ValueError),  # a negative term order
+        (1, ((1.0, 2, 1j),), 1j, 65, UnsupportedOrderError),  # E past the budget, beside a term of order 2
+        (1, ((1.0, 0, 0.5j), (1.0, 2, 0.5j)), None, 0, RangeError),  # an overflow at the family's far point
+    ],
+    ids=["negative-order", "budget", "overflow"],
+)
+def test_family_combination_raises_like_the_default(family, e, terms, w, a, error):
+    # both closures are built inside pytest.raises: an order may be
+    # rejected while the closure is built or when it is first called
+    space, far = {"pw": (PaleyWiener(1.0), 800j), "hb": (PolynomialHB(ROOTS[3]), 1e300)}[family]
+    w = far if w is None else w
+    messages = []
+    for combination in (type(space).combination, StructureFunction.combination):
+        with pytest.raises(error) as info:
+            combination(space, e, terms)(w, a)
+        # the value named after "is not finite" may differ between the two sums
+        messages.append(re.split(" is not finite| overflows", str(info.value))[0])
+    assert messages[0] == messages[1]
 
 
 def test_budget_stops_the_taylor_orders_of_a_double_zero():

@@ -34,6 +34,8 @@ class TestExtrapolateToZero:
             extrapolate_to_zero([], [])
         with pytest.raises(ValueError):
             extrapolate_to_zero([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            extrapolate_to_zero([1.0, 1.0], [1, 2])
 
 
 class TestDerive:
