@@ -167,10 +167,10 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError("config", f"{path} is not UTF-8: {exc}") from None
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError, or nesting or digits past Python's limits
+        raise ConfigError("config", f"invalid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config", "top level must be an object")
 
     command = raw.get("command")

@@ -14,13 +14,16 @@ span of the Z_j, rescaled in z:
 
     K_z(w) = gamma(w) * conj(gamma(z)) * (Z_z(w) - sum_j beta_j Z_j(w)).
 
+A kernel row is that Remainder, with conj prod (z - z_i) as its divisor.
+`Remainder.__call__` is the one place a derived value of the solve route
+is divided and range-checked.
+
 The linear-solve route is the production path. The bordered-determinant
-route exists purely as an independent cross-check and is therefore kept
-free of any shared intermediate beyond the Gram matrix itself: both of
-its determinants, det G (`GramSystem.det`) and the bordered one, come
-from its own LU factorization, never from the Cholesky factor. All of it
-is plain Python on rows of complex numbers; at n <= ~10 that is as fast
-as array calls and needs no numpy.
+route is an independent cross-check that shares only the Gram matrix:
+det G (`GramSystem.det`) and the bordered determinant come from its own
+LU factorization, never from the Cholesky factor. All of it is plain
+Python on rows of complex numbers; at n <= ~10 that is as fast as array
+calls and needs no numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError
 from .kernels import StructureFunction, Term, _in_range
@@ -215,17 +218,16 @@ class GramSystem:
             beta = self.fit(0, terms)
         return Remainder(self.space, self.zeros, 0, terms, beta).residual(complex(w))
 
-    def kernel_row(self, z: complex) -> Callable[[complex], complex]:
-        """The derived-space evaluator K_z as a function of w, for fixed z.
+    def kernel_row(self, z: complex) -> Remainder:
+        """The derived-space evaluator K_z as a function of w, for fixed z: its `Remainder`.
 
         Off the de-singularization disks the fitted function is Z_z itself.
         When z sits in the disk of a run z0 of m equal zeros, the projection
         residual vanishes to order m in conj(z) at z0, so the fitted
         function is its conj(z)-Taylor sum from order m on, the terms
-        `_taylor_terms(m, conj(z - z0), z0)`. The factors conj prod (z - z_i),
-        without z0's run, are divided out after the remainder. Either way
-        one solve serves every w. A value past the double range raises
-        RangeError (`kernels._in_range`).
+        `_taylor_terms(m, conj(z - z0), z0)`, and the row's divisor
+        conj prod (z - z_i) leaves out z0's run. Either way one solve
+        serves every w.
         """
         z = complex(z)
         zs = self.zeros
@@ -236,19 +238,7 @@ class GramSystem:
             z0, mz = group
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
-        remainder = Remainder(self.space, zs, 0, terms, self.fit(0, terms))
-
-        def row(w: complex) -> complex:
-            try:
-                value = remainder(w) / zprod_conj
-                if cmath.isfinite(value):
-                    return value
-            except OverflowError:
-                pass
-            # out of range: the same deterministic quotient again, raised with _in_range's wording
-            return _in_range("K_z(w) at w = {0}", lambda w: remainder(w) / zprod_conj, w)
-
-        return row
+        return Remainder(self.space, zs, 0, terms, self.fit(0, terms), "K_z(w)", zprod_conj)
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -310,16 +300,23 @@ class Remainder:
     zeros the quotient is the Taylor series of the residual at v from
     order m on, divided by the other factors; each derivative of the
     residual at a run is computed the first time a point needs it and kept.
+
+    A call is the finished derived value, `name` at w: the quotient, divided
+    by a kernel row's constant `divisor` when there is one. This is the one
+    place a derived value of the solve route is divided and range-checked.
     """
 
     def __init__(
-        self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term], coeffs
+        self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term], coeffs,
+        name: str = "E_sigma(w)", divisor: Optional[complex] = None,
     ):
         self.zeros = zeros
         span = [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
         # residual(w, order=0): order-th derivative at w of f - sum_j c_j Z_j
         self.residual = space.combination(e, [*terms, *span])
         self._taylor: dict[tuple[complex, int], complex] = {}
+        self._name = name
+        self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
 
     def _run_derivative(self, v: complex, order: int) -> complex:
         key = (v, order)
@@ -328,16 +325,29 @@ class Remainder:
             value = self._taylor[key] = self.residual(v, order)
         return value
 
-    def __call__(self, w: complex) -> complex:
+    def _quotient(self, w: complex) -> complex:
         w = complex(w)
         zs = self.zeros
         group = zs.local_group(w)
         if group is None:
-            return self.residual(w) / zs.product(w)
-        v, m = group
-        terms = _taylor_terms(m, w - v, v)
-        quotient = sum(weight * self._run_derivative(v, order) for weight, order, _ in terms)
-        return quotient / zs.product(w, exclude_value=v)
+            value = self.residual(w) / zs.product(w)
+        else:
+            v, m = group
+            quotient = sum(c * self._run_derivative(v, k) for c, k, _ in _taylor_terms(m, w - v, v))
+            value = quotient / zs.product(w, exclude_value=v)
+        divisor = self._divisor
+        return value if divisor is None else value / divisor
+
+    def __call__(self, w: complex) -> complex:
+        """The derived value at w; past the double range, RangeError (`kernels._in_range`)."""
+        try:
+            value = self._quotient(w)
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        # out of range: the same deterministic quotient again, raised with _in_range's wording
+        return _in_range(self._name + " at w = {0}", self._quotient, w)
 
 
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:

@@ -6,9 +6,9 @@ incomplete form E(w) - sum_j c_j Z_j(w) must vanish on the sequence with
 multiplicity, which pins the coefficients c through one Gram fit. The
 complete form E_sigma is the gram layer's Remainder of E with those
 coefficients; its companion F_sigma is its reflection,
-F_sigma(w) = conj(E_sigma(conj(w))), as for any structure function. Like
-the base space's values, a derived value past the double range raises
-RangeError from the library (`kernels._in_range`). Three routes exist:
+F_sigma(w) = conj(E_sigma(conj(w))), as for any structure function. Both
+are calls of that Remainder, the one place a derived value is divided and
+range-checked. Three routes exist:
 
 * ``derive``: the direct Gram solve; production path, handles repeated
   zeros through confluent mixed-partial entries.
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import DomainError, InvalidScheduleError, LinearDependenceError
 from .gram import GramSystem, Remainder, build
-from .kernels import StructureFunction, _in_range
+from .kernels import StructureFunction
 from .sigma import ZeroSequence, bracket_eps, canonicalize
 
 # Relative floor on the projected kernel diagonal below which adding one
@@ -80,20 +80,15 @@ class SigmaStructureFunction:
         return self._remainder.residual(complex(w), order)
 
     def eval(self, which: str, w: complex) -> complex:
-        """E_sigma(w), or F_sigma(w) = conj(E_sigma(conj(w))).
+        """E_sigma(w), or F_sigma(w) = conj(E_sigma(conj(w))): one call of the Remainder of E.
 
-        The trivial zeros are crossed by Taylor: inside the
-        de-singularization disk of a run of m equal zeros the vanishing
-        order m of the incomplete form is divided out against (w - z)^m
-        using its analytic derivatives, which are computed once per run
-        and order. A value past the double range raises RangeError
-        (`kernels._in_range`).
+        A value past the double range raises RangeError naming E_sigma at
+        w, and for F at conj w (`Remainder.__call__`).
         """
         if which == "E":
-            return _in_range("E_sigma(w) at w = {0}", self._remainder, w)
+            return self._remainder(w)
         if which == "F":
-            what = "F_sigma(w) = conj(E_sigma(conj w)) at conj w = {0}"
-            return _in_range(what, self._remainder, complex(w).conjugate()).conjugate()
+            return self._remainder(complex(w).conjugate()).conjugate()
         raise ValueError("which must be 'E' or 'F'")
 
 

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError
-from .gram import (
-    Remainder,
-    bordered_det,
-    build,
-    determinant,
-    hermitian_eigenvalues,
-    spectral_condition,
-)
+from .gram import bordered_det, build, determinant, hermitian_eigenvalues, spectral_condition
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import SigmaStructureFunction, derive
@@ -341,6 +334,8 @@ def check_projection(
     z must lie outside every de-singularization disk of the zeros
     (`ZeroSequence.local_group`), where the determinant route is an
     independent check of the solve; the samples w are drawn outside them too.
+    There the row `kernel_row(z)` is the Remainder of Z_z itself, so its
+    `residual` is the projection residual whose orthogonality is checked.
     """
     _reject_unknown_keys(tolerances)
     z = complex(z)
@@ -348,16 +343,14 @@ def check_projection(
         raise DomainError("projection check requires z outside the disks of the zeros")
     gs = build(space, zeros)
     pts, ks = zeros.points, zeros.confluence
-    z_kernel = ((1.0, 0, z),)
-    # the projection residual of Z_z, which the constraints make vanish on the zeros
-    residual = Remainder(space, zeros, 0, z_kernel, gs.fit(0, z_kernel)).residual
+    row = gs.kernel_row(z)
     rhs = [space.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
     scale = max(math.hypot(*(part for v in rhs for part in (v.real, v.imag))), 1e-300)
-    worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
+    # the projection residual of Z_z, which the constraints make vanish on the zeros
+    worst_orth = max((abs(row.residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
     uniform = _uniforms(seed)
     worst_route = 0.0
-    row = gs.kernel_row(z)
     for _ in range(sample):
         _, w = _sample_pair(uniform, zeros)
         via_solve = row(w)

@@ -177,6 +177,30 @@ class TestExitCodes:
         assert main(["--config", str(bad)]) == 2
         assert f"configuration error: config: {bad} is not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # nested past the interpreter's recursion limit
+            '{"command": "verify", "space": ' + "[" * 100000 + "]" * 100000 + "}",
+            # an integer literal past int's string-conversion digit limit
+            '{"command": "verify", "space": {"family": "paley-wiener", "x": 1.0}, "seed": '
+            + "9" * 5000 + "}",
+        ],
+        ids=["deeply-nested", "long-integer"],
+    )
+    def test_unparsable_config_exit_two(self, tmp_path, text):
+        # the process itself: exit 2 and one line naming the config, no traceback
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "debranges", "--config", str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: config: ")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_output_exit_two(self, tmp_path, where):
         # the process itself: exit 2 and one line naming the path, no traceback;

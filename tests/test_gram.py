@@ -290,6 +290,21 @@ class TestDerivedRange:
         with pytest.raises(RangeError):
             self.FACES[face](gs, self.Z, w)
 
+    @pytest.mark.parametrize(
+        "face, wording",
+        [
+            ("kernel_row", "K_z(w) at w = 1e+155 "),
+            ("sigma_kernel", "K_z(w) at w = 1e+155 "),
+            ("E", "E_sigma(w) at w = 1e+155 "),
+            # F is the conjugate of E_sigma at conj w, and names that point
+            ("F", "E_sigma(w) at w = (1e+155-0j) "),
+        ],
+    )
+    def test_far_w_wording(self, gs, face, wording):
+        with pytest.raises(RangeError) as err:
+            self.FACES[face](gs, self.Z, 1e155)
+        assert str(err.value).startswith(wording)
+
     @pytest.mark.parametrize("z", [1e200, 1.5e308 + 1.5e308j])
     def test_row_of_a_far_z(self, gs, z):
         with pytest.raises(RangeError):
