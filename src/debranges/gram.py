@@ -5,18 +5,23 @@ G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For
 f = e E + sum_t weight_t Z_t (`StructureFunction.combination`),
 `GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the residual
 f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
-`Remainder` divides that residual by prod (w - z_i), crossing the trivial
-zeros by Taylor series. The derived structure function is the remainder
-of E (e = 1, no terms), and its companion the reflection of that (see
-structure.py); the derived-space kernel is the remainder of Z_z (e = 0,
-one term (1, 0, z)), whose fit beta is the projection of Z_z onto the
-span of the Z_j, rescaled in z:
+`Remainder` divides that residual by prod (w - z_i). The derived
+structure function is the remainder of E (e = 1, no terms), and its
+companion the reflection of that (see structure.py); the derived-space
+kernel is the remainder of Z_z (e = 0, one term (1, 0, z)), whose fit beta
+is the projection of Z_z onto the span of the Z_j, rescaled in z:
 
     K_z(w) = gamma(w) * conj(gamma(z)) * (Z_z(w) - sum_j beta_j Z_j(w)).
 
-A kernel row is that Remainder, with conj prod (z - z_i) as its divisor.
-`Remainder.__call__` is the one place a derived value of the solve route
-is divided and range-checked.
+The family hook `StructureFunction.polynomial` picks the route, once per
+derived function or row. On a space of polynomials (`PolynomialHB`) the
+residual is a polynomial: E_sigma is its exact quotient (`_divide`), and a
+kernel row contracts the matrix B' that `GramSystem._closed_kernel`
+divides out of the Schur complement once per system, with no disk in
+either variable. Otherwise (`PaleyWiener`) the residual is divided point
+by point, crossing the trivial zeros by Taylor series, and a kernel row
+has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
+is the one place a derived value is range-checked.
 
 The linear-solve route is the production path. The bordered-determinant
 route is an independent cross-check that shares only the Gram matrix:
@@ -31,10 +36,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError
-from .kernels import StructureFunction, Term, _in_range
+from .kernels import StructureFunction, Term, _differentiate, _horner, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
 CONDITION_LIMIT = 1e12
@@ -218,19 +224,58 @@ class GramSystem:
             beta = self.fit(0, terms)
         return Remainder(self.space, self.zeros, 0, terms, beta).residual(complex(w))
 
+    @cached_property
+    def _closed_kernel(self) -> Optional[tuple[Rows, Rows]]:
+        """(beta's coefficients in conj(z), B' by columns) on a space of polynomials, else None.
+
+        The base kernel is Z_z(w) = sum_r conj(z)^r T_r(w), T_r its r-th
+        Taylor coefficient in conj(z) at 0, the term (1/r!, r, 0). Fitting
+        each T_r (one solve apiece) gives beta(z) = sum_r conj(z)^r x_r, the
+        fit of Z_z for every z, and the projection residual
+        sum_r conj(z)^r R_r(w), R_r the residual of T_r: the rows of the
+        Schur complement B - X^T D. Each row divided by prod (w - z_i), and
+        then each column by prod (s - conj z_i), leaves the (d - n) x (d - n)
+        matrix B' with K_z(w) = sum_rk B'[r][k] conj(z)^r w^k, for every z
+        and w, on the zeros too.
+        """
+        space, zs = self.space, self.zeros
+        if space.polynomial(0, ()) is None:  # the family hook: not a space of polynomials
+            return None
+        d = space.dimension
+        pts, ks = zs.points, zs.confluence
+        fits, rows = [], []
+        for r in range(d):
+            taylor = ((1.0 / math.factorial(r), r, 0j),)
+            t_r = space.polynomial(0, taylor)
+            x = self.solve([_horner(_differentiate(t_r, k), p) for p, k in zip(pts, ks)])
+            # the w^d coefficient of a kernel residual is 0
+            rows.append(_divide(space.polynomial(0, [*taylor, *_span(zs, x)])[:d], zs._runs))
+            fits.append(x)
+        conj_runs = [(v.conjugate(), m) for v, m in zs._runs]
+        return tuple(zip(*fits)), tuple(_divide(col, conj_runs) for col in zip(*rows))
+
     def kernel_row(self, z: complex) -> Remainder:
         """The derived-space evaluator K_z as a function of w, for fixed z: its `Remainder`.
 
-        Off the de-singularization disks the fitted function is Z_z itself.
-        When z sits in the disk of a run z0 of m equal zeros, the projection
-        residual vanishes to order m in conj(z) at z0, so the fitted
-        function is its conj(z)-Taylor sum from order m on, the terms
-        `_taylor_terms(m, conj(z - z0), z0)`, and the row's divisor
-        conj prod (z - z_i) leaves out z0's run. Either way one solve
-        serves every w.
+        On a space of polynomials the row is B' contracted with the powers
+        of conj(z) (`_closed_kernel`): no solve and no disk in either
+        variable. Otherwise, off the de-singularization disks the fitted
+        function is Z_z itself. When z sits in the disk of a run z0 of m
+        equal zeros, the projection residual vanishes to order m in conj(z)
+        at z0, so the fitted function is its conj(z)-Taylor sum from order m
+        on, the terms `_taylor_terms(m, conj(z - z0), z0)`, and the row's
+        divisor conj prod (z - z_i) leaves out z0's run. Either way one
+        solve serves every w.
         """
         z = complex(z)
         zs = self.zeros
+        closed = self._closed_kernel
+        if closed is not None:
+            beta_coeffs, columns = closed
+            s = z.conjugate()
+            beta = [_horner(c, s) for c in beta_coeffs]
+            quotient = [_horner(c, s) for c in columns]
+            return Remainder(self.space, zs, 0, ((1.0, 0, z),), beta, "K_z(w)", quotient=quotient)
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -290,30 +335,74 @@ def _taylor_terms(m: int, delta: complex, v: complex) -> tuple[Term, ...]:
     return tuple(terms)
 
 
+def _span(zeros: ZeroSequence, coeffs) -> list[Term]:
+    """The terms (-c_j, k_j, z_j) that subtract the fitted span sum_j c_j Z_j."""
+    return [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
+
+
+def _divide(coeffs: Sequence[complex], runs: Sequence[tuple[complex, int]]) -> tuple[complex, ...]:
+    """Ascending coefficients of sum_k coeffs[k] x^k divided by (x - v)^m for each run (v, m).
+
+    Synthetic division by each factor, from the leading coefficient down
+    when |v| <= 1 and from the constant term up when |v| > 1, so that no
+    step multiplies a rounding error by |v| > 1 (forward and backward
+    deflation, Wilkinson, Rounding Errors in Algebraic Processes, 1963).
+    Each dropped remainder is the dividend's value at a zero it vanishes
+    on, zero up to the rounding of the fit, and is not fed back.
+    """
+    c = list(coeffs)
+    for v, m in runs:
+        forward = abs(v) <= 1.0
+        for _ in range(m):
+            if forward:
+                for k in range(len(c) - 2, -1, -1):
+                    c[k] += c[k + 1] * v
+                del c[0]
+            else:
+                prev = 0j
+                for k in range(len(c) - 1):
+                    prev = c[k] = (prev - c[k]) / v
+                c.pop()
+    return tuple(c)
+
+
 class Remainder:
     """f = e E + sum_t weight_t Z_t minus its fit on the zeros, divided by prod (w - z_i).
 
     `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
     f - sum_j c_j Z_j, the space's `combination` of e with f's terms and
     the span's terms (-c_j, k_j, z_j), vanishes at each run to the run's
-    multiplicity. Inside the de-singularization disk of a run v of m equal
-    zeros the quotient is the Taylor series of the residual at v from
-    order m on, divided by the other factors; each derivative of the
-    residual at a run is computed the first time a point needs it and kept.
+    multiplicity. The route is chosen once, here:
 
-    A call is the finished derived value, `name` at w: the quotient, divided
-    by a kernel row's constant `divisor` when there is one. This is the one
-    place a derived value of the solve route is divided and range-checked.
+    * On a space of polynomials (`StructureFunction.polynomial`) the
+      quotient is a polynomial, the residual's coefficients divided
+      exactly (`_divide`), and a point costs one Horner pass. A kernel row
+      passes its `quotient`, already divided in conj(z) as well.
+    * Otherwise the quotient is the residual over prod (w - z_i), and
+      inside the de-singularization disk of a run v of m equal zeros the
+      Taylor series of the residual at v from order m on, divided by the
+      other factors; each derivative of the residual at a run is computed
+      the first time a point needs it and kept. A kernel row's constant
+      `divisor` divides it last.
+
+    A call is the finished derived value, `name` at w. This is the one
+    place a derived value is range-checked.
     """
 
     def __init__(
         self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term], coeffs,
         name: str = "E_sigma(w)", divisor: Optional[complex] = None,
+        quotient: Optional[Sequence[complex]] = None,
     ):
         self.zeros = zeros
-        span = [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
+        fitted = [*terms, *_span(zeros, coeffs)]
         # residual(w, order=0): order-th derivative at w of f - sum_j c_j Z_j
-        self.residual = space.combination(e, [*terms, *span])
+        self.residual = space.combination(e, fitted)
+        if quotient is None:
+            poly = space.polynomial(e, fitted)
+            if poly is not None:
+                quotient = _divide(poly, zeros._runs)
+        self._value = self._quotient if quotient is None else partial(_horner, tuple(quotient))
         self._taylor: dict[tuple[complex, int], complex] = {}
         self._name = name
         self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
@@ -341,13 +430,13 @@ class Remainder:
     def __call__(self, w: complex) -> complex:
         """The derived value at w; past the double range, RangeError (`kernels._in_range`)."""
         try:
-            value = self._quotient(w)
+            value = self._value(w)
             if cmath.isfinite(value):
                 return value
         except OverflowError:
             pass
-        # out of range: the same deterministic quotient again, raised with _in_range's wording
-        return _in_range(self._name + " at w = {0}", self._quotient, w)
+        # out of range: the same deterministic value again, raised with _in_range's wording
+        return _in_range(self._name + " at w = {0}", self._value, w)
 
 
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:

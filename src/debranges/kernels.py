@@ -40,8 +40,13 @@ closure around it, owns the order checks, the per-order cache and the
 range check. The default sums one ``_mixed`` per term at every point.
 ``PaleyWiener`` sums the same sinc and moment values, in the same order and
 so to the same bits, without the per-term dispatch. ``PolynomialHB``,
-whose E and Z_t are polynomials in w, sums them into one polynomial and
-pays one Horner pass per point.
+whose E and Z_t are polynomials in w, sums them into one polynomial
+(``polynomial``) and pays one Horner pass per point.
+
+``polynomial`` is also the family hook that picks the gram layer's route
+for the derived functions: None by default, so ``PaleyWiener`` divides its
+residuals point by point; on ``PolynomialHB`` the coefficients, which the
+gram layer divides exactly (E_sigma, and the derived kernel's matrix B').
 """
 
 from __future__ import annotations
@@ -115,6 +120,14 @@ def _in_range(what: str, fn: Callable[..., complex], *args) -> complex:
     if not cmath.isfinite(value):
         raise RangeError(f"{what.format(*args)} is not finite ({value})")
     return value
+
+
+def _horner(coeffs: Sequence[complex], w: complex) -> complex:
+    """sum_k coeffs[k] w^k for ascending coefficients."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * w + c
+    return acc
 
 
 def _differentiate(coeffs: Sequence[complex], a: int) -> tuple[complex, ...]:
@@ -193,6 +206,15 @@ class StructureFunction:
     def _check_mixed(self, a: int, b: int) -> None:
         """Orders of a kernel partial; the budget caps them by default."""
         self._check_partial(a, b)
+
+    def polynomial(self, e: complex, terms: Sequence[Term]) -> Optional[list[complex]]:
+        """Ascending w-coefficients of e E + sum_t weight_t Z_t, or None for a family not of polynomials.
+
+        Plain math, like the other hooks: no order or range check. Where it
+        is not None, the gram layer serves the derived functions in closed
+        form, as exact quotients of these coefficients.
+        """
+        return None
 
     def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
         """(w, a) -> d^a/dw^a of e E(w) + sum_t weight_t Z_t(w), a defaulting to 0.
@@ -392,15 +414,8 @@ class PolynomialHB(StructureFunction):
             coeffs = nxt
         return tuple(coeffs)
 
-    @staticmethod
-    def _horner(coeffs: tuple[complex, ...], w: complex) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * w + c
-        return acc
-
     def _eval_E_raw(self, w: complex, order: int) -> complex:
-        return self._horner(_differentiate(self._coeffs, order), w)
+        return _horner(_differentiate(self._coeffs, order), w)
 
     @cached_property
     def _bezoutian(self) -> tuple[tuple[float, ...], ...]:
@@ -440,33 +455,39 @@ class PolynomialHB(StructureFunction):
         s = z.conjugate()
         total = 0j
         for row in reversed(self._partial_table(a, b)):
-            total = total * s + self._horner(row, w)
+            total = total * s + _horner(row, w)
         return total
 
-    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
-        """e E + sum_t weight_t Z_t collapsed into one polynomial in w.
+    def polynomial(self, e: complex, terms: Sequence[Term]) -> list[complex]:
+        """e E + sum_t weight_t Z_t collapsed into one coefficient vector, of length d + 1.
 
         E has degree d and each Z_t is the polynomial
-        sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point),
-        so the whole combination is one coefficient vector, summed after
-        the first order's checks; each order's w-derivative is taken once.
-        Every point then costs one Horner pass, where the default pays one
-        partial per term.
+        sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point).
+        """
+        d = len(self._bezoutian)
+        columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
+        poly = [e * c for c in self._coeffs]
+        for weight, k, p in terms:
+            s, spow = p.conjugate(), 1.0
+            ds = [0.0] * d  # d^k/ds^k s^r, r = 0..d-1
+            for r in range(k, d):
+                ds[r] = math.perm(r, k) * spow
+                spow *= s
+            poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
+        return poly
+
+    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
+        """e E + sum_t weight_t Z_t as one polynomial in w (`polynomial`).
+
+        The polynomial is summed after the first order's checks and each
+        order's w-derivative is taken once, so every point then costs one
+        Horner pass, where the default pays one partial per term.
         """
         poly: list[complex] = []
 
         def at_order(a: int) -> Callable[[complex], complex]:
             if not poly:  # collapsed once, after the first order's checks passed every term
-                d = len(self._bezoutian)
-                columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
-                poly.extend(e * c for c in self._coeffs)
-                for weight, k, p in terms:
-                    s, spow = p.conjugate(), 1.0
-                    ds = [0.0] * d  # d^k/ds^k s^r, r = 0..d-1
-                    for r in range(k, d):
-                        ds[r] = math.perm(r, k) * spow
-                        spow *= s
-                    poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
-            return partial(self._horner, _differentiate(poly, a))
+                poly.extend(self.polynomial(e, terms))
+            return partial(_horner, _differentiate(poly, a))
 
         return self._checked(e, terms, at_order)

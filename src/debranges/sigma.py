@@ -25,7 +25,8 @@ from .errors import PoleError, RangeError
 # switches from the direct rational form to the Taylor form that absorbs
 # the vanishing order (local_group), and the number of Taylor terms past
 # that order the gram layer sums there (`gram._taylor_terms`, in w for
-# Remainder and in conj(z) for kernel_row).
+# Remainder and in conj(z) for kernel_row) on a family whose functions are
+# not polynomials; on polynomials its quotients are exact and need no disk.
 DESINGULARIZATION_RADIUS_FACTOR = 1e-3
 DESINGULARIZATION_TERMS = 8
 
@@ -71,19 +72,24 @@ class ZeroSequence:
         return len(self.points)
 
     @cached_property
-    def _disks(self) -> tuple[tuple[complex, int, float], ...]:
-        """Runs of equal zeros as (value, multiplicity, de-singularization radius), in order.
+    def _runs(self) -> tuple[tuple[complex, int], ...]:
+        """Runs of equal zeros as (value, multiplicity), in order.
 
-        A zero whose modulus is past the double range has no radius and raises RangeError.
+        A zero whose modulus is past the double range raises RangeError:
+        it has no disk, and no factor (w - z_i) of a closed form divides by it.
         """
-        disks = []
-        for v, count in Counter(self.points).items():
+        runs = tuple(Counter(self.points).items())
+        for v, _ in runs:
             try:
-                radius = DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v))
+                abs(v)
             except OverflowError:
                 raise RangeError(f"the zero {v} has a modulus past the double range") from None
-            disks.append((v, count, radius))
-        return tuple(disks)
+        return runs
+
+    @cached_property
+    def _disks(self) -> tuple[tuple[complex, int, float], ...]:
+        """Runs of equal zeros as (value, multiplicity, de-singularization radius), in order."""
+        return tuple((v, m, DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v))) for v, m in self._runs)
 
     def local_group(self, w: complex) -> Optional[tuple[complex, int]]:
         """Nearest run whose de-singularization disk contains w, or None.

@@ -7,8 +7,12 @@ multiplicity, which pins the coefficients c through one Gram fit. The
 complete form E_sigma is the gram layer's Remainder of E with those
 coefficients; its companion F_sigma is its reflection,
 F_sigma(w) = conj(E_sigma(conj(w))), as for any structure function. Both
-are calls of that Remainder, the one place a derived value is divided and
-range-checked. Three routes exist:
+are calls of that Remainder, the one place a derived value is
+range-checked. On a space of polynomials the Remainder is the exact
+quotient of the incomplete form, a polynomial of degree d - n, built once
+from (space, zeros, coefficients), so every route below gets it;
+otherwise it divides the incomplete form point by point. Three routes
+exist:
 
 * ``derive``: the direct Gram solve; production path, handles repeated
   zeros through confluent mixed-partial entries.

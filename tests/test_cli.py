@@ -255,10 +255,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["kernel", "structure"])
     def test_non_finite_value_exit_four(self, tmp_path, capsys, command):
         # at |w| = 1e160 the cubic E and the quadratic kernel both exceed
-        # the double range and evaluate to inf / nan
+        # the double range and evaluate to inf / nan; with no zeros they are
+        # the derived ones (a zero would lower both degrees by one, and the
+        # linear derived kernel would be finite there)
         out = tmp_path / "values.csv"
         path = write_config(
-            tmp_path, command=command, z=[0.5, 0.5],
+            tmp_path, command=command, z=[0.5, 0.5], sigma=[],
             space={"family": "polynomial-hb", "roots": [[0.0, -1.0], [1.0, -1.0], [-1.0, -2.0]]},
             eval_points=[[0.5, 0.5], [1e160, 1.0]],
             output={"path": str(out)},
@@ -349,6 +351,31 @@ class TestKernelCommand:
         )
         assert main(["--config", str(path)]) == 0
         assert len(out.read_text().strip().splitlines()) == 2
+
+
+    def test_triple_zero_rows_in_a_process(self, tmp_path):
+        # degree 5 with a triple zero: the derived space is one-dimensional and
+        # K_z the constant 2.123910814966684 (50-digit mpmath), also at 1.0021j,
+        # just outside the triple zero's disk
+        out = tmp_path / "kernel.csv"
+        path = write_config(
+            tmp_path, command="kernel", z=[0.0, 1.05],
+            space={"family": "polynomial-hb",
+                   "roots": [[0, -1], [1, -1], [-1, -2], [0.5, -0.5], [-0.5, -1.5]]},
+            sigma=[[0, 1], [0, 1], [0, 1], [0, 2]],
+            eval_points=[[0, 1.0021], [0, 1.0019], [0, 1.1]],
+            output={"path": str(out), "format": "csv"},
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "debranges", "--config", str(path)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            re_v, im_v = map(float, row.split(",")[4:])
+            assert abs(complex(re_v, im_v) - 2.123910814966684) <= 1e-12
 
 
 class TestStructureCommand:

@@ -7,14 +7,19 @@ fitted function's terms and the span's terms (-c_j, k_j, z_j). It is
 checked (a) against the base-class hook, which sums one kernel partial per
 term, with and without E, a Z_z term and the conj(z)-Taylor terms of a z
 in a disk, (b) through the derived structure functions E_sigma and F_sigma
-and the derived kernel K_z against 50-digit mpmath constructions that
-share nothing with the library but the inputs, off the de-singularization
-disks, inside them and exactly on the zeros, and (c) on the derivative
-budget: a tight budget raises UnsupportedOrderError exactly where the
-per-term loop does.
+and the derived kernel K_z, which the gram layer serves in closed form
+(exact quotients of that polynomial, and the matrix B'), against 50-digit
+mpmath constructions that share nothing with the library but the inputs:
+off the de-singularization disks, inside them, exactly on the zeros and
+in the band just outside them, with a double and a triple zero, with
+zeros far from the origin and in the trivial derived space d = n, without
+asking for a disk anywhere, and (c) on the derivative budget: a tight
+budget raises UnsupportedOrderError exactly where the per-term loop does.
 """
 
+import cmath
 import re
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -26,11 +31,13 @@ from debranges import (
     RangeError,
     StructureFunction,
     UnsupportedOrderError,
+    ZeroSequence,
     build,
     canonicalize,
     derive,
+    run_config_checks,
 )
-from debranges.gram import _taylor_terms
+from debranges.gram import Remainder, _taylor_terms
 
 ROOTS = {
     1: (-1j,),
@@ -356,14 +363,129 @@ def test_family_combination_raises_like_the_default(family, e, terms, w, a, erro
     assert messages[0] == messages[1]
 
 
-def test_budget_stops_the_taylor_orders_of_a_double_zero():
-    # inside the disk of the double zero E_sigma needs the residual's
-    # derivatives up to order 2 + DESINGULARIZATION_TERMS = 10, each
-    # against a partial of order 1 in conj(z): 11 in all
+def test_budget_serves_the_closed_quotient_inside_a_disk():
+    # the quotient is exact and takes no Taylor orders, so the least budget
+    # that builds the Gram matrix (partials of order 1 + 1) serves E_sigma
+    # inside the double zero's disk, where the Taylor route needed order 11
     zeros = canonicalize(ZERO_SETS["double"])
-    ssf = derive(build(PolynomialHB(ROOTS[5], max_derivative_order=10), zeros))
-    assert np.isfinite(ssf.eval("E", 0.3 + 0.7j))
-    with pytest.raises(UnsupportedOrderError):
-        ssf.eval("E", 1j + (7e-4 + 3e-4j))
-    ssf = derive(build(PolynomialHB(ROOTS[5], max_derivative_order=11), zeros))
-    assert np.isfinite(ssf.eval("E", 1j + (7e-4 + 3e-4j)))
+    w = 1j + (7e-4 + 3e-4j)
+    want = _mp_structure(ROOTS[5], ZERO_SETS["double"], "E")(w)
+    for budget in (2, 10):
+        ssf = derive(build(PolynomialHB(ROOTS[5], max_derivative_order=budget), zeros))
+        assert abs(ssf.eval("E", w) - want) <= 1e-12 * max(1.0, abs(want)), budget
+
+
+# a triple zero leaves a one-dimensional derived space on degree 5
+TRIPLE = (1j, 1j, 1j, 2j)
+CLOSED_SETS = {"double": ZERO_SETS["double"], "triple": TRIPLE}
+# just outside the disk of 1j (radius 2e-3), where a direct quotient by
+# prod (w - z_i) cancels most digits
+BAND_CIRCLE = tuple(1j + 2.1e-3 * cmath.exp(0.25j * cmath.pi * m) for m in range(8))
+BAND_W = (1j + 0.19, 1j + 0.05j, 1 + 1j - 0.01, *BAND_CIRCLE)
+BAND_Z = (1j + 0.19, 1 + 1j - 0.01, BAND_CIRCLE[1], BAND_CIRCLE[6])
+CLOSED_BOUND = 1e-12
+
+
+@cache
+def _mp_structure_of(zero_set, which):
+    return _mp_structure(ROOTS[5], CLOSED_SETS[zero_set], which)
+
+
+@cache
+def _mp_kernel_of(zero_set):
+    return _mp_kernel(ROOTS[5], CLOSED_SETS[zero_set])
+
+
+@pytest.mark.parametrize("zero_set", sorted(CLOSED_SETS))
+@pytest.mark.parametrize("which", ("E", "F"))
+def test_structure_in_the_band_matches_mpmath(zero_set, which):
+    # F's band lies around the conjugate zeros, so every point is taken with its mirror
+    ssf = derive(build(PolynomialHB(ROOTS[5]), canonicalize(CLOSED_SETS[zero_set])))
+    want = _mp_structure_of(zero_set, which)
+    points = (*STRUCTURE_POINTS, *BAND_W)
+    for w in (*points, *(p.conjugate() for p in points)):
+        ref = want(w)
+        assert abs(ssf.eval(which, w) - ref) <= CLOSED_BOUND * max(1.0, abs(ref)), w
+
+
+@pytest.mark.parametrize("zero_set", sorted(CLOSED_SETS))
+@pytest.mark.parametrize("z", (*KERNEL_ROW_Z, *BAND_Z))
+def test_kernel_row_in_the_band_matches_mpmath(zero_set, z):
+    row = build(PolynomialHB(ROOTS[5]), canonicalize(CLOSED_SETS[zero_set])).kernel_row(z)
+    want = _mp_kernel_of(zero_set)
+    for w in (*STRUCTURE_POINTS, *BAND_CIRCLE):
+        ref = want(z, w)
+        assert abs(row(w) - ref) <= CLOSED_BOUND * max(1.0, abs(ref)), w
+
+
+def test_derived_values_ask_no_disk(monkeypatch):
+    # the closed forms serve every point alike: no derived value asks which
+    # disk a point is in or reaches the Taylor quotient
+    gs = build(PolynomialHB(ROOTS[5]), canonicalize(TRIPLE))
+    ssf = derive(gs)
+
+    def forbidden(*args):
+        raise AssertionError("a disk route was taken")
+
+    monkeypatch.setattr(ZeroSequence, "local_group", forbidden)
+    monkeypatch.setattr(Remainder, "_quotient", forbidden)
+    for w in (*STRUCTURE_POINTS, *BAND_W, 2j):
+        for which in ("E", "F"):
+            ssf.eval(which, w)
+        for z in (*KERNEL_ROW_Z, *BAND_Z, 2j):
+            gs.kernel_row(z)(w)
+            gs.sigma_kernel(z, w)
+
+
+# zeros far from the origin, where a division from the leading coefficient
+# would multiply the fit's rounding by |z_i| at every step
+FAR_SETS = {"10j": (10j,), "5j,-3+4j": (5j, -3 + 4j), "20j,1j": (20j, 1j)}
+FAR_POINTS = (0.3 + 0.7j, -1.2 + 0.4j, 4 + 3j, 2.5 - 1j, 10 + 10j, 0.5j, -5 + 1j, 30j)
+
+
+@pytest.mark.parametrize("zero_set", sorted(FAR_SETS))
+def test_far_zeros_match_mpmath(zero_set):
+    zero_points = FAR_SETS[zero_set]
+    gs = build(PolynomialHB(ROOTS[5]), canonicalize(zero_points))
+    ssf = derive(gs)
+    points = (*FAR_POINTS, *zero_points)
+    for which in ("E", "F"):
+        want = _mp_structure(ROOTS[5], zero_points, which)
+        for w in points:
+            ref = want(w)
+            assert abs(ssf.eval(which, w) - ref) <= CLOSED_BOUND * max(1.0, abs(ref)), (which, w)
+    want = _mp_kernel(ROOTS[5], zero_points)
+    for z in (*FAR_POINTS[:4], *zero_points):
+        row = gs.kernel_row(z)
+        for w in points:
+            ref = want(z, w)
+            assert abs(row(w) - ref) <= CLOSED_BOUND * max(1.0, abs(ref)), (z, w)
+
+
+@pytest.mark.parametrize(
+    "d, zero_points",
+    [(3, (1j, 1j, 2j)), (1, (1j,))],
+    ids=["deg3:n3-double", "deg1:n1"],
+)
+def test_trivial_derived_space(d, zero_points):
+    # d = n: the derived space is {0}, so K_z is 0, E_sigma the constant 1 and B' is 0 x 0
+    space, zeros = PolynomialHB(ROOTS[d]), canonicalize(zero_points)
+    gs = build(space, zeros)
+    assert gs._closed_kernel[1] == ()
+    ssf = derive(gs)
+    # a suite sample 0.025 from the double zero 1j, and a point just outside its disk
+    w = -0.001361086759250174 + 0.9746971913422087j
+    for at in (w, 1.0021j, 0.3 + 0.7j, *zero_points):
+        for z in (0.7 + 1.3j, at, *zero_points):
+            assert abs(gs.kernel_row(z)(at)) <= 1e-15
+            assert abs(gs.sigma_kernel(z, at)) <= 1e-15
+        for which in ("E", "F"):
+            assert abs(ssf.eval(which, at) - 1) <= 1e-13
+    # the undivided residuals vanish on the zeros, against the size of what cancels there
+    z = 0.7 + 1.3j
+    row = gs.kernel_row(z)
+    for p, k in zip(zeros.points, zeros.confluence):
+        assert abs(row.residual(p, k)) <= 1e-12 * abs(space.kernel_mixed_partial(k, 0, z, p))
+        assert abs(ssf.incomplete(p, k)) <= 1e-12 * abs(space.eval_E(p, k))
+    reports = run_config_checks(space, zeros)
+    assert reports and all(r.passed for r in reports), reports

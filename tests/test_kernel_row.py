@@ -3,12 +3,15 @@
 `GramSystem.kernel_row` fits Z_z (or, for z inside a disk, the terms of its
 conj(z)-Taylor sum) with one solve per z, and its `Remainder` keeps each
 residual derivative at a zero run; `SigmaStructureFunction.eval` keeps those
-of E and F. The references below are per-point loops without those caches:
-they re-solve and re-differentiate for every point, fit the Taylor terms
-term by term, and take the residual through the same `combination` hook
-(one partial per term on PaleyWiener, one collapsed polynomial on
-PolynomialHB), so the arithmetic order is the library's and every value
-must match exactly.
+of E and F. On PaleyWiener the references below are per-point loops without
+those caches: they re-solve and re-differentiate for every point, fit the
+Taylor terms term by term, and take the residual through the same
+`combination` hook, so the arithmetic order is the library's and every
+value must match exactly. PolynomialHB serves the same values in closed
+form (exact quotients and the matrix B'), with no Taylor route to replay:
+there a reused row or structure function must equal a fresh one exactly,
+and both must lie within 1e-12 of the 50-digit mpmath constructions of
+tests/test_hb_span.py.
 """
 
 import math
@@ -18,6 +21,7 @@ import pytest
 
 from debranges import GramSystem, PaleyWiener, PolynomialHB, build, canonicalize, derive, derive_iterative
 from debranges.sigma import DESINGULARIZATION_TERMS
+from test_hb_span import _mp_kernel, _mp_structure
 
 ZEROS = (1j, 1j, 1 + 1j)  # a double zero at 1j and a single zero at 1+1j
 POINTS = (
@@ -32,6 +36,7 @@ SPACES = {
     "pw": PaleyWiener(1.0),
     "hb": PolynomialHB((-1j, 1 - 1j, -1 - 2j, 0.5 - 0.5j, -0.5 - 1.5j)),
 }
+MP_BOUND = 1e-12  # PolynomialHB against mpmath, relative to max(1, |reference|)
 
 
 def reference_sigma_kernel(gs, z, w):
@@ -128,10 +133,15 @@ def solve_calls(monkeypatch):
 def test_reused_row_matches_fresh_evaluation(family, z):
     gs = build(SPACES[family], canonicalize(ZEROS))
     row = gs.kernel_row(z)
+    mp = _mp_kernel(gs.space.roots, ZEROS) if family == "hb" else None
     for w in shuffled(POINTS, seed=7):
         got = row(w)
         assert got == gs.sigma_kernel(z, w)
-        assert got == reference_sigma_kernel(gs, z, w)
+        if mp is None:
+            assert got == reference_sigma_kernel(gs, z, w)
+        else:
+            want = mp(z, w)
+            assert abs(got - want) <= MP_BOUND * max(1.0, abs(want))
         assert np.isfinite(got)
 
 
@@ -141,11 +151,16 @@ def test_reused_structure_function_matches_fresh_one(family):
     ssf = derive(gs)
     rng = np.random.default_rng(3)
     inside = [v + 1e-3 * complex(*rng.uniform(-0.5, 0.5, 2)) for v in (1j, 1 + 1j) for _ in range(4)]
+    mp = {which: _mp_structure(gs.space.roots, ZEROS, which) for which in "EF"} if family == "hb" else None
     for w in shuffled(inside + [1j, 1 + 1j], seed=5):
         for which in ("E", "F"):
             got = ssf.eval(which, w)
             assert got == derive(gs).eval(which, w)
-            assert got == reference_structure_eval(ssf, which, w)
+            if mp is None:
+                assert got == reference_structure_eval(ssf, which, w)
+            else:
+                want = mp[which](w)
+                assert abs(got - want) <= MP_BOUND * max(1.0, abs(want))
 
 
 def test_row_solves_once_off_the_disks(pw1, solve_calls):

@@ -22,7 +22,8 @@ against a 60-digit evaluation that makes the Gram solve, the residual and
 the division by the zero products in mpmath, taking exact derivatives at
 points on a zero. F, the reflection of E, is also checked on circles just
 outside the upper-half-plane disks, where it is served by E far from the
-zeros.
+zeros. Inside a disk that route takes E's derivatives up to the Taylor
+orders, and the derivative budget stops it there.
 """
 
 import cmath
@@ -32,7 +33,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from debranges import PaleyWiener, build, canonicalize, derive
+from debranges import PaleyWiener, UnsupportedOrderError, build, canonicalize, derive
 from debranges.kernels import (
     DEFAULT_DERIVATIVE_BUDGET,
     _series_coeffs,
@@ -325,3 +326,16 @@ def test_structure_F_around_upper_zeros_matches_mpmath(centre, radius):
             if err > worst:
                 worst, where = err, w
     assert worst <= TAYLOR_BOUND, f"relative error {worst:.2e} at w={where}"
+
+
+def test_budget_stops_the_taylor_orders_of_a_double_zero():
+    # inside the disk of the double zero E_sigma needs the residual's
+    # derivatives up to order 2 + DESINGULARIZATION_TERMS = 10, E's among
+    # them; the kernel partials take no budget on PaleyWiener
+    zeros = canonicalize(TAYLOR_CONFIGS["3 zeros"])
+    ssf = derive(build(PaleyWiener(1.0, max_derivative_order=9), zeros))
+    assert math.isfinite(abs(ssf.eval("E", 0.3 + 0.7j)))
+    with pytest.raises(UnsupportedOrderError):
+        ssf.eval("E", 1j + (7e-4 + 3e-4j))
+    ssf = derive(build(PaleyWiener(1.0, max_derivative_order=10), zeros))
+    assert math.isfinite(abs(ssf.eval("E", 1j + (7e-4 + 3e-4j))))
