@@ -21,7 +21,10 @@ divides out of the Schur complement once per system, with no disk in
 either variable. Otherwise (`PaleyWiener`) the residual is divided point
 by point, crossing the trivial zeros by Taylor series, and a kernel row
 has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
-is the one place a derived value is range-checked.
+is the one place a derived value is range-checked: `fit` and `Remainder`
+sum the family's plain math (`StructureFunction._at_order`), each order
+checked once, and the checked `combination` closure serves only the
+residual read on its own (`Remainder.residual`) and an error's wording.
 
 The linear-solve route is the production path. The bordered-determinant
 route is an independent cross-check that shares only the Gram matrix:
@@ -37,9 +40,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, LinearDependenceError
+from .errors import DomainError, LinearDependenceError, UnsupportedOrderError
 from .kernels import StructureFunction, Term, _differentiate, _horner, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
@@ -202,11 +206,30 @@ class GramSystem:
     def fit(self, e: complex, terms: Sequence[Term]) -> tuple[complex, ...]:
         """Coefficients c of the span of the Z_j matching f = e E + sum_t weight_t Z_t on the sequence.
 
-        Solves G c = (f^(k_i)(z_i))_i.
+        Solves G c = (f^(k_i)(z_i))_i. The right-hand side is the default's
+        plain per-order math (`StructureFunction._at_order`; at n points,
+        collapsing the combination costs more than it saves), each distinct
+        order checked once and the vector range-checked once.
         """
-        # term by term: at n points, collapsing the combination costs more than it saves
-        f = StructureFunction.combination(self.space, e, terms)
-        return self.solve([f(p, k) for p, k in zip(self.zeros.points, self.zeros.confluence)])
+        space, zs = self.space, self.zeros
+        at_order = StructureFunction._at_order(space, e, terms)
+        orders: dict[int, Callable[[complex], complex]] = {}
+        try:
+            rhs = []
+            for p, k in zip(zs.points, zs.confluence):
+                f = orders.get(k)
+                if f is None:
+                    space._check_orders(e, terms, k)
+                    f = orders[k] = at_order(k)
+                rhs.append(f(p))
+            if all(map(cmath.isfinite, rhs)):
+                return self.solve(rhs)
+        except (OverflowError, ValueError, UnsupportedOrderError):
+            pass
+        # a value out of range or an order refused: the checked closure,
+        # point by point, raises the same error as it did, in the same order
+        f = space._checked(e, terms, at_order)
+        return self.solve([f(p, k) for p, k in zip(zs.points, zs.confluence)])
 
     def solve_beta(self, z: complex) -> tuple[complex, ...]:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
@@ -273,8 +296,9 @@ class GramSystem:
         if closed is not None:
             beta_coeffs, columns = closed
             s = z.conjugate()
-            beta = [_horner(c, s) for c in beta_coeffs]
             quotient = [_horner(c, s) for c in columns]
+            # beta(z) serves only the row's residual, so it is contracted when that is first read
+            beta = map(_horner, beta_coeffs, repeat(s))
             return Remainder(self.space, zs, 0, ((1.0, 0, z),), beta, "K_z(w)", quotient=quotient)
         group = zs.local_group(z)
         if group is None:
@@ -312,10 +336,12 @@ class GramSystem:
     def _kernel_det(self, z: complex, w: complex) -> complex:
         zs = self.zeros
         pts, ks = zs.points, zs.confluence
-        space, n = self.space, self.n
-        col = [space.kernel_mixed_partial(ks[i], 0, z, pts[i]) for i in range(n)]
-        row = [space.kernel_mixed_partial(0, ks[j], pts[j], w) for j in range(n)]
-        det = bordered_det(self.rows, col, row, space.kernel(z, w))
+        mixed, n = self.space._mixed, self.n
+        # plain partials: `build` checked orders (k_i, k_j), which bound these,
+        # and sigma_kernel_det's _in_range checks the finished value
+        col = [mixed(ks[i], 0, z, pts[i]) for i in range(n)]
+        row = [mixed(0, ks[j], pts[j], w) for j in range(n)]
+        det = bordered_det(self.rows, col, row, mixed(0, 0, z, w))
         denom = zs.product(w) * zs.product(z).conjugate()
         return det / (self.det * denom)
 
@@ -372,21 +398,24 @@ class Remainder:
     `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
     f - sum_j c_j Z_j, the space's `combination` of e with f's terms and
     the span's terms (-c_j, k_j, z_j), vanishes at each run to the run's
-    multiplicity. The route is chosen once, here:
+    multiplicity. `coeffs` may be any iterable: it is read once, when those
+    terms are first needed. The route is chosen once, here:
 
     * On a space of polynomials (`StructureFunction.polynomial`) the
       quotient is a polynomial, the residual's coefficients divided
       exactly (`_divide`), and a point costs one Horner pass. A kernel row
       passes its `quotient`, already divided in conj(z) as well.
-    * Otherwise the quotient is the residual over prod (w - z_i), and
-      inside the de-singularization disk of a run v of m equal zeros the
-      Taylor series of the residual at v from order m on, divided by the
-      other factors; each derivative of the residual at a run is computed
-      the first time a point needs it and kept. A kernel row's constant
-      `divisor` divides it last.
+    * Otherwise the quotient is the residual over prod (w - z_i): the
+      residual's plain order-0 math (`StructureFunction._at_order`, its
+      orders checked here, once), and inside the de-singularization disk
+      of a run v of m equal zeros the Taylor series of the residual at v
+      from order m on, divided by the other factors; each derivative of
+      the residual at a run is computed the first time a point needs it
+      and kept. A kernel row's constant `divisor` divides it last.
 
     A call is the finished derived value, `name` at w. This is the one
-    place a derived value is range-checked.
+    place a derived value is range-checked. `residual`, the checked
+    `combination` of the residual's terms, is built when first read.
     """
 
     def __init__(
@@ -395,17 +424,28 @@ class Remainder:
         quotient: Optional[Sequence[complex]] = None,
     ):
         self.zeros = zeros
-        fitted = [*terms, *_span(zeros, coeffs)]
-        # residual(w, order=0): order-th derivative at w of f - sum_j c_j Z_j
-        self.residual = space.combination(e, fitted)
+        self._space, self._e, self._terms, self._coeffs = space, e, terms, coeffs
+        self._fitted: Optional[list[Term]] = None  # the residual's terms, once built
         if quotient is None:
+            fitted = self._fitted = [*terms, *_span(zeros, coeffs)]
             poly = space.polynomial(e, fitted)
             if poly is not None:
                 quotient = _divide(poly, zeros._runs)
+            else:
+                space._check_orders(e, fitted, 0)
+                self._plain = space._at_order(e, fitted)(0)
         self._value = self._quotient if quotient is None else partial(_horner, tuple(quotient))
         self._taylor: dict[tuple[complex, int], complex] = {}
         self._name = name
         self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
+
+    @cached_property
+    def residual(self) -> Callable[..., complex]:
+        """(w, order=0) -> order-th derivative at w of f - sum_j c_j Z_j, range-checked."""
+        fitted = self._fitted
+        if fitted is None:  # a kernel row given its quotient reads its span only here
+            fitted = [*self._terms, *_span(self.zeros, self._coeffs)]
+        return self._space.combination(self._e, fitted)
 
     def _run_derivative(self, v: complex, order: int) -> complex:
         key = (v, order)
@@ -419,7 +459,7 @@ class Remainder:
         zs = self.zeros
         group = zs.local_group(w)
         if group is None:
-            value = self.residual(w) / zs.product(w)
+            value = self._plain(w) / zs.product(w)
         else:
             v, m = group
             quotient = sum(c * self._run_derivative(v, k) for c, k, _ in _taylor_terms(m, w - v, v))

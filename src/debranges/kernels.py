@@ -33,15 +33,18 @@ Two families are implemented:
 
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
-hook, as plain math. ``combination`` serves e E + sum_t weight_t Z_t, the
-form of every function the gram layer's Remainder divides: each family
-writes its per-order math and ``StructureFunction._checked``, the one
-closure around it, owns the order checks, the per-order cache and the
-range check. The default sums one ``_mixed`` per term at every point.
-``PaleyWiener`` sums the same sinc and moment values, in the same order and
-so to the same bits, without the per-term dispatch. ``PolynomialHB``,
-whose E and Z_t are polynomials in w, sums them into one polynomial
-(``polynomial``) and pays one Horner pass per point.
+hook, as plain math. e E + sum_t weight_t Z_t, the form of every function
+the gram layer's Remainder divides, is served the same way: each family
+writes its plain per-order math (``_at_order``), and ``combination``,
+written once in the base class, is the checked public closure over it
+(``StructureFunction._checked`` owns the order checks, the per-order cache
+and a range check per point). The gram layer's hot paths, Remainder and
+GramSystem.fit, sum the plain math under one range check of their own. The
+default sums one ``_mixed`` per term at every point. ``PaleyWiener`` sums
+the same sinc and moment values, in the same order and so to the same bits,
+without the per-term dispatch. ``PolynomialHB``, whose E and Z_t are
+polynomials in w, sums them into one polynomial (``polynomial``) and pays
+one Horner pass per point.
 
 ``polynomial`` is also the family hook that picks the gram layer's route
 for the derived functions: None by default, so ``PaleyWiener`` divides its
@@ -108,6 +111,12 @@ def _series_coeffs(p: int) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
+@cache
+def _series_horner(p: int, n: int) -> tuple[tuple[float, float], ...]:
+    """The first n pairs of _series_coeffs(p), last first: the order a Horner pass takes them in."""
+    return _series_coeffs(p)[n - 1::-1]
+
+
 def _in_range(what: str, fn: Callable[..., complex], *args) -> complex:
     """fn(*args), or RangeError if it raises OverflowError (cmath, float powers) or is inf or nan.
 
@@ -139,7 +148,7 @@ class StructureFunction:
     """Shared public operations over the family hooks.
 
     The hooks are plain math. The public operations and the `combination`
-    closures check the orders and, through `_in_range`, raise RangeError
+    closure check the orders and, through `_in_range`, raise RangeError
     for a value that overflows or is not finite.
     """
 
@@ -221,8 +230,17 @@ class StructureFunction:
 
         A term (weight, order, point) stands for the evaluator
         Z_t(w) = kernel_mixed_partial(., order, point, w) of the order-th
-        derivative at point. This default sums one `_mixed` per term at
-        every point; a family may collapse the terms once per order.
+        derivative at point. This is the checked public closure
+        (`_checked`) over the family's plain per-order math, `_at_order`.
+        """
+        return self._checked(e, terms, self._at_order(e, terms))
+
+    def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
+        """a -> the order-a combination as w -> value, plain math like the other hooks.
+
+        No order or range check: a caller checks each order first
+        (`_check_orders`). This default sums one `_mixed` per term at every
+        point; a family may collapse the terms once per order.
         """
         eval_E, mixed = self._eval_E_raw, self._mixed
 
@@ -232,26 +250,32 @@ class StructureFunction:
                 acc += weight * mixed(a, k, p, w)
             return acc
 
-        return self._checked(e, terms, lambda a: partial(total, a))
+        return lambda a: partial(total, a)
+
+    def _check_orders(self, e: complex, terms: Sequence[Term], a: int) -> None:
+        """Order a of a combination against E (when e != 0) and against every term."""
+        if e:
+            self._check_partial(a)
+        for _, k, _ in terms:
+            self._check_mixed(a, k)
 
     def _checked(
         self, e: complex, terms: Sequence[Term], at_order: Callable[[int], Callable[[complex], complex]]
     ) -> Callable[..., complex]:
         """The `combination` closure (w, a=0) over a family's plain math.
 
-        The first time an order a is asked for, it checks a against E (when
-        e != 0) and against every term, then keeps at_order(a), the order-a
-        combination as w -> value. Every point is range-checked once.
+        The first time an order a is asked for, it checks a
+        (`_check_orders`), then keeps at_order(a), the order-a combination
+        as w -> value. Every point is range-checked once. The gram layer's
+        hot paths call the plain math under their own single range check
+        instead (`gram.Remainder`, `GramSystem.fit`).
         """
         orders: dict[int, tuple[Callable[[complex], complex], str]] = {}
 
         def combined(w: complex, a: int = 0) -> complex:
             entry = orders.get(a)
             if entry is None:
-                if e:
-                    self._check_partial(a)
-                for _, k, _ in terms:
-                    self._check_mixed(a, k)
+                self._check_orders(e, terms, a)
                 entry = orders[a] = (at_order(a), f"combination of order {a} at w = {{0}}")
             fn, what = entry
             return _in_range(what, fn, complex(w))
@@ -302,45 +326,52 @@ class PaleyWiener(StructureFunction):
             return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
         return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
-    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
+    def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
         """The default's sum without the per-term `_mixed` dispatch, bit for bit.
 
         Each order's terms are prepared once, as (weight, conj(point),
-        _ipow(a) * _inegpow(order), a + order); a point sums the inline
-        sinc (total order 0) or the moment of each term in the terms' own
-        order. Near a multiple zero the terms cancel to about 1e-8 of their
-        size, so any other order of summation would move the result.
+        _ipow(a) * _inegpow(order), a + order, that moment order's series
+        cutoff); a point sums the inline sinc (total order 0) or the series
+        or closed moment of each term, in the terms' own order. Near a
+        multiple zero the terms cancel to about 1e-8 of their size, so any
+        other order of summation would move the result.
         """
-        x, eval_E, moment = self.x, self._eval_E_raw, self._moment
+        x, eval_E = self.x, self._eval_E_raw
+        series, closed = self._moment_series, self._moment_closed
 
         def at_order(a: int) -> Callable[[complex], complex]:
-            rows = [(weight, p.conjugate(), _ipow(a) * _inegpow(k), a + k) for weight, k, p in terms]
+            rows = [
+                (weight, p.conjugate(), _ipow(a) * _inegpow(k), a + k, _series_cutoff(a + k))
+                for weight, k, p in terms
+            ]
 
             def total(w: complex) -> complex:
                 acc = e * eval_E(w, a) if e else 0j
-                for weight, s, factor, p in rows:
+                for weight, s, factor, p, cutoff in rows:
                     u = w - s
+                    v = u * x
                     if p:
-                        acc += weight * (factor * moment(p, u))
+                        r = abs(v)
+                        acc += weight * (factor * (series(p, v, r) if r <= cutoff else closed(p, u)))
                     else:
-                        v = u * x
                         acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
                 return acc
 
             return total
 
-        return self._checked(e, terms, at_order)
+        return at_order
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,
     # the closed antiderivative beyond
     def _moment(self, p: int, u: complex) -> complex:
         v = u * self.x
-        if abs(v) <= _series_cutoff(p):
-            return self._moment_series(p, v)
+        r = abs(v)
+        if r <= _series_cutoff(p):
+            return self._moment_series(p, v, r)
         return self._moment_closed(p, u)
 
-    def _moment_series(self, p: int, v: complex) -> complex:
+    def _moment_series(self, p: int, v: complex, r: float) -> complex:
         # Kummer's transformation gives int_0^x t^p exp(1j*u*t) dt =
         # x^(p+1)/(p+1) exp(1j*v) F(-1j*v) with v = u*x and
         # F(w) = sum_k w^k / (p+2)_k, whose terms shrink while |v| < p + 2.
@@ -348,11 +379,10 @@ class PaleyWiener(StructureFunction):
         # half intervals, the two halves add up to
         #   2 x^(p+1)/(p+1) (cos(v) Fe(s) + v sin(v) Fo(s))    for even p,
         #   2j x^(p+1)/(p+1) (sin(v) Fe(s) - v cos(v) Fo(s))   for odd p,
-        # with Fe and Fo summed by Horner in s.
-        pairs = _series_coeffs(p)
+        # with Fe and Fo summed by Horner in s over the pairs r = |v| needs.
         s = -(v * v)
         fe = fo = 0j
-        for even, odd in pairs[_series_pairs(abs(v)) - 1::-1]:
+        for even, odd in _series_horner(p, _series_pairs(r)):
             fe = fe * s + even
             fo = fo * s + odd
         cos, sin = cmath.cos(v), cmath.sin(v)
@@ -476,18 +506,19 @@ class PolynomialHB(StructureFunction):
             poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
         return poly
 
-    def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
+    def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
         """e E + sum_t weight_t Z_t as one polynomial in w (`polynomial`).
 
-        The polynomial is summed after the first order's checks and each
-        order's w-derivative is taken once, so every point then costs one
-        Horner pass, where the default pays one partial per term.
+        The polynomial is summed when the first order is asked for (after
+        that order's checks) and each order's w-derivative is taken once,
+        so every point then costs one Horner pass, where the default pays
+        one partial per term.
         """
         poly: list[complex] = []
 
         def at_order(a: int) -> Callable[[complex], complex]:
-            if not poly:  # collapsed once, after the first order's checks passed every term
+            if not poly:
                 poly.extend(self.polynomial(e, terms))
             return partial(_horner, _differentiate(poly, a))
 
-        return self._checked(e, terms, at_order)
+        return at_order

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ import pytest
 from debranges import (
     DomainError,
     LinearDependenceError,
+    PaleyWiener,
     PolynomialHB,
     RangeError,
+    StructureFunction,
     build,
     canonicalize,
     derive,
+    gram,
+    kernels,
 )
 from debranges.structure import extrapolate_to_zero
 
@@ -305,6 +310,29 @@ class TestDerivedRange:
             self.FACES[face](gs, self.Z, 1e155)
         assert str(err.value).startswith(wording)
 
+    # with no zeros each derived value is its plain sum, and sin or exp of
+    # about 800j overflows inside it: the error names the derived value
+    @pytest.mark.parametrize(
+        "face, wording",
+        [
+            ("kernel_row", "K_z(w) at w = 800j "),
+            ("sigma_kernel", "K_z(w) at w = 800j "),
+            ("E", "E_sigma(w) at w = 800j "),
+            ("sigma_kernel_det", "determinant-route K_z(w) at z = (0.5+0.5j), w = 800j "),
+        ],
+    )
+    def test_overflow_inside_a_sum_names_the_derived_value(self, pw1, face, wording):
+        gs = build(pw1, canonicalize([]))
+        with pytest.raises(RangeError) as err:
+            self.FACES[face](gs, self.Z, 800j)
+        assert str(err.value).startswith(wording)
+
+    def test_overflow_in_a_fit_names_the_combination(self, gs):
+        # Z_z(1j) at z = 800j, the fit's first right-hand side, overflows before any derived value exists
+        with pytest.raises(RangeError) as err:
+            gs.kernel_row(800j)
+        assert str(err.value).startswith("combination of order 0 at w = 1j ")
+
     @pytest.mark.parametrize("z", [1e200, 1.5e308 + 1.5e308j])
     def test_row_of_a_far_z(self, gs, z):
         with pytest.raises(RangeError):
@@ -315,3 +343,32 @@ class TestDerivedRange:
         gs = build(PolynomialHB((-1j,)), canonicalize([1.5e308 + 1.5e308j]))
         with pytest.raises(RangeError, match="zero"):
             gs.kernel_row(0.5j)
+
+
+def test_pw_derived_values_take_one_range_check(monkeypatch):
+    # off the disks a derived value is the plain sum under Remainder.__call__'s
+    # one finiteness test: no _in_range call and no combination closure per
+    # point, for a reused row, E_sigma, F_sigma and a one-shot sigma_kernel
+    gs = build(PaleyWiener(1.0), canonicalize([1j, 1j, 2j, 1 + 1j]))
+    ssf = derive(gs)
+    z = 0.3 + 0.4j
+    row = gs.kernel_row(z)
+    ws = [-0.7 + 0.5j, 1.5 - 0.3j, 0.2 + 3j, -2 - 1j, 1.2 + 1.1j]
+    assert all(gs.zeros.local_group(w) is None for w in (z, *ws))
+    want = [(row(w), ssf.eval("E", w), ssf.eval("F", w), gs.sigma_kernel(z, w)) for w in ws]
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kernels, "_in_range", counted("_in_range", kernels._in_range))
+    monkeypatch.setattr(gram, "_in_range", counted("_in_range", gram._in_range))
+    monkeypatch.setattr(StructureFunction, "_checked", counted("_checked", StructureFunction._checked))
+    got = [(row(w), ssf.eval("E", w), ssf.eval("F", w), gs.sigma_kernel(z, w)) for w in ws]
+    assert calls == Counter()
+    assert got == want

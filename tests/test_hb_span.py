@@ -102,6 +102,27 @@ def test_collapsed_span_matches_the_per_term_loop(d, zero_set, source):
                     assert abs(collapsed(w, a) - loop(w, a)) <= 1e-13 * scale, (e, name, a, w)
 
 
+@pytest.mark.parametrize("d, zero_set, source", AUDIT_CASES)
+def test_collapsed_plain_math_matches_the_per_term_loop(d, zero_set, source):
+    # the plain per-order math under `combination`: the family's collapsed
+    # polynomial against the base class's one partial per term
+    hb = PolynomialHB(ROOTS[d])
+    zeros = canonicalize(ZERO_SETS[zero_set])
+    coeffs = _coefficients(hb, zeros, source)
+    span = [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
+    for e in (0, 1):
+        for name, fitted in _fitted_terms(zeros).items():
+            terms = [*fitted, *span]
+            collapsed = hb._at_order(e, terms)
+            loop = StructureFunction._at_order(hb, e, terms)
+            for a in range(d + 2):
+                collapsed_a, loop_a = collapsed(a), loop(a)
+                for w in AUDIT_POINTS:
+                    parts = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in terms]
+                    scale = abs(e * hb.eval_E(w, a)) + sum(abs(t) for t in parts)
+                    assert abs(collapsed_a(w) - loop_a(w)) <= 1e-13 * scale, (e, name, a, w)
+
+
 def _mp_structure(roots, zero_points, which):
     """E_sigma (which = "E") or F_sigma as a function of w, in 50-digit arithmetic.
 
@@ -435,6 +456,27 @@ def test_derived_values_ask_no_disk(monkeypatch):
         for z in (*KERNEL_ROW_Z, *BAND_Z, 2j):
             gs.kernel_row(z)(w)
             gs.sigma_kernel(z, w)
+
+
+def test_kernel_rows_build_no_combination(monkeypatch):
+    # an HB row's value is B' contracted with conj(z): beta(z) and the
+    # residual's checked closure are built only when `.residual` is read
+    gs = build(PolynomialHB(ROOTS[5]), canonicalize(TRIPLE))
+
+    def forbidden(*args):
+        raise AssertionError("a combination closure was built")
+
+    monkeypatch.setattr(StructureFunction, "_checked", forbidden)
+    for z in (*KERNEL_ROW_Z, *BAND_Z, 2j):
+        row = gs.kernel_row(z)
+        for w in (*STRUCTURE_POINTS, *BAND_W, 2j):
+            assert row(w) == gs.sigma_kernel(z, w)
+    monkeypatch.undo()
+    # read, the residual is the projection residual of Z_z, which vanishes on the zeros
+    z = 0.3 + 0.7j
+    residual = gs.kernel_row(z).residual
+    for p, k in zip(gs.zeros.points, gs.zeros.confluence):
+        assert abs(residual(p, k)) <= 1e-14 * abs(gs.space.kernel_mixed_partial(k, 0, z, p)), (p, k)
 
 
 # zeros far from the origin, where a division from the leading coefficient
