@@ -24,7 +24,7 @@ has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
 is the one place a derived value is range-checked: `fit` and `Remainder`
 sum the family's plain math (`StructureFunction._at_order`), each order
 checked once, and the checked `combination` closure serves only the
-residual read on its own (`Remainder.residual`) and an error's wording.
+residual read on its own (`Remainder.residual`).
 
 The linear-solve route is the production path. The bordered-determinant
 route is an independent cross-check that shares only the Gram matrix:
@@ -40,10 +40,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainError, LinearDependenceError, UnsupportedOrderError
+from .errors import DomainError, LinearDependenceError
 from .kernels import StructureFunction, Term, _differentiate, _horner, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
@@ -209,27 +208,27 @@ class GramSystem:
         Solves G c = (f^(k_i)(z_i))_i. The right-hand side is the default's
         plain per-order math (`StructureFunction._at_order`; at n points,
         collapsing the combination costs more than it saves), each distinct
-        order checked once and the vector range-checked once.
+        order checked on its first use and each value range-checked, as the
+        `combination` closure would.
         """
         space, zs = self.space, self.zeros
         at_order = StructureFunction._at_order(space, e, terms)
         orders: dict[int, Callable[[complex], complex]] = {}
-        try:
-            rhs = []
-            for p, k in zip(zs.points, zs.confluence):
-                f = orders.get(k)
-                if f is None:
-                    space._check_orders(e, terms, k)
-                    f = orders[k] = at_order(k)
-                rhs.append(f(p))
-            if all(map(cmath.isfinite, rhs)):
-                return self.solve(rhs)
-        except (OverflowError, ValueError, UnsupportedOrderError):
-            pass
-        # a value out of range or an order refused: the checked closure,
-        # point by point, raises the same error as it did, in the same order
-        f = space._checked(e, terms, at_order)
-        return self.solve([f(p, k) for p, k in zip(zs.points, zs.confluence)])
+        rhs = []
+        for p, k in zip(zs.points, zs.confluence):
+            f = orders.get(k)
+            if f is None:
+                space._check_orders(e, terms, k)
+                f = orders[k] = at_order(k)
+            try:
+                value = f(p)
+            except OverflowError:
+                value = cmath.nan
+            if not cmath.isfinite(value):
+                # the same deterministic value again, raised with _in_range's wording
+                value = _in_range(f"combination of order {k} at w = {{0}}", f, p)
+            rhs.append(value)
+        return self.solve(rhs)
 
     def solve_beta(self, z: complex) -> tuple[complex, ...]:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
@@ -294,12 +293,8 @@ class GramSystem:
         zs = self.zeros
         closed = self._closed_kernel
         if closed is not None:
-            beta_coeffs, columns = closed
-            s = z.conjugate()
-            quotient = [_horner(c, s) for c in columns]
-            # beta(z) serves only the row's residual, so it is contracted when that is first read
-            beta = map(_horner, beta_coeffs, repeat(s))
-            return Remainder(self.space, zs, 0, ((1.0, 0, z),), beta, "K_z(w)", quotient=quotient)
+            closed = (z.conjugate(), *closed)
+            return Remainder(self.space, zs, 0, ((1.0, 0, z),), (), "K_z(w)", closed=closed)
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -398,13 +393,15 @@ class Remainder:
     `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
     f - sum_j c_j Z_j, the space's `combination` of e with f's terms and
     the span's terms (-c_j, k_j, z_j), vanishes at each run to the run's
-    multiplicity. `coeffs` may be any iterable: it is read once, when those
-    terms are first needed. The route is chosen once, here:
+    multiplicity. The route is chosen once, here:
 
     * On a space of polynomials (`StructureFunction.polynomial`) the
       quotient is a polynomial, the residual's coefficients divided
       exactly (`_divide`), and a point costs one Horner pass. A kernel row
-      passes its `quotient`, already divided in conj(z) as well.
+      there passes no fit but `closed`, (conj(z), beta's coefficients in
+      conj(z), B' by columns) from `GramSystem._closed_kernel`: its
+      quotient is B' contracted at conj(z), and beta(z), which only the
+      residual needs, is contracted when the residual is first read.
     * Otherwise the quotient is the residual over prod (w - z_i): the
       residual's plain order-0 math (`StructureFunction._at_order`, its
       orders checked here, once), and inside the de-singularization disk
@@ -419,33 +416,40 @@ class Remainder:
     """
 
     def __init__(
-        self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term], coeffs,
-        name: str = "E_sigma(w)", divisor: Optional[complex] = None,
-        quotient: Optional[Sequence[complex]] = None,
+        self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
+        coeffs: Sequence[complex], name: str = "E_sigma(w)", divisor: Optional[complex] = None,
+        closed: Optional[tuple[complex, Rows, Rows]] = None,
     ):
         self.zeros = zeros
-        self._space, self._e, self._terms, self._coeffs = space, e, terms, coeffs
-        self._fitted: Optional[list[Term]] = None  # the residual's terms, once built
-        if quotient is None:
-            fitted = self._fitted = [*terms, *_span(zeros, coeffs)]
+        self._space, self._e, self._terms, self._coeffs, self._closed = space, e, terms, coeffs, closed
+        if closed is not None:
+            s, _, columns = closed
+            self._value = partial(_horner, tuple(_horner(c, s) for c in columns))
+        else:
+            fitted = self._fitted()
             poly = space.polynomial(e, fitted)
-            if poly is not None:
-                quotient = _divide(poly, zeros._runs)
-            else:
+            if poly is None:
                 space._check_orders(e, fitted, 0)
                 self._plain = space._at_order(e, fitted)(0)
-        self._value = self._quotient if quotient is None else partial(_horner, tuple(quotient))
+                self._value = self._quotient
+            else:
+                self._value = partial(_horner, _divide(poly, zeros._runs))
         self._taylor: dict[tuple[complex, int], complex] = {}
         self._name = name
         self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
 
+    def _fitted(self) -> list[Term]:
+        """The residual's terms: f's, then the span's (-c_j, k_j, z_j)."""
+        coeffs = self._coeffs
+        if self._closed is not None:
+            s, beta_coeffs, _ = self._closed
+            coeffs = [_horner(c, s) for c in beta_coeffs]
+        return [*self._terms, *_span(self.zeros, coeffs)]
+
     @cached_property
     def residual(self) -> Callable[..., complex]:
         """(w, order=0) -> order-th derivative at w of f - sum_j c_j Z_j, range-checked."""
-        fitted = self._fitted
-        if fitted is None:  # a kernel row given its quotient reads its span only here
-            fitted = [*self._terms, *_span(self.zeros, self._coeffs)]
-        return self._space.combination(self._e, fitted)
+        return self._space.combination(self._e, self._fitted())
 
     def _run_derivative(self, v: complex, order: int) -> complex:
         key = (v, order)

@@ -94,33 +94,12 @@ def test_collapsed_span_matches_the_per_term_loop(d, zero_set, source):
         for name, fitted in _fitted_terms(zeros).items():
             terms = [*fitted, *span]
             collapsed = hb.combination(e, terms)
-            loop = StructureFunction.combination(hb, e, terms)
+            loop = hb._checked(e, terms, StructureFunction._at_order(hb, e, terms))
             for a in range(d + 2):
                 for w in AUDIT_POINTS:
                     parts = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in terms]
                     scale = abs(e * hb.eval_E(w, a)) + sum(abs(t) for t in parts)
                     assert abs(collapsed(w, a) - loop(w, a)) <= 1e-13 * scale, (e, name, a, w)
-
-
-@pytest.mark.parametrize("d, zero_set, source", AUDIT_CASES)
-def test_collapsed_plain_math_matches_the_per_term_loop(d, zero_set, source):
-    # the plain per-order math under `combination`: the family's collapsed
-    # polynomial against the base class's one partial per term
-    hb = PolynomialHB(ROOTS[d])
-    zeros = canonicalize(ZERO_SETS[zero_set])
-    coeffs = _coefficients(hb, zeros, source)
-    span = [(-c, k, p) for c, k, p in zip(coeffs, zeros.confluence, zeros.points)]
-    for e in (0, 1):
-        for name, fitted in _fitted_terms(zeros).items():
-            terms = [*fitted, *span]
-            collapsed = hb._at_order(e, terms)
-            loop = StructureFunction._at_order(hb, e, terms)
-            for a in range(d + 2):
-                collapsed_a, loop_a = collapsed(a), loop(a)
-                for w in AUDIT_POINTS:
-                    parts = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in terms]
-                    scale = abs(e * hb.eval_E(w, a)) + sum(abs(t) for t in parts)
-                    assert abs(collapsed_a(w) - loop_a(w)) <= 1e-13 * scale, (e, name, a, w)
 
 
 def _mp_structure(roots, zero_points, which):
@@ -314,9 +293,9 @@ def test_kernel_row_matches_mpmath(z):
 
 
 class _LoopHB(PolynomialHB):
-    """PolynomialHB with the base-class combination, one partial per term."""
+    """PolynomialHB with the base-class plain math under `combination`, one partial per term."""
 
-    combination = StructureFunction.combination
+    _at_order = StructureFunction._at_order
 
 
 def _outcome(run):
@@ -347,6 +326,9 @@ def test_tight_budget_raises_where_the_loop_does(budget):
                 row.append(ssf if ssf is UnsupportedOrderError else _outcome(lambda: ssf.eval(which, w)))
             for z in BUDGET_Z:
                 row.append(_outcome(lambda: gs.kernel_row(z)(w)))
+            # the one value here that `_at_order` sums: a row's residual, for
+            # the z off the disk, where it does not cancel to its rounding
+            row.append(_outcome(lambda: gs.kernel_row(BUDGET_Z[0]).residual(w, 3)))
         results.append(row)
     collapsed, loop = results
     if loop is UnsupportedOrderError:
@@ -376,9 +358,14 @@ def test_family_combination_raises_like_the_default(family, e, terms, w, a, erro
     space, far = {"pw": (PaleyWiener(1.0), 800j), "hb": (PolynomialHB(ROOTS[3]), 1e300)}[family]
     w = far if w is None else w
     messages = []
-    for combination in (type(space).combination, StructureFunction.combination):
+    closures = (
+        lambda: space.combination(e, terms),
+        # the checked closure over the base class's plain math, one partial per term
+        lambda: space._checked(e, terms, StructureFunction._at_order(space, e, terms)),
+    )
+    for closure in closures:
         with pytest.raises(error) as info:
-            combination(space, e, terms)(w, a)
+            closure()(w, a)
         # the value named after "is not finite" may differ between the two sums
         messages.append(re.split(" is not finite| overflows", str(info.value))[0])
     assert messages[0] == messages[1]
