@@ -23,8 +23,9 @@ by point, crossing the trivial zeros by Taylor series, and a kernel row
 has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
 is the one place a derived value is range-checked: `fit` and `Remainder`
 sum the family's plain math (`StructureFunction._at_order`), each order
-checked once, and the checked `combination` closure serves only the
-residual read on its own (`Remainder.residual`).
+checked where it is used, and the checked `combination` closure serves
+only a residual read on its own (`Remainder.residual`,
+`GramSystem.incomplete_kernel`).
 
 The linear-solve route is the production path. The bordered-determinant
 route is an independent cross-check that shares only the Gram matrix:
@@ -206,20 +207,17 @@ class GramSystem:
         """Coefficients c of the span of the Z_j matching f = e E + sum_t weight_t Z_t on the sequence.
 
         Solves G c = (f^(k_i)(z_i))_i. The right-hand side is the default's
-        plain per-order math (`StructureFunction._at_order`; at n points,
-        collapsing the combination costs more than it saves), each distinct
-        order checked on its first use and each value range-checked, as the
+        plain per-order math (`StructureFunction._at_order`; at n points, a
+        family's prepared math costs more than it saves), each zero's order
+        checked as it is reached and each value range-checked, as the
         `combination` closure would.
         """
         space, zs = self.space, self.zeros
         at_order = StructureFunction._at_order(space, e, terms)
-        orders: dict[int, Callable[[complex], complex]] = {}
         rhs = []
         for p, k in zip(zs.points, zs.confluence):
-            f = orders.get(k)
-            if f is None:
-                space._check_orders(e, terms, k)
-                f = orders[k] = at_order(k)
+            space._check_orders(e, terms, k)
+            f = at_order(k)
             try:
                 value = f(p)
             except OverflowError:
@@ -244,7 +242,7 @@ class GramSystem:
         terms = ((1.0, 0, complex(z)),)
         if beta is None:
             beta = self.fit(0, terms)
-        return Remainder(self.space, self.zeros, 0, terms, beta).residual(complex(w))
+        return self.space.combination(0, [*terms, *_span(self.zeros, beta)])(complex(w))
 
     @cached_property
     def _closed_kernel(self) -> Optional[tuple[Rows, Rows]]:
@@ -279,10 +277,11 @@ class GramSystem:
     def kernel_row(self, z: complex) -> Remainder:
         """The derived-space evaluator K_z as a function of w, for fixed z: its `Remainder`.
 
-        On a space of polynomials the row is B' contracted with the powers
-        of conj(z) (`_closed_kernel`): no solve and no disk in either
-        variable. Otherwise, off the de-singularization disks the fitted
-        function is Z_z itself. When z sits in the disk of a run z0 of m
+        On a space of polynomials the row's quotient is B' contracted with
+        the powers of conj(z), and its fit beta(z) is beta's coefficients
+        contracted the same way (`_closed_kernel`): no solve and no disk in
+        either variable. Otherwise, off the de-singularization disks the
+        fitted function is Z_z itself. When z sits in the disk of a run z0 of m
         equal zeros, the projection residual vanishes to order m in conj(z)
         at z0, so the fitted function is its conj(z)-Taylor sum from order m
         on, the terms `_taylor_terms(m, conj(z - z0), z0)`, and the row's
@@ -293,8 +292,11 @@ class GramSystem:
         zs = self.zeros
         closed = self._closed_kernel
         if closed is not None:
-            closed = (z.conjugate(), *closed)
-            return Remainder(self.space, zs, 0, ((1.0, 0, z),), (), "K_z(w)", closed=closed)
+            beta_coeffs, columns = closed
+            s = z.conjugate()
+            beta = [_horner(c, s) for c in beta_coeffs]
+            quotient = [_horner(c, s) for c in columns]
+            return Remainder(self.space, zs, 0, ((1.0, 0, z),), beta, "K_z(w)", quotient=quotient)
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -391,17 +393,15 @@ class Remainder:
     """f = e E + sum_t weight_t Z_t minus its fit on the zeros, divided by prod (w - z_i).
 
     `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
-    f - sum_j c_j Z_j, the space's `combination` of e with f's terms and
-    the span's terms (-c_j, k_j, z_j), vanishes at each run to the run's
-    multiplicity. The route is chosen once, here:
+    f - sum_j c_j Z_j, the space's `combination` of e with the fitted terms
+    (f's terms, then the span's (-c_j, k_j, z_j)), vanishes at each run to
+    the run's multiplicity. The route is chosen once, here:
 
     * On a space of polynomials (`StructureFunction.polynomial`) the
-      quotient is a polynomial, the residual's coefficients divided
-      exactly (`_divide`), and a point costs one Horner pass. A kernel row
-      there passes no fit but `closed`, (conj(z), beta's coefficients in
-      conj(z), B' by columns) from `GramSystem._closed_kernel`: its
-      quotient is B' contracted at conj(z), and beta(z), which only the
-      residual needs, is contracted when the residual is first read.
+      quotient is a polynomial and a point costs one Horner pass: the
+      residual's coefficients divided exactly (`_divide`), or the given
+      `quotient`, which a kernel row there contracts from B'
+      (`GramSystem.kernel_row`).
     * Otherwise the quotient is the residual over prod (w - z_i): the
       residual's plain order-0 math (`StructureFunction._at_order`, its
       orders checked here, once), and inside the de-singularization disk
@@ -412,44 +412,35 @@ class Remainder:
 
     A call is the finished derived value, `name` at w. This is the one
     place a derived value is range-checked. `residual`, the checked
-    `combination` of the residual's terms, is built when first read.
+    `combination` of the fitted terms, is built when first read.
     """
 
     def __init__(
         self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
         coeffs: Sequence[complex], name: str = "E_sigma(w)", divisor: Optional[complex] = None,
-        closed: Optional[tuple[complex, Rows, Rows]] = None,
+        quotient: Optional[Sequence[complex]] = None,
     ):
         self.zeros = zeros
-        self._space, self._e, self._terms, self._coeffs, self._closed = space, e, terms, coeffs, closed
-        if closed is not None:
-            s, _, columns = closed
-            self._value = partial(_horner, tuple(_horner(c, s) for c in columns))
-        else:
-            fitted = self._fitted()
+        self._space, self._e = space, e
+        self._fitted = fitted = [*terms, *_span(zeros, coeffs)]
+        if quotient is None:
             poly = space.polynomial(e, fitted)
-            if poly is None:
-                space._check_orders(e, fitted, 0)
-                self._plain = space._at_order(e, fitted)(0)
-                self._value = self._quotient
-            else:
-                self._value = partial(_horner, _divide(poly, zeros._runs))
+            if poly is not None:
+                quotient = _divide(poly, zeros._runs)
+        if quotient is None:
+            space._check_orders(e, fitted, 0)
+            self._plain = space._at_order(e, fitted)(0)
+            self._value = self._quotient
+        else:
+            self._value = partial(_horner, quotient)
         self._taylor: dict[tuple[complex, int], complex] = {}
         self._name = name
         self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
 
-    def _fitted(self) -> list[Term]:
-        """The residual's terms: f's, then the span's (-c_j, k_j, z_j)."""
-        coeffs = self._coeffs
-        if self._closed is not None:
-            s, beta_coeffs, _ = self._closed
-            coeffs = [_horner(c, s) for c in beta_coeffs]
-        return [*self._terms, *_span(self.zeros, coeffs)]
-
     @cached_property
     def residual(self) -> Callable[..., complex]:
         """(w, order=0) -> order-th derivative at w of f - sum_j c_j Z_j, range-checked."""
-        return self._space.combination(self._e, self._fitted())
+        return self._space.combination(self._e, self._fitted)
 
     def _run_derivative(self, v: complex, order: int) -> complex:
         key = (v, order)

@@ -37,19 +37,19 @@ hook, as plain math. e E + sum_t weight_t Z_t, the form of every function
 the gram layer's Remainder divides, is served the same way: each family
 writes its plain per-order math (``_at_order``), and ``combination``,
 written once in the base class, is the checked public closure over it
-(``StructureFunction._checked`` owns the order checks, the per-order cache
-and a range check per point). The gram layer's hot paths, Remainder and
+(``StructureFunction._checked`` checks the order of every read and
+range-checks its value). The gram layer's hot paths, Remainder and
 GramSystem.fit, sum the plain math under one range check of their own. The
 default sums one ``_mixed`` per term at every point. ``PaleyWiener`` sums
 the same sinc and moment values, in the same order and so to the same bits,
-without the per-term dispatch. ``PolynomialHB``, whose E and Z_t are
-polynomials in w, sums them into one polynomial (``polynomial``) and pays
-one Horner pass per point.
+without the per-term dispatch. ``PolynomialHB`` keeps the default: its
+derived values take no combination.
 
-``polynomial`` is also the family hook that picks the gram layer's route
-for the derived functions: None by default, so ``PaleyWiener`` divides its
-residuals point by point; on ``PolynomialHB`` the coefficients, which the
-gram layer divides exactly (E_sigma, and the derived kernel's matrix B').
+``polynomial`` is the family hook that picks the gram layer's route for
+the derived functions: None by default, so ``PaleyWiener`` divides its
+residuals point by point; on ``PolynomialHB`` the coefficients of
+e E + sum_t weight_t Z_t, which the gram layer divides exactly (E_sigma,
+and the derived kernel's matrix B').
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ class StructureFunction:
 
         No order or range check: a caller checks each order first
         (`_check_orders`). This default sums one `_mixed` per term at every
-        point; a family may collapse the terms once per order.
+        point; a family may prepare its terms once per order.
         """
         eval_E, mixed = self._eval_E_raw, self._mixed
 
@@ -264,21 +264,15 @@ class StructureFunction:
     ) -> Callable[..., complex]:
         """The `combination` closure (w, a=0) over a family's plain math.
 
-        The first time an order a is asked for, it checks a
-        (`_check_orders`), then keeps at_order(a), the order-a combination
-        as w -> value. Every point is range-checked once. The gram layer's
-        hot paths call the plain math under their own single range check
-        instead (`gram.Remainder`, `GramSystem.fit`).
+        Every read checks its order a (`_check_orders`) and sums at_order(a),
+        the order-a combination as w -> value, under one range check. The
+        gram layer's hot paths call the plain math under their own single
+        range check instead (`gram.Remainder`, `GramSystem.fit`).
         """
-        orders: dict[int, tuple[Callable[[complex], complex], str]] = {}
 
         def combined(w: complex, a: int = 0) -> complex:
-            entry = orders.get(a)
-            if entry is None:
-                self._check_orders(e, terms, a)
-                entry = orders[a] = (at_order(a), f"combination of order {a} at w = {{0}}")
-            fn, what = entry
-            return _in_range(what, fn, complex(w))
+            self._check_orders(e, terms, a)
+            return _in_range(f"combination of order {a} at w = {{0}}", at_order(a), complex(w))
 
         return combined
 
@@ -505,20 +499,3 @@ class PolynomialHB(StructureFunction):
                 spow *= s
             poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
         return poly
-
-    def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
-        """e E + sum_t weight_t Z_t as one polynomial in w (`polynomial`).
-
-        The polynomial is summed when the first order is asked for (after
-        that order's checks) and each order's w-derivative is taken once,
-        so every point then costs one Horner pass, where the default pays
-        one partial per term.
-        """
-        poly: list[complex] = []
-
-        def at_order(a: int) -> Callable[[complex], complex]:
-            if not poly:
-                poly.extend(self.polynomial(e, terms))
-            return partial(_horner, _differentiate(poly, a))
-
-        return at_order

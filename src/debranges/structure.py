@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DomainError, InvalidScheduleError, LinearDependenceError
-from .gram import GramSystem, Remainder, build
+from .gram import GramSystem, Remainder, _span, build
 from .kernels import StructureFunction
 from .sigma import ZeroSequence, bracket_eps, canonicalize
 
@@ -117,7 +117,7 @@ def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStru
     for m, znew in enumerate(pts):
         prefix = canonicalize(pts[:m])
         gs = build(space, prefix)
-        p = Remainder(space, prefix, 1.0, (), c).residual(znew)
+        p = space.combination(1.0, _span(prefix, c))(znew)
         beta = gs.solve_beta(znew)
         diag = gs.incomplete_kernel(znew, znew, beta)
         if abs(diag) < _DIAGONAL_FLOOR * abs(space.kernel(znew, znew)):

@@ -17,9 +17,11 @@ from debranges import (
     build,
     canonicalize,
     derive,
+    derive_iterative,
     gram,
     kernels,
 )
+from debranges.gram import Remainder
 from debranges.structure import extrapolate_to_zero
 
 from conftest import pw_moment_quadrature
@@ -372,3 +374,26 @@ def test_pw_derived_values_take_one_range_check(monkeypatch):
     got = [(row(w), ssf.eval("E", w), ssf.eval("F", w), gs.sigma_kernel(z, w)) for w in ws]
     assert calls == Counter()
     assert got == want
+
+
+@pytest.mark.parametrize("family", ["pw", "hb"])
+def test_residual_reads_build_no_remainder(family, monkeypatch):
+    # the projection residual and the iterative route read a residual only,
+    # never a derived quotient, so they take the combination directly
+    space = PaleyWiener(1.0) if family == "pw" else PolynomialHB((-1j, 1 - 1j, -1 - 2j))
+    zeros = canonicalize([1j, 2j])
+    gs = build(space, zeros)
+    z, w = 0.3 + 0.4j, -0.7 + 0.5j
+
+    def read():
+        beta = gs.solve_beta(z)
+        projected = gs.incomplete_kernel(z, w), gs.incomplete_kernel(z, w, beta)
+        return projected, derive_iterative(space, zeros).coeffs_E
+
+    want = read()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Remainder was built")
+
+    monkeypatch.setattr(Remainder, "__init__", forbidden)
+    assert read() == want

@@ -1,20 +1,22 @@
-"""The collapsed PolynomialHB combination, audited three ways.
+"""The PolynomialHB closed forms, audited three ways.
 
-`PolynomialHB.combination(e, terms)` sums e E + sum_t weight_t Z_t, with a
+`PolynomialHB.polynomial(e, terms)` sums e E + sum_t weight_t Z_t, with a
 term (weight, order, point) standing for the evaluator of the order-th
-derivative at point, into one polynomial in w. A remainder passes it the
-fitted function's terms and the span's terms (-c_j, k_j, z_j). It is
-checked (a) against the base-class hook, which sums one kernel partial per
-term, with and without E, a Z_z term and the conj(z)-Taylor terms of a z
-in a disk, (b) through the derived structure functions E_sigma and F_sigma
-and the derived kernel K_z, which the gram layer serves in closed form
-(exact quotients of that polynomial, and the matrix B'), against 50-digit
-mpmath constructions that share nothing with the library but the inputs:
-off the de-singularization disks, inside them, exactly on the zeros and
-in the band just outside them, with a double and a triple zero, with
-zeros far from the origin and in the trivial derived space d = n, without
-asking for a disk anywhere, and (c) on the derivative budget: a tight
-budget raises UnsupportedOrderError exactly where the per-term loop does.
+derivative at point, into one coefficient vector in w. A remainder passes
+it the fitted function's terms and the span's terms (-c_j, k_j, z_j). It
+is checked (a) against the checked `combination` closure, which sums one
+kernel partial per term, with and without E, a Z_z term and the
+conj(z)-Taylor terms of a z in a disk, (b) through the derived structure
+functions E_sigma and F_sigma and the derived kernel K_z, which the gram
+layer serves in closed form (exact quotients of that polynomial, and the
+matrix B'), against 50-digit mpmath constructions that share nothing with
+the library but the inputs: off the de-singularization disks, inside them,
+exactly on the zeros and in the band just outside them, with a double and
+a triple zero, with zeros far from the origin and in the trivial derived
+space d = n, without asking for a disk anywhere, and (c) on the derivative
+budget: a tight budget refuses values with UnsupportedOrderError but never
+changes one. A kernel row's residual, built from beta(z) contracted from
+its coefficients in conj(z), is checked against a fresh solve of beta(z).
 """
 
 import cmath
@@ -38,6 +40,7 @@ from debranges import (
     run_config_checks,
 )
 from debranges.gram import Remainder, _taylor_terms
+from debranges.kernels import _differentiate, _horner
 
 ROOTS = {
     1: (-1j,),
@@ -93,13 +96,14 @@ def test_collapsed_span_matches_the_per_term_loop(d, zero_set, source):
     for e in (0, 1):
         for name, fitted in _fitted_terms(zeros).items():
             terms = [*fitted, *span]
-            collapsed = hb.combination(e, terms)
+            poly = hb.polynomial(e, terms)
             loop = hb._checked(e, terms, StructureFunction._at_order(hb, e, terms))
             for a in range(d + 2):
+                collapsed = _differentiate(poly, a)
                 for w in AUDIT_POINTS:
                     parts = [c * hb.kernel_mixed_partial(a, k, p, w) for c, k, p in terms]
                     scale = abs(e * hb.eval_E(w, a)) + sum(abs(t) for t in parts)
-                    assert abs(collapsed(w, a) - loop(w, a)) <= 1e-13 * scale, (e, name, a, w)
+                    assert abs(_horner(collapsed, w) - loop(w, a)) <= 1e-13 * scale, (e, name, a, w)
 
 
 def _mp_structure(roots, zero_points, which):
@@ -292,12 +296,6 @@ def test_kernel_row_matches_mpmath(z):
         assert abs(row(w) - ref) <= 1e-9 * abs(ref), w
 
 
-class _LoopHB(PolynomialHB):
-    """PolynomialHB with the base-class plain math under `combination`, one partial per term."""
-
-    _at_order = StructureFunction._at_order
-
-
 def _outcome(run):
     try:
         return run()
@@ -311,10 +309,11 @@ BUDGET_W = (0.3 + 0.7j, 1j + (7e-4 + 3e-4j), 1j, 1 + 1j)
 
 @pytest.mark.parametrize("budget", range(13))
 def test_tight_budget_raises_where_the_loop_does(budget):
+    # a tight budget may refuse a value, but every value it serves is the
+    # default budget's, bit for bit
     zeros = canonicalize(ZERO_SETS["double"])
     results = []
-    for family in (PolynomialHB, _LoopHB):
-        hb = family(ROOTS[5], max_derivative_order=budget)
+    for hb in (PolynomialHB(ROOTS[5], max_derivative_order=budget), PolynomialHB(ROOTS[5])):
         gs = _outcome(lambda: build(hb, zeros))
         if gs is UnsupportedOrderError:
             results.append(gs)
@@ -326,23 +325,18 @@ def test_tight_budget_raises_where_the_loop_does(budget):
                 row.append(ssf if ssf is UnsupportedOrderError else _outcome(lambda: ssf.eval(which, w)))
             for z in BUDGET_Z:
                 row.append(_outcome(lambda: gs.kernel_row(z)(w)))
-            # the one value here that `_at_order` sums: a row's residual, for
-            # the z off the disk, where it does not cancel to its rounding
+            # the one value here that takes the checked `combination`: a row's residual
             row.append(_outcome(lambda: gs.kernel_row(BUDGET_Z[0]).residual(w, 3)))
         results.append(row)
-    collapsed, loop = results
-    if loop is UnsupportedOrderError:
-        assert collapsed is UnsupportedOrderError
+    tight, full = results
+    assert UnsupportedOrderError not in full
+    if tight is UnsupportedOrderError:
         return
-    for got, want in zip(collapsed, loop, strict=True):
-        if want is UnsupportedOrderError:
-            assert got is UnsupportedOrderError
-        else:
-            assert got is not UnsupportedOrderError
-            assert abs(got - want) <= 1e-9 * abs(want)
+    for got, want in zip(tight, full, strict=True):
+        assert got is UnsupportedOrderError or got == want
 
 
-@pytest.mark.parametrize("family", ["pw", "hb"])
+@pytest.mark.parametrize("family", ["pw"])  # the one family with math of its own under `combination`
 @pytest.mark.parametrize(
     "e, terms, w, a, error",
     [
@@ -355,7 +349,7 @@ def test_tight_budget_raises_where_the_loop_does(budget):
 def test_family_combination_raises_like_the_default(family, e, terms, w, a, error):
     # both closures are built inside pytest.raises: an order may be
     # rejected while the closure is built or when it is first called
-    space, far = {"pw": (PaleyWiener(1.0), 800j), "hb": (PolynomialHB(ROOTS[3]), 1e300)}[family]
+    space, far = PaleyWiener(1.0), 800j
     w = far if w is None else w
     messages = []
     closures = (
@@ -446,8 +440,9 @@ def test_derived_values_ask_no_disk(monkeypatch):
 
 
 def test_kernel_rows_build_no_combination(monkeypatch):
-    # an HB row's value is B' contracted with conj(z): beta(z) and the
-    # residual's checked closure are built only when `.residual` is read
+    # an HB row's value is B' contracted with conj(z), and its beta(z) is
+    # contracted the same way: the residual's checked closure is built
+    # only when `.residual` is read
     gs = build(PolynomialHB(ROOTS[5]), canonicalize(TRIPLE))
 
     def forbidden(*args):
@@ -464,6 +459,24 @@ def test_kernel_rows_build_no_combination(monkeypatch):
     residual = gs.kernel_row(z).residual
     for p, k in zip(gs.zeros.points, gs.zeros.confluence):
         assert abs(residual(p, k)) <= 1e-14 * abs(gs.space.kernel_mixed_partial(k, 0, z, p)), (p, k)
+
+
+@pytest.mark.parametrize("zero_set", sorted(CLOSED_SETS))
+def test_kernel_row_residual_matches_a_fresh_fit(zero_set):
+    # a row's beta(z) is contracted from its coefficients in conj(z); its
+    # residual must be the combination over beta(z) solved afresh
+    hb = PolynomialHB(ROOTS[5])
+    gs = build(hb, canonicalize(CLOSED_SETS[zero_set]))
+    pts, ks = gs.zeros.points, gs.zeros.confluence
+    for z in (*KERNEL_ROW_Z, *BAND_Z, 2j):
+        beta = gs.solve_beta(z)
+        terms = [(1.0, 0, z), *((-c, k, p) for c, k, p in zip(beta, ks, pts))]
+        fresh = hb.combination(0, terms)
+        residual = gs.kernel_row(z).residual
+        for a in range(3):
+            for w in (*STRUCTURE_POINTS, *BAND_W):
+                scale = sum(abs(c * hb.kernel_mixed_partial(a, k, p, w)) for c, k, p in terms)
+                assert abs(residual(w, a) - fresh(w, a)) <= 1e-13 * scale, (z, a, w)
 
 
 # zeros far from the origin, where a division from the leading coefficient
