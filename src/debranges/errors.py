@@ -39,3 +39,9 @@ class ConfigError(DeBrangesError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):
+        # pickle (a worker process's error sent back to its caller) re-calls
+        # __init__ with `args`, which holds only the joined message
+        return type(self), (self.field, self.message), self.__dict__

@@ -189,6 +189,8 @@ class GramSystem:
         in plain complex arithmetic: at these sizes that beats any array call.
         """
         low = self.factorization
+        if len(rhs) != len(low):
+            raise ValueError(f"right-hand side of length {len(rhs)} for a system of {len(low)} zeros")
         x = []
         for i, acc in enumerate(rhs):
             row = low[i]

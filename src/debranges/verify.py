@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .gram import bordered_det, build, determinant, hermitian_eigenvalues, spectral_condition
@@ -98,12 +99,17 @@ def _scaled_report(
     return _report(_tagged(check_id, tag), samples, residual, tol, condition_estimate, note)
 
 
-def _uniforms(seed: int) -> _Uniform:
-    """uniform(lo, hi) = lo + (hi - lo) * random(): Python does not promise `Random.uniform`'s code."""
-    seed = operator.index(seed)  # TypeError for a float or a string
+def _checked_seed(seed: int) -> int:
+    """The sampling seed as an int: TypeError for a float or a string, ValueError if negative."""
+    seed = operator.index(seed)
     if seed < 0:  # Random would seed it as its absolute value
         raise ValueError(f"the sampling seed must be a non-negative integer, got {seed}")
-    draw = random.Random(seed).random
+    return seed
+
+
+def _uniforms(seed: int) -> _Uniform:
+    """uniform(lo, hi) = lo + (hi - lo) * random(): Python does not promise `Random.uniform`'s code."""
+    draw = random.Random(_checked_seed(seed)).random
     return lambda lo, hi: lo + (hi - lo) * draw()
 
 
@@ -445,25 +451,73 @@ def run_config_checks(
     return reports
 
 
-def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
-    """The whole desk-scale matrix of spaces and zero sequences."""
-    _reject_unknown_keys(tolerances)
-    reports: list[CheckReport] = []
+# one configuration of the default suite: a check function and its arguments
+_Task = tuple[Callable[..., list[CheckReport]], tuple[Any, ...]]
+
+
+def _suite_tasks(seed: int, tolerances: Optional[dict]) -> list[_Task]:
+    """The default suite's configurations, in report order; each task is independent of the others."""
+    tasks: list[_Task] = []
     for space_tag, space in DEFAULT_SPACES:
         dim = space.dimension
         for sigma_tag, pts in DEFAULT_SIGMAS:
             if dim is not None and len(pts) > dim:
                 continue  # dependent evaluators, covered by degenerate-input tests
             tag = f"{space_tag}:{sigma_tag}"
-            reports.extend(_sequence_checks(space, canonicalize(pts), seed, tolerances, tag))
+            tasks.append((_sequence_checks, (space, canonicalize(pts), seed, tolerances, tag)))
         for z1 in N1_POINTS:
             tag = f"{space_tag}:z1={z1:g}"
-            reports.extend(check_n1_identities(space, z1, 50, seed, tolerances, tag))
+            tasks.append((check_n1_identities, (space, z1, 50, seed, tolerances, tag)))
         if isinstance(space, PaleyWiener):
             for n in (1, 2, 3):
                 tag = f"{space_tag}:pw-n{n}"
                 zeros = PW_EXAMPLE_ZEROS[:n]
-                reports.extend(
-                    check_pw_example(space.x, zeros, PW_EXAMPLE_SAMPLES, tolerances, tag)
-                )
-    return reports
+                tasks.append((check_pw_example, (space.x, zeros, PW_EXAMPLE_SAMPLES, tolerances, tag)))
+    return tasks
+
+
+def _run_task(task: _Task) -> list[CheckReport]:
+    check, args = task
+    return check(*args)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
+    """The whole desk-scale matrix of spaces and zero sequences.
+
+    Its 56 configurations are independent, so they are mapped over a
+    `fork` process pool with one worker per CPU the process may use, one
+    configuration at a time; the reports come back in the one-process
+    order, equal value for value. The suite runs in the calling process
+    when there is one CPU, when the platform has no `fork` start method,
+    when the caller is a daemonic process (a pool worker may not start
+    one), and when other threads run (`fork` copies only the calling
+    thread, so a lock another thread holds stays held in the worker). The
+    seed and the tolerance keys are checked before any worker starts, and
+    an error a check raises in a worker reaches the caller with its type
+    and message once every worker has stopped.
+    """
+    _reject_unknown_keys(tolerances)
+    _checked_seed(seed)
+    tasks = _suite_tasks(seed, tolerances)
+    workers = min(_usable_cpus(), len(tasks))
+    results: Iterable[list[CheckReport]] = map(_run_task, tasks)
+    if workers > 1:
+        # imported here alone, so `import debranges` and the CLI do not pay for it
+        import multiprocessing
+        import threading
+
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1
+        ):
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = list(pool.imap(_run_task, tasks, chunksize=1))
+    return [report for reports in results for report in reports]

@@ -117,6 +117,12 @@ class TestSolveBeta:
         gs = build(pw1, canonicalize([]))
         assert gs.solve_beta(1 + 1j) == ()
 
+    @pytest.mark.parametrize("rhs", [[1, 2], [1, 2, 3, 4]])
+    def test_solve_rejects_a_right_hand_side_of_another_length(self, pw1, rhs):
+        gs = build(pw1, canonicalize([1j, 2j, 1 + 1j]))
+        with pytest.raises(ValueError, match=f"length {len(rhs)} for a system of 3 zeros"):
+            gs.solve(rhs)
+
     @pytest.mark.parametrize("pts", [[1j, 2j], [1j, 1j], [1j, 1j, 2j]])
     def test_residual_orthogonality(self, pw1, pts):
         # the projection residual must vanish on the sequence, re-deriving

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from debranges import (
     DomainError,
     PaleyWiener,
     PolynomialHB,
+    RangeError,
     canonicalize,
     check_hb_inheritance,
     check_n1_identities,
@@ -277,3 +282,71 @@ class TestSuites:
         assert isinstance(report, CheckReport)
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.passed = False
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+class TestSuitePool:
+    """run_default_suite maps its configurations over a fork pool; two CPUs are forced so the pool runs."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 11])
+    def test_reports_equal_a_one_process_run(self, monkeypatch, seed):
+        pooled = run_default_suite(seed)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", _no_pool)
+        # repr tells -0.0 from 0.0 and shows a nan, which == would not
+        assert list(map(repr, pooled)) == list(map(repr, run_default_suite(seed)))
+        assert len(pooled) == 156
+
+    def test_no_worker_outlives_the_suite(self, monkeypatch):
+        run_default_suite(0)
+        assert multiprocessing.active_children() == []
+
+        def fail(*args, **kwargs):
+            raise RangeError(f"forced in process {os.getpid()}")
+
+        # only check_pw_example calls determinant; the check is looked up in the worker
+        monkeypatch.setattr(verify, "determinant", fail)
+        with pytest.raises(RangeError) as caught:
+            run_default_suite(0)
+        assert type(caught.value) is RangeError
+        pid = re.fullmatch(r"forced in process (\d+)", str(caught.value))
+        assert pid and int(pid[1]) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_seed_and_keys_are_checked_before_any_worker_starts(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", _no_pool)
+        with pytest.raises(ValueError, match="non-negative"):
+            run_default_suite(-1)
+        with pytest.raises(TypeError):
+            run_default_suite(1.5)
+        with pytest.raises(DomainError, match="theorm2"):
+            run_default_suite(0, {"theorm2": 0.0})
+        with pytest.raises(AssertionError, match="worker pool"):
+            run_default_suite(0)
+
+    def test_a_pool_worker_runs_the_suite_in_process(self):
+        direct = run_default_suite(0)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply_async(run_default_suite, (0,)).get(timeout=120)
+        assert inside == direct
+
+    def test_another_thread_keeps_the_suite_in_process(self, monkeypatch):
+        direct = run_default_suite(0)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", _no_pool)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert run_default_suite(0) == direct
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
