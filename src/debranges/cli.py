@@ -21,6 +21,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -357,6 +358,12 @@ def _run(config: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """The process entry (the `debranges` script, `python -m debranges`); returns the exit code.
+
+    It freezes every object alive at its start for the rest of the
+    process (`gc.freeze`); the library functions leave the collector alone.
+    """
+    gc.freeze()  # finalization would otherwise run full collections over the import-time heap
     parser = argparse.ArgumentParser(
         prog="debranges",
         description="Kernels and derived structure functions for spaces of "

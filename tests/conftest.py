@@ -9,6 +9,7 @@ nothing of a family but its E and Estar derivatives.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -148,6 +149,13 @@ def _dd_partial(sf, star: bool, alpha: int, beta: int, w: complex, delta: comple
         total += raw(w, order) * dpow * weight
         dpow *= delta
     return total
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_the_heap():
+    """`cli.main` freezes the heap for the rest of its process; give it back to the collector."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture

@@ -544,3 +544,71 @@ def test_cli_runs_without_site_packages(tmp_path):
         assert proc.returncode == 0, proc.stderr
     assert "PASS" in (tmp_path / "verify.out").read_text()
     assert len((tmp_path / "kernel.out").read_text().splitlines()) == 1 + 6
+
+
+class TestProcessEntry:
+    """`main` as the process entry: it freezes the heap, and the exit still flushes stdout."""
+
+    @staticmethod
+    def _env():
+        return dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+
+    def test_only_main_freezes_the_heap(self, tmp_path):
+        path = write_config(
+            tmp_path, command="kernel", z=[0.5, 0.5], sigma=[[0.0, 1.0], [1.0, 1.0]],
+            eval_points=[[0.3, 0.7]], output={"path": str(tmp_path / "kernel.csv")},
+        )
+        code = (
+            "import gc, sys\n"
+            "import debranges\n"
+            "from debranges import PaleyWiener, build, canonicalize, derive, run_config_checks\n"
+            "space, sigma = PaleyWiener(1.0), canonicalize([1j, 1 + 1j])\n"
+            "gs = build(space, sigma)\n"
+            "derive(gs).eval('E', 0.3 + 0.7j)\n"
+            "gs.kernel_row(0.5 + 0.5j)(0.3 + 0.7j)\n"
+            "assert all(r.passed for r in run_config_checks(space, sigma, seed=1))\n"
+            "import debranges.cli\n"
+            "print(gc.get_freeze_count())\n"
+            "assert debranges.cli.main(['--config', sys.argv[1]]) == 0\n"
+            "print(gc.get_freeze_count())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=self._env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = map(int, proc.stdout.split())
+        assert before == 0
+        assert after > 0
+
+    @pytest.mark.parametrize("command", ["kernel", "structure"])
+    def test_stdout_matches_the_output_file(self, tmp_path, command):
+        # the process writes to stdout at its exit the bytes --output writes to a file
+        path = write_config(
+            tmp_path, command=command, z=[0.5, 0.5], sigma=[[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]],
+            eval_points=[[0.3, 0.7], [0.0, 1.0], [-0.0004, 1.0009], [-1.2, 0.4]], output={},
+        )
+        cli = [sys.executable, "-m", "debranges", "--config", str(path)]
+        to_stdout = subprocess.run(cli, env=self._env(), capture_output=True)
+        assert to_stdout.returncode == 0, to_stdout.stderr
+        out = tmp_path / "values.csv"
+        to_file = subprocess.run([*cli, "--output", str(out)], env=self._env(), capture_output=True)
+        assert to_file.returncode == 0, to_file.stderr
+        assert to_file.stdout == b""
+        assert len(to_stdout.stdout.splitlines()) == 1 + 4
+        assert to_stdout.stdout == out.read_bytes()
+
+    def test_range_error_exit_four(self, tmp_path):
+        # sin(conj(z) - w) overflows at Im w = 800: one line on stderr, no traceback
+        path = write_config(
+            tmp_path, command="kernel", z=[0.5, 0.5], eval_points=[[0.0, 800.0]], output={}
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "debranges", "--config", str(path)],
+            env=self._env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("range error: ")
+        assert "Traceback" not in proc.stderr
