@@ -18,15 +18,8 @@ from .errors import (
 )
 from .gram import CONDITION_LIMIT, GramSystem, build
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
-from .sigma import ZeroSequence, bracket, bracket_eps, canonicalize
-from .structure import (
-    EpsilonSplitOracle,
-    SigmaStructureFunction,
-    derive,
-    derive_epsilon_oracle,
-    derive_iterative,
-    extrapolate_to_zero,
-)
+from .sigma import ZeroSequence, bracket, canonicalize
+from .structure import SigmaStructureFunction, derive, derive_iterative
 from .verify import (
     CheckReport,
     check_hb_inheritance,
@@ -46,7 +39,6 @@ __all__ = [
     "ConfigError",
     "DeBrangesError",
     "DomainError",
-    "EpsilonSplitOracle",
     "GramSystem",
     "InvalidScheduleError",
     "LinearDependenceError",
@@ -59,7 +51,6 @@ __all__ = [
     "UnsupportedOrderError",
     "ZeroSequence",
     "bracket",
-    "bracket_eps",
     "build",
     "canonicalize",
     "check_hb_inheritance",
@@ -68,9 +59,7 @@ __all__ = [
     "check_pw_example",
     "check_theorem2",
     "derive",
-    "derive_epsilon_oracle",
     "derive_iterative",
-    "extrapolate_to_zero",
     "run_config_checks",
     "run_default_suite",
 ]

@@ -395,10 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except LinearDependenceError as exc:
-        print(
-            f"numerical breakdown: {exc} (condition estimate {exc.condition_estimate:.3e})",
-            file=sys.stderr,
-        )
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 3
     except RangeError as exc:
         print(f"range error: {exc}", file=sys.stderr)

@@ -13,9 +13,8 @@ instead of being merged away here.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -31,42 +30,32 @@ DESINGULARIZATION_RADIUS_FACTOR = 1e-3
 DESINGULARIZATION_TERMS = 8
 
 
-def _canonical_confluence(points: tuple[complex, ...]) -> Optional[tuple[int, ...]]:
-    """Confluence offsets for `points`, or None if runs are not contiguous."""
-    seen: set[complex] = set()
-    conf: list[int] = []
-    for idx, p in enumerate(points):
-        if idx > 0 and points[idx - 1] == p:
-            conf.append(conf[-1] + 1)
-            continue
-        if p in seen:
-            return None
-        seen.add(p)
-        conf.append(0)
-    return tuple(conf)
-
-
 @dataclass(frozen=True)
 class ZeroSequence:
-    """Canonically ordered zeros z_1..z_n with confluence offsets k_1..k_n.
+    """Zeros z_1..z_n, equal values in contiguous runs, with their offsets k_1..k_n.
 
-    Construct through :func:`canonicalize`; direct construction is
-    validated against the canonical bookkeeping.
+    The confluence offsets are derived from the points: k_i counts the
+    equal entries just before z_i. Equal zeros that are not contiguous
+    raise ValueError; :func:`canonicalize` groups them.
     """
 
     points: tuple[complex, ...]
-    confluence: tuple[int, ...]
+    confluence: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
-        conf = tuple(int(k) for k in self.confluence)
+        seen: set[complex] = set()
+        conf: list[int] = []
+        for idx, p in enumerate(pts):
+            if idx > 0 and pts[idx - 1] == p:
+                conf.append(conf[-1] + 1)
+                continue
+            if p in seen:
+                raise ValueError("equal zeros must be contiguous; use canonicalize()")
+            seen.add(p)
+            conf.append(0)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "confluence", conf)
-        expected = _canonical_confluence(pts)
-        if expected is None:
-            raise ValueError("equal zeros must be contiguous; use canonicalize()")
-        if conf != expected:
-            raise ValueError("confluence offsets do not match the points")
+        object.__setattr__(self, "confluence", tuple(conf))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -128,17 +117,8 @@ class ZeroSequence:
 
 def canonicalize(points: Iterable[complex]) -> ZeroSequence:
     """Group equal values contiguously, keeping order of first appearance."""
-    counts: dict[complex, int] = {}
-    for p in points:
-        p = complex(p)
-        counts[p] = counts.get(p, 0) + 1
-    pts: list[complex] = []
-    conf: list[int] = []
-    for value, count in counts.items():
-        for k in range(count):
-            pts.append(value)
-            conf.append(k)
-    return ZeroSequence(tuple(pts), tuple(conf))
+    counts = Counter(complex(p) for p in points)
+    return ZeroSequence(tuple(value for value, count in counts.items() for _ in range(count)))
 
 
 def bracket(f: Callable[..., complex], zs: ZeroSequence, i: int) -> complex:
@@ -148,20 +128,3 @@ def bracket(f: Callable[..., complex], zs: ZeroSequence, i: int) -> complex:
     StructureFunction.eval_E fit directly.
     """
     return f(zs.points[i], zs.confluence[i])
-
-
-def bracket_eps(f: Callable[[complex], complex], zs: ZeroSequence, i: int, eps: float) -> complex:
-    """One-sided difference approximation of :func:`bracket`.
-
-    eps^(-k_i) * sum_l (-1)^l binom(k_i, l) f(z_i - l*eps), which tends to
-    f^(k_i)(z_i) as eps -> 0 for analytic f.
-    """
-    eps = float(eps)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    k = zs.confluence[i]
-    z = zs.points[i]
-    acc = 0j
-    for ell in range(k + 1):
-        acc += ((-1) ** ell) * math.comb(k, ell) * f(z - ell * eps)
-    return acc / eps**k

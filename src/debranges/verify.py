@@ -107,6 +107,12 @@ def _checked_seed(seed: int) -> int:
     return seed
 
 
+def _check_count(count: int) -> None:
+    """ValueError for a sample count below 1: the check would sample nothing and pass."""
+    if operator.index(count) < 1:
+        raise ValueError(f"the sample count must be at least 1, got {count}")
+
+
 def _uniforms(seed: int) -> _Uniform:
     """uniform(lo, hi) = lo + (hi - lo) * random(): Python does not promise `Random.uniform`'s code."""
     draw = random.Random(_checked_seed(seed)).random
@@ -155,6 +161,7 @@ def check_theorem2(
 ) -> CheckReport:
     """Derived kernel against the quotient built from the derived E and F."""
     _reject_unknown_keys(tolerances)
+    _check_count(sample_count)
     gs = build(space, zeros)
     ssf = derive(gs)
     uniform = _uniforms(seed)
@@ -177,6 +184,7 @@ def check_n1_identities(
 ) -> list[CheckReport]:
     """The three exact single-zero identities, sampled pointwise."""
     _reject_unknown_keys(tolerances)
+    _check_count(sample_count)
     z1 = complex(z1)
     zeros = canonicalize([z1])
     gs = build(space, zeros)
@@ -236,6 +244,8 @@ def check_pw_example(
     if len(set(pts)) != len(pts):
         raise DomainError("determinant example requires distinct zeros")
     samples = [complex(z) for z in z_samples]
+    if not samples:
+        raise DomainError("at least one z sample is required")
     forbidden = set(pts) | {p.conjugate() for p in pts}
     for z in samples:
         if z.imag == 0:
@@ -306,6 +316,7 @@ def check_hb_inheritance(
 ) -> CheckReport:
     """Strict positivity of |E(z)|^2 - |F(z)|^2 for the derived pair; its tolerance is not scaled."""
     _reject_unknown_keys(tolerances)
+    _check_count(sample_count)
     gs = build(space, zeros)
     ssf = derive(gs)
     uniform = _uniforms(seed)
@@ -344,6 +355,7 @@ def check_projection(
     `residual` is the projection residual whose orthogonality is checked.
     """
     _reject_unknown_keys(tolerances)
+    _check_count(sample)
     z = complex(z)
     if zeros.local_group(z) is not None:
         raise DomainError("projection check requires z outside the disks of the zeros")

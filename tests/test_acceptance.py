@@ -28,11 +28,12 @@ from debranges import (
     check_pw_example,
     check_theorem2,
     derive,
-    derive_epsilon_oracle,
     derive_iterative,
     run_default_suite,
 )
 from debranges.cli import main
+
+from split_zero_oracle import derive_epsilon_oracle
 
 SPACES = [
     ("pw-x0.5", PaleyWiener(0.5)),

@@ -222,13 +222,14 @@ class TestExitCodes:
         path = write_config(tmp_path, command="kernel")  # no grid, no points
         assert main(["--config", str(path)]) == 2
 
-    def test_dependent_evaluators(self, tmp_path):
+    def test_dependent_evaluators(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             space={"family": "polynomial-hb", "roots": [[0.0, -1.0]]},
             sigma=[[0.0, 1.0], [0.0, 2.0]],
         )
         assert main(["--config", str(path)]) == 3
+        assert capsys.readouterr().err.count("condition estimate") == 1
 
     def test_forced_failure_exit_one(self, tmp_path):
         # an impossible tolerance turns a passing check into a failure

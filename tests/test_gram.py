@@ -22,9 +22,8 @@ from debranges import (
     kernels,
 )
 from debranges.gram import Remainder
-from debranges.structure import extrapolate_to_zero
-
 from conftest import pw_moment_quadrature
+from split_zero_oracle import extrapolate_to_zero
 
 
 def herm_cond_entries(gs):

@@ -12,10 +12,9 @@ from debranges import (
     build,
     canonicalize,
     derive,
-    derive_epsilon_oracle,
     derive_iterative,
 )
-from debranges.structure import extrapolate_to_zero
+from split_zero_oracle import derive_epsilon_oracle, extrapolate_to_zero
 
 
 class TestExtrapolateToZero:

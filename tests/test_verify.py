@@ -38,6 +38,13 @@ UNKNOWN_KEY_CALLS = {
     "run_config_checks": lambda tol: run_config_checks(_PW1, _ZEROS, tolerances=tol),
     "run_default_suite": lambda tol: run_default_suite(tolerances=tol),
 }
+# every check that takes a sample count, called with it
+SAMPLE_COUNT_CALLS = {
+    "check_theorem2": lambda n: check_theorem2(_PW1, _ZEROS, n),
+    "check_n1_identities": lambda n: check_n1_identities(_PW1, 1j, n),
+    "check_hb_inheritance": lambda n: check_hb_inheritance(_PW1, _ZEROS, n),
+    "check_projection": lambda n: check_projection(_PW1, _ZEROS, 0.7 + 1.3j, n),
+}
 
 
 class TestReportSemantics:
@@ -127,6 +134,10 @@ class TestPwExample:
         with pytest.raises(DomainError):
             check_pw_example(1.0, [1j, 1j], [2j])
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(DomainError):
+            check_pw_example(1.0, [1j], [])
+
 
 class TestHbInheritance:
     def test_empty(self, pw1):
@@ -210,6 +221,13 @@ class TestSampleStream:
         # an integer of another type seeds as its value
         assert check_theorem2(pw1, zs, 5, seed=True) == check_theorem2(pw1, zs, 5, seed=1)
         assert check_theorem2(pw1, zs, 5, seed=np.uint64(7)) == check_theorem2(pw1, zs, 5, seed=7)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("check", sorted(SAMPLE_COUNT_CALLS))
+    def test_a_count_that_samples_nothing_is_rejected(self, check, count):
+        # it would report `passed` over no samples
+        with pytest.raises(ValueError, match="sample count"):
+            SAMPLE_COUNT_CALLS[check](count)
 
 
 class TestSuites:
