@@ -43,6 +43,11 @@ from .verify import (
 
 COMMANDS = ("kernel", "structure", "verify", "pw-example")
 FORMATS = ("csv", "structured-text")
+# the documented keys of each configuration object; any other key is a configuration error
+TOP_KEYS = ("command", "space", "sigma", "grid", "eval_points", "z", "seed", "tolerances", "output")
+SPACE_KEYS = {"paley-wiener": ("family", "x"), "polynomial-hb": ("family", "roots")}
+GRID_KEYS = ("re_min", "re_max", "re_steps", "im_min", "im_max", "im_steps")
+OUTPUT_KEYS = ("path", "format")
 
 
 @dataclass
@@ -66,6 +71,12 @@ def _fmt(value: float) -> str:
 def _require(cond: bool, fld: str, message: str) -> None:
     if not cond:
         raise ConfigError(fld, message)
+
+
+def _known_keys(prefix: str, raw: dict, keys: tuple[str, ...]) -> None:
+    """ConfigError naming the first key of raw that is not one of keys; prefix names raw's field."""
+    for key in raw:
+        _require(key in keys, prefix + key, f"is not a configuration key (the keys are {', '.join(keys)})")
 
 
 def _number(fld: str, value, message: str, finite_message: str = "") -> float:
@@ -127,6 +138,11 @@ def _complex_array(fld: str, value, message: str, allow_empty: bool = False) -> 
 def _parse_space(raw) -> StructureFunction:
     _require(isinstance(raw, dict), "space", "must be an object")
     family = raw.get("family")
+    _require(
+        isinstance(family, str) and family in SPACE_KEYS,
+        "space.family", "must be 'paley-wiener' or 'polynomial-hb'",
+    )
+    _known_keys("space.", raw, SPACE_KEYS[family])
     if family == "paley-wiener":
         _require("x" in raw, "space.x", "missing exponential type")
         x = _number(
@@ -135,19 +151,17 @@ def _parse_space(raw) -> StructureFunction:
         )
         _require(x > 0, "space.x", "must be a positive number")
         return PaleyWiener(x)
-    if family == "polynomial-hb":
-        roots = _complex_array("space.roots", raw.get("roots"), "must be a non-empty array")
-        try:
-            return PolynomialHB(tuple(roots))
-        except ValueError as exc:
-            raise ConfigError("space.roots", str(exc)) from None
-    raise ConfigError("space.family", "must be 'paley-wiener' or 'polynomial-hb'")
+    roots = _complex_array("space.roots", raw.get("roots"), "must be a non-empty array")
+    try:
+        return PolynomialHB(tuple(roots))
+    except ValueError as exc:
+        raise ConfigError("space.roots", str(exc)) from None
 
 
 def _parse_grid(raw) -> dict:
     _require(isinstance(raw, dict), "grid", "must be an object")
-    keys = ("re_min", "re_max", "re_steps", "im_min", "im_max", "im_steps")
-    for key in keys:
+    _known_keys("grid.", raw, GRID_KEYS)
+    for key in GRID_KEYS:
         _require(key in raw, f"grid.{key}", "missing")
     grid = {}
     for key in ("re_min", "re_max", "im_min", "im_max"):
@@ -173,6 +187,7 @@ def load_config(path: str) -> RunConfig:
     except (RecursionError, ValueError) as exc:  # JSONDecodeError, or nesting or digits past Python's limits
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config", "top level must be an object")
+    _known_keys("", raw, TOP_KEYS)
 
     command = raw.get("command")
     _require(command in COMMANDS, "command", f"must be one of {', '.join(COMMANDS)}")
@@ -212,6 +227,7 @@ def load_config(path: str) -> RunConfig:
 
     out_raw = raw.get("output", {})
     _require(isinstance(out_raw, dict), "output", "must be an object")
+    _known_keys("output.", out_raw, OUTPUT_KEYS)
     out_path = out_raw.get("path", "")
     _require(isinstance(out_path, str), "output.path", "must be a string")
     default_format = "csv" if command in ("kernel", "structure") else "structured-text"

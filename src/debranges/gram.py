@@ -5,10 +5,10 @@ G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For
 f = e E + sum_t weight_t Z_t (`StructureFunction.combination`),
 `GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the residual
 f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
-`Remainder` divides that residual by prod (w - z_i). The derived
-structure function is the remainder of E (e = 1, no terms), and its
+`Remainder` is that residual's quotient by prod (w - z_i). The derived
+structure function is the quotient of E (e = 1, no terms), and its
 companion the reflection of that (see structure.py); the derived-space
-kernel is the remainder of Z_z (e = 0, one term (1, 0, z)), whose fit beta
+kernel is the quotient of Z_z (e = 0, one term (1, 0, z)), whose fit beta
 is the projection of Z_z onto the span of the Z_j, rescaled in z:
 
     K_z(w) = gamma(w) * conj(gamma(z)) * (Z_z(w) - sum_j beta_j Z_j(w)).
@@ -17,15 +17,16 @@ The family hook `StructureFunction.polynomial` picks the route, once per
 derived function or row. On a space of polynomials (`PolynomialHB`) the
 residual is a polynomial: E_sigma is its exact quotient (`_divide`), and a
 kernel row contracts the matrix B' that `GramSystem._closed_kernel`
-divides out of the Schur complement once per system, with no disk in
-either variable. Otherwise (`PaleyWiener`) the residual is divided point
-by point, crossing the trivial zeros by Taylor series, and a kernel row
-has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
+divides out of the Schur complement once per system, with no disk and no
+fit in either variable. Otherwise (`PaleyWiener`) the residual is divided
+point by point, crossing the trivial zeros by Taylor series, and a kernel
+row has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
 is the one place a derived value is range-checked: `fit` and `Remainder`
 sum the family's plain math (`StructureFunction._at_order`), each order
-checked where it is used, and the checked `combination` closure serves
-only a residual read on its own (`Remainder.residual`,
-`GramSystem.incomplete_kernel`).
+checked where it is used. A residual read on its own
+(`GramSystem.incomplete_kernel`, `SigmaStructureFunction.incomplete`,
+`check_projection`) is the checked `combination` of the fit's terms and
+builds no `Remainder`.
 
 The linear-solve route is the production path. The bordered-determinant
 route is an independent cross-check that shares only the Gram matrix:
@@ -234,71 +235,64 @@ class GramSystem:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
         return self.fit(0, ((1.0, 0, complex(z)),))
 
-    def incomplete_kernel(self, z: complex, w: complex, beta=None) -> complex:
+    def incomplete_kernel(self, z: complex, w: complex) -> complex:
         """Projection residual Z_z(w) - sum_j beta_j(z) Z_j(w).
 
         Vanishes on the zero sequence in w (to the run multiplicity) and,
-        by symmetry, anti-analytically in z. A caller that already holds
-        solve_beta(z) passes it as `beta` to skip the solve.
+        by symmetry, anti-analytically in z.
         """
         terms = ((1.0, 0, complex(z)),)
-        if beta is None:
-            beta = self.fit(0, terms)
-        return self.space.combination(0, [*terms, *_span(self.zeros, beta)])(complex(w))
+        return self.space.combination(0, [*terms, *_span(self.zeros, self.fit(0, terms))])(complex(w))
 
     @cached_property
-    def _closed_kernel(self) -> Optional[tuple[Rows, Rows]]:
-        """(beta's coefficients in conj(z), B' by columns) on a space of polynomials, else None.
+    def _closed_kernel(self) -> Optional[Rows]:
+        """B' by columns on a space of polynomials, else None.
 
         The base kernel is Z_z(w) = sum_r conj(z)^r T_r(w), T_r its r-th
         Taylor coefficient in conj(z) at 0, the term (1/r!, r, 0). Fitting
-        each T_r (one solve apiece) gives beta(z) = sum_r conj(z)^r x_r, the
-        fit of Z_z for every z, and the projection residual
+        each T_r (one solve apiece) gives the projection residual
         sum_r conj(z)^r R_r(w), R_r the residual of T_r: the rows of the
         Schur complement B - X^T D. Each row divided by prod (w - z_i), and
         then each column by prod (s - conj z_i), leaves the (d - n) x (d - n)
         matrix B' with K_z(w) = sum_rk B'[r][k] conj(z)^r w^k, for every z
-        and w, on the zeros too.
+        and w, on the zeros too. The fits are not kept: no row needs beta(z).
         """
         space, zs = self.space, self.zeros
         if space.polynomial(0, ()) is None:  # the family hook: not a space of polynomials
             return None
         d = space.dimension
         pts, ks = zs.points, zs.confluence
-        fits, rows = [], []
+        rows = []
         for r in range(d):
             taylor = ((1.0 / math.factorial(r), r, 0j),)
             t_r = space.polynomial(0, taylor)
             x = self.solve([_horner(_differentiate(t_r, k), p) for p, k in zip(pts, ks)])
             # the w^d coefficient of a kernel residual is 0
             rows.append(_divide(space.polynomial(0, [*taylor, *_span(zs, x)])[:d], zs._runs))
-            fits.append(x)
         conj_runs = [(v.conjugate(), m) for v, m in zs._runs]
-        return tuple(zip(*fits)), tuple(_divide(col, conj_runs) for col in zip(*rows))
+        return tuple(_divide(col, conj_runs) for col in zip(*rows))
 
     def kernel_row(self, z: complex) -> Remainder:
         """The derived-space evaluator K_z as a function of w, for fixed z: its `Remainder`.
 
         On a space of polynomials the row's quotient is B' contracted with
-        the powers of conj(z), and its fit beta(z) is beta's coefficients
-        contracted the same way (`_closed_kernel`): no solve and no disk in
-        either variable. Otherwise, off the de-singularization disks the
-        fitted function is Z_z itself. When z sits in the disk of a run z0 of m
-        equal zeros, the projection residual vanishes to order m in conj(z)
-        at z0, so the fitted function is its conj(z)-Taylor sum from order m
-        on, the terms `_taylor_terms(m, conj(z - z0), z0)`, and the row's
-        divisor conj prod (z - z_i) leaves out z0's run. Either way one
-        solve serves every w.
+        the powers of conj(z) (`_closed_kernel`), and the row has no fitted
+        terms: no solve and no disk in either variable. Otherwise, off the
+        de-singularization disks the fitted function is Z_z itself. When z
+        sits in the disk of a run z0 of m equal zeros, the projection
+        residual vanishes to order m in conj(z) at z0, so the fitted
+        function is its conj(z)-Taylor sum from order m on, the terms
+        `_taylor_terms(m, conj(z - z0), z0)`, and the row's divisor
+        conj prod (z - z_i) leaves out z0's run. Either way one solve
+        serves every w.
         """
         z = complex(z)
         zs = self.zeros
-        closed = self._closed_kernel
-        if closed is not None:
-            beta_coeffs, columns = closed
+        columns = self._closed_kernel
+        if columns is not None:
             s = z.conjugate()
-            beta = [_horner(c, s) for c in beta_coeffs]
             quotient = [_horner(c, s) for c in columns]
-            return Remainder(self.space, zs, 0, ((1.0, 0, z),), beta, "K_z(w)", quotient=quotient)
+            return Remainder(self.space, zs, 0, (), (), "K_z(w)", quotient=quotient)
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -392,7 +386,7 @@ def _divide(coeffs: Sequence[complex], runs: Sequence[tuple[complex, int]]) -> t
 
 
 class Remainder:
-    """f = e E + sum_t weight_t Z_t minus its fit on the zeros, divided by prod (w - z_i).
+    """The quotient of f = e E + sum_t weight_t Z_t minus its fit on the zeros by prod (w - z_i).
 
     `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
     f - sum_j c_j Z_j, the space's `combination` of e with the fitted terms
@@ -402,19 +396,20 @@ class Remainder:
     * On a space of polynomials (`StructureFunction.polynomial`) the
       quotient is a polynomial and a point costs one Horner pass: the
       residual's coefficients divided exactly (`_divide`), or the given
-      `quotient`, which a kernel row there contracts from B'
-      (`GramSystem.kernel_row`).
+      `quotient` with no fitted terms, which a kernel row there contracts
+      from B' (`GramSystem.kernel_row`).
     * Otherwise the quotient is the residual over prod (w - z_i): the
       residual's plain order-0 math (`StructureFunction._at_order`, its
       orders checked here, once), and inside the de-singularization disk
       of a run v of m equal zeros the Taylor series of the residual at v
       from order m on, divided by the other factors; each derivative of
-      the residual at a run is computed the first time a point needs it
-      and kept. A kernel row's constant `divisor` divides it last.
+      the residual at a run is read through the checked `combination` the
+      first time a point needs it and kept. A kernel row's constant
+      `divisor` divides it last.
 
     A call is the finished derived value, `name` at w. This is the one
-    place a derived value is range-checked. `residual`, the checked
-    `combination` of the fitted terms, is built when first read.
+    place a derived value is range-checked. A residual read on its own
+    takes the `combination` of the fit's terms and builds no Remainder.
     """
 
     def __init__(
@@ -440,15 +435,14 @@ class Remainder:
         self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
 
     @cached_property
-    def residual(self) -> Callable[..., complex]:
-        """(w, order=0) -> order-th derivative at w of f - sum_j c_j Z_j, range-checked."""
+    def _residual(self) -> Callable[..., complex]:
         return self._space.combination(self._e, self._fitted)
 
     def _run_derivative(self, v: complex, order: int) -> complex:
         key = (v, order)
         value = self._taylor.get(key)
         if value is None:
-            value = self._taylor[key] = self.residual(v, order)
+            value = self._taylor[key] = self._residual(v, order)
         return value
 
     def _quotient(self, w: complex) -> complex:

@@ -4,12 +4,13 @@ Imposing a zero sequence on a space with structure function E produces a
 new space whose structure function is determined by a finite datum: the
 incomplete form E(w) - sum_j c_j Z_j(w) must vanish on the sequence with
 multiplicity, which pins the coefficients c through one Gram fit. The
-complete form E_sigma is the gram layer's Remainder of E with those
-coefficients; its companion F_sigma is its reflection,
-F_sigma(w) = conj(E_sigma(conj(w))), as for any structure function. Both
-are calls of that Remainder, the one place a derived value is
-range-checked. On a space of polynomials the Remainder is the exact
-quotient of the incomplete form, a polynomial of degree d - n, built once
+incomplete form is read as the checked `combination` of E and the fit's
+terms. The complete form E_sigma is the gram layer's Remainder of E with
+those coefficients, the incomplete form's quotient by prod (w - z_i); its
+companion F_sigma is its reflection, F_sigma(w) = conj(E_sigma(conj(w))),
+as for any structure function. Both are calls of that Remainder, the one
+place a derived value is range-checked. On a space of polynomials the
+Remainder is the exact quotient, a polynomial of degree d - n, built once
 from (space, zeros, coefficients), so both routes below get it;
 otherwise it divides the incomplete form point by point. Two routes
 exist:
@@ -58,8 +59,8 @@ class SigmaStructureFunction:
         return Remainder(self.base, self.zeros, 1.0, (), self.coeffs_E)
 
     def incomplete(self, w: complex, order: int = 0) -> complex:
-        """order-th w-derivative of the incomplete form of E at w."""
-        return self._remainder.residual(complex(w), order)
+        """order-th w-derivative of the incomplete form of E at w: the checked `combination` of the fit."""
+        return self.base.combination(1.0, _span(self.zeros, self.coeffs_E))(complex(w), order)
 
     def eval(self, which: str, w: complex) -> complex:
         """E_sigma(w), or F_sigma(w) = conj(E_sigma(conj(w))): one call of the Remainder of E.
@@ -97,7 +98,8 @@ def derive_iterative(space: StructureFunction, zeros: ZeroSequence) -> SigmaStru
         gs = build(space, prefix)
         p = space.combination(1.0, _span(prefix, c))(znew)
         beta = gs.solve_beta(znew)
-        diag = gs.incomplete_kernel(znew, znew, beta)
+        # the projection residual at znew, read from the fit already in hand
+        diag = space.combination(0, [(1.0, 0, znew), *_span(prefix, beta)])(znew)
         if abs(diag) < _DIAGONAL_FLOOR * abs(space.kernel(znew, znew)):
             raise LinearDependenceError(
                 f"evaluator at {znew} is numerically in the span of the previous ones"

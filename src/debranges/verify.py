@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .gram import bordered_det, build, determinant, hermitian_eigenvalues, spectral_condition
+from .gram import _span, bordered_det, build, determinant, hermitian_eigenvalues, spectral_condition
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import SigmaStructureFunction, derive
@@ -351,8 +351,9 @@ def check_projection(
     z must lie outside every de-singularization disk of the zeros
     (`ZeroSequence.local_group`), where the determinant route is an
     independent check of the solve; the samples w are drawn outside them too.
-    There the row `kernel_row(z)` is the Remainder of Z_z itself, so its
-    `residual` is the projection residual whose orthogonality is checked.
+    The orthogonality is read from the projection residual of Z_z, the
+    checked `combination` of Z_z and the span over `solve_beta(z)`; on a
+    space that is not of polynomials that fit is the row's own.
     """
     _reject_unknown_keys(tolerances)
     _check_count(sample)
@@ -365,7 +366,8 @@ def check_projection(
     rhs = [space.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
     scale = max(math.hypot(*(part for v in rhs for part in (v.real, v.imag))), 1e-300)
     # the projection residual of Z_z, which the constraints make vanish on the zeros
-    worst_orth = max((abs(row.residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
+    residual = space.combination(0, [(1.0, 0, z), *_span(zeros, gs.solve_beta(z))])
+    worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
     uniform = _uniforms(seed)
     worst_route = 0.0

@@ -132,6 +132,29 @@ class TestConfigValidation:
         assert main(["--config", str(path)]) == 2
         assert "configuration error: tolerances.theorm2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"command": "structure", "eval_points": [[0.1, 0.2]], "sgima": [[0, 1]]}, "sgima"),
+            ({"space": {"family": "paley-wiener", "x": 1.0, "roots": [[0, -1]]}}, "space.roots"),
+            (
+                {"command": "kernel", "grid": {"re_min": 0, "re_max": 1, "re_stpes": 2,
+                                               "im_min": 0, "im_max": 1, "im_steps": 2}},
+                "grid.re_stpes",
+            ),
+            ({"output": {"fromat": "csv"}}, "output.fromat"),
+        ],
+        ids=["top", "space", "grid", "output"],
+    )
+    def test_misspelt_key_is_a_config_error(self, tmp_path, capsys, overrides, field):
+        # an undocumented key would otherwise be ignored: a misspelt sigma imposes no zeros
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field == field
+        assert main(["--config", str(path)]) == 2
+        assert f"configuration error: {field}: is not a configuration key" in capsys.readouterr().err
+
     def test_seed_override_range(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["--config", str(path), "--seed", "-1"]) == 2

@@ -383,17 +383,18 @@ def test_pw_derived_values_take_one_range_check(monkeypatch):
 
 @pytest.mark.parametrize("family", ["pw", "hb"])
 def test_residual_reads_build_no_remainder(family, monkeypatch):
-    # the projection residual and the iterative route read a residual only,
-    # never a derived quotient, so they take the combination directly
+    # the projection residual, the incomplete form of E and the iterative
+    # route read a residual only, never a derived quotient, so they take
+    # the combination of the fit's terms directly
     space = PaleyWiener(1.0) if family == "pw" else PolynomialHB((-1j, 1 - 1j, -1 - 2j))
     zeros = canonicalize([1j, 2j])
     gs = build(space, zeros)
     z, w = 0.3 + 0.4j, -0.7 + 0.5j
 
     def read():
-        beta = gs.solve_beta(z)
-        projected = gs.incomplete_kernel(z, w), gs.incomplete_kernel(z, w, beta)
-        return projected, derive_iterative(space, zeros).coeffs_E
+        ssf = derive(gs)
+        incomplete = ssf.incomplete(w), ssf.incomplete(w, 1)
+        return gs.incomplete_kernel(z, w), incomplete, derive_iterative(space, zeros).coeffs_E
 
     want = read()
 
@@ -402,3 +403,22 @@ def test_residual_reads_build_no_remainder(family, monkeypatch):
 
     monkeypatch.setattr(Remainder, "__init__", forbidden)
     assert read() == want
+
+
+@pytest.mark.parametrize("family", ["pw", "hb"])
+def test_remainders_hold_only_their_quotient(family):
+    # a kernel row and E_sigma are quotients only: neither carries a
+    # residual closure, and on HB the closed kernel is B' alone, its
+    # d - n columns of length d - n
+    roots = (-1j, 1 - 1j, -1 - 2j, 0.5 - 0.5j, -0.5 - 1.5j)
+    space = PaleyWiener(1.0) if family == "pw" else PolynomialHB(roots)
+    gs = build(space, canonicalize([1j, 1j, 2j]))
+    remainders = [gs.kernel_row(z) for z in (0.3 + 0.4j, 1j + 5e-4, 1j)]
+    remainders.append(derive(gs)._remainder)
+    assert not any(hasattr(r, "residual") for r in remainders)
+    if family == "pw":
+        assert gs._closed_kernel is None
+    else:
+        columns = gs._closed_kernel
+        assert isinstance(columns, tuple) and len(columns) == 5 - 3
+        assert all(len(column) == 5 - 3 for column in columns)

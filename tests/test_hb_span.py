@@ -15,8 +15,8 @@ exactly on the zeros and in the band just outside them, with a double and
 a triple zero, with zeros far from the origin and in the trivial derived
 space d = n, without asking for a disk anywhere, and (c) on the derivative
 budget: a tight budget refuses values with UnsupportedOrderError but never
-changes one. A kernel row's residual, built from beta(z) contracted from
-its coefficients in conj(z), is checked against a fresh solve of beta(z).
+changes one. A kernel row is its quotient alone; a residual is read from
+the checked `combination` of a fit's terms.
 """
 
 import cmath
@@ -325,8 +325,8 @@ def test_tight_budget_raises_where_the_loop_does(budget):
                 row.append(ssf if ssf is UnsupportedOrderError else _outcome(lambda: ssf.eval(which, w)))
             for z in BUDGET_Z:
                 row.append(_outcome(lambda: gs.kernel_row(z)(w)))
-            # the one value here that takes the checked `combination`: a row's residual
-            row.append(_outcome(lambda: gs.kernel_row(BUDGET_Z[0]).residual(w, 3)))
+            # the one value here that takes the checked `combination`: the incomplete form of E
+            row.append(ssf if ssf is UnsupportedOrderError else _outcome(lambda: ssf.incomplete(w, 3)))
         results.append(row)
     tight, full = results
     assert UnsupportedOrderError not in full
@@ -439,44 +439,33 @@ def test_derived_values_ask_no_disk(monkeypatch):
             gs.sigma_kernel(z, w)
 
 
+def _projection_residual(gs, z):
+    """The projection residual of Z_z: the checked combination of Z_z and the span over a fresh beta(z)."""
+    span = ((-c, k, p) for c, k, p in zip(gs.solve_beta(z), gs.zeros.confluence, gs.zeros.points))
+    return gs.space.combination(0, [(1.0, 0, z), *span])
+
+
 def test_kernel_rows_build_no_combination(monkeypatch):
-    # an HB row's value is B' contracted with conj(z), and its beta(z) is
-    # contracted the same way: the residual's checked closure is built
-    # only when `.residual` is read
+    # an HB row's value is B' contracted with conj(z), and nothing else: it
+    # builds no checked closure and solves nothing
     gs = build(PolynomialHB(ROOTS[5]), canonicalize(TRIPLE))
+    gs._closed_kernel  # B' is built once per system, by solves of its own
 
     def forbidden(*args):
-        raise AssertionError("a combination closure was built")
+        raise AssertionError("a combination closure was built or a system solved")
 
     monkeypatch.setattr(StructureFunction, "_checked", forbidden)
+    monkeypatch.setattr(type(gs), "solve", forbidden)
     for z in (*KERNEL_ROW_Z, *BAND_Z, 2j):
         row = gs.kernel_row(z)
         for w in (*STRUCTURE_POINTS, *BAND_W, 2j):
             assert row(w) == gs.sigma_kernel(z, w)
     monkeypatch.undo()
-    # read, the residual is the projection residual of Z_z, which vanishes on the zeros
+    # read from the fit, the projection residual of Z_z vanishes on the zeros
     z = 0.3 + 0.7j
-    residual = gs.kernel_row(z).residual
+    residual = _projection_residual(gs, z)
     for p, k in zip(gs.zeros.points, gs.zeros.confluence):
         assert abs(residual(p, k)) <= 1e-14 * abs(gs.space.kernel_mixed_partial(k, 0, z, p)), (p, k)
-
-
-@pytest.mark.parametrize("zero_set", sorted(CLOSED_SETS))
-def test_kernel_row_residual_matches_a_fresh_fit(zero_set):
-    # a row's beta(z) is contracted from its coefficients in conj(z); its
-    # residual must be the combination over beta(z) solved afresh
-    hb = PolynomialHB(ROOTS[5])
-    gs = build(hb, canonicalize(CLOSED_SETS[zero_set]))
-    pts, ks = gs.zeros.points, gs.zeros.confluence
-    for z in (*KERNEL_ROW_Z, *BAND_Z, 2j):
-        beta = gs.solve_beta(z)
-        terms = [(1.0, 0, z), *((-c, k, p) for c, k, p in zip(beta, ks, pts))]
-        fresh = hb.combination(0, terms)
-        residual = gs.kernel_row(z).residual
-        for a in range(3):
-            for w in (*STRUCTURE_POINTS, *BAND_W):
-                scale = sum(abs(c * hb.kernel_mixed_partial(a, k, p, w)) for c, k, p in terms)
-                assert abs(residual(w, a) - fresh(w, a)) <= 1e-13 * scale, (z, a, w)
 
 
 # zeros far from the origin, where a division from the leading coefficient
@@ -513,7 +502,7 @@ def test_trivial_derived_space(d, zero_points):
     # d = n: the derived space is {0}, so K_z is 0, E_sigma the constant 1 and B' is 0 x 0
     space, zeros = PolynomialHB(ROOTS[d]), canonicalize(zero_points)
     gs = build(space, zeros)
-    assert gs._closed_kernel[1] == ()
+    assert gs._closed_kernel == ()
     ssf = derive(gs)
     # a suite sample 0.025 from the double zero 1j, and a point just outside its disk
     w = -0.001361086759250174 + 0.9746971913422087j
@@ -525,9 +514,9 @@ def test_trivial_derived_space(d, zero_points):
             assert abs(ssf.eval(which, at) - 1) <= 1e-13
     # the undivided residuals vanish on the zeros, against the size of what cancels there
     z = 0.7 + 1.3j
-    row = gs.kernel_row(z)
+    residual = _projection_residual(gs, z)
     for p, k in zip(zeros.points, zeros.confluence):
-        assert abs(row.residual(p, k)) <= 1e-12 * abs(space.kernel_mixed_partial(k, 0, z, p))
+        assert abs(residual(p, k)) <= 1e-12 * abs(space.kernel_mixed_partial(k, 0, z, p))
         assert abs(ssf.incomplete(p, k)) <= 1e-12 * abs(space.eval_E(p, k))
     reports = run_config_checks(space, zeros)
     assert reports and all(r.passed for r in reports), reports
