@@ -41,10 +41,17 @@ from .verify import (
     run_config_checks,
 )
 
-COMMANDS = ("kernel", "structure", "verify", "pw-example")
+# the documented keys of each configuration object; any other key is a configuration error.
+# At the top level every command reads COMMON_KEYS and its own keys below, and no other.
+COMMON_KEYS = ("command", "space", "sigma", "output")
+COMMAND_KEYS = {
+    "kernel": ("z", "grid", "eval_points"),
+    "structure": ("grid", "eval_points"),
+    "verify": ("seed", "tolerances"),
+    "pw-example": ("eval_points", "tolerances"),
+}
+COMMANDS = tuple(COMMAND_KEYS)
 FORMATS = ("csv", "structured-text")
-# the documented keys of each configuration object; any other key is a configuration error
-TOP_KEYS = ("command", "space", "sigma", "grid", "eval_points", "z", "seed", "tolerances", "output")
 SPACE_KEYS = {"paley-wiener": ("family", "x"), "polynomial-hb": ("family", "roots")}
 GRID_KEYS = ("re_min", "re_max", "re_steps", "im_min", "im_max", "im_steps")
 OUTPUT_KEYS = ("path", "format")
@@ -73,10 +80,15 @@ def _require(cond: bool, fld: str, message: str) -> None:
         raise ConfigError(fld, message)
 
 
-def _known_keys(prefix: str, raw: dict, keys: tuple[str, ...]) -> None:
-    """ConfigError naming the first key of raw that is not one of keys; prefix names raw's field."""
+def _known_keys(prefix: str, raw: dict, keys: tuple[str, ...], of: str = "") -> None:
+    """ConfigError naming the first key of raw that is not one of keys.
+
+    prefix names raw's field, and `of` what the keys belong to, if not raw itself.
+    """
     for key in raw:
-        _require(key in keys, prefix + key, f"is not a configuration key (the keys are {', '.join(keys)})")
+        _require(
+            key in keys, prefix + key, f"is not a configuration key{of} (the keys are {', '.join(keys)})"
+        )
 
 
 def _number(fld: str, value, message: str, finite_message: str = "") -> float:
@@ -187,10 +199,10 @@ def load_config(path: str) -> RunConfig:
     except (RecursionError, ValueError) as exc:  # JSONDecodeError, or nesting or digits past Python's limits
         raise ConfigError("config", f"invalid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config", "top level must be an object")
-    _known_keys("", raw, TOP_KEYS)
 
     command = raw.get("command")
     _require(command in COMMANDS, "command", f"must be one of {', '.join(COMMANDS)}")
+    _known_keys("", raw, COMMON_KEYS + COMMAND_KEYS[command], f" of the {command} command")
 
     space = _parse_space(raw.get("space"))
 

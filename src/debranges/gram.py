@@ -29,11 +29,15 @@ checked where it is used. A residual read on its own
 builds no `Remainder`.
 
 The linear-solve route is the production path. The bordered-determinant
-route is an independent cross-check that shares only the Gram matrix:
-det G (`GramSystem.det`) and the bordered determinant come from its own
-LU factorization, never from the Cholesky factor. All of it is plain
-Python on rows of complex numbers; at n <= ~10 that is as fast as array
-calls and needs no numpy.
+route (`GramSystem.det_row`) is the cross-check, and its fit comes from
+its own LU factorization (det G, `GramSystem.det`, and either the Cramer
+numerators or a bordered determinant per point), never from the Cholesky
+factor. On a space of polynomials its residual is divided exactly, like
+the solve route's, so the two share `polynomial` and `_divide`;
+otherwise each point's bordered determinant is divided directly and the
+routes share only the Gram matrix. All of it is plain Python on rows of
+complex numbers; at n <= ~10 that is as fast as array calls and needs no
+numpy.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ CONDITION_LIMIT = 1e12
 _JACOBI_SWEEPS = 50  # a cap only; Jacobi converges quadratically, in 5 sweeps at n = 4
 
 Rows = Sequence[Sequence[complex]]
+_OFF_SEQUENCE = "determinant route is undefined on the zero sequence; sigma_kernel evaluates those limits"
 
 
 def determinant(rows: Rows) -> complex:
@@ -267,8 +272,7 @@ class GramSystem:
             taylor = ((1.0 / math.factorial(r), r, 0j),)
             t_r = space.polynomial(0, taylor)
             x = self.solve([_horner(_differentiate(t_r, k), p) for p, k in zip(pts, ks)])
-            # the w^d coefficient of a kernel residual is 0
-            rows.append(_divide(space.polynomial(0, [*taylor, *_span(zs, x)])[:d], zs._runs))
+            rows.append(_divide(space.polynomial(0, [*taylor, *_span(zs, x)]), zs._runs))
         conj_runs = [(v.conjugate(), m) for v, m in zs._runs]
         return tuple(_divide(col, conj_runs) for col in zip(*rows))
 
@@ -292,7 +296,7 @@ class GramSystem:
         if columns is not None:
             s = z.conjugate()
             quotient = [_horner(c, s) for c in columns]
-            return Remainder(self.space, zs, 0, (), (), "K_z(w)", quotient=quotient)
+            return Remainder(self.space, zs, 0, (), (), "K_z(w) at w = {0}", quotient=quotient)
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -300,7 +304,7 @@ class GramSystem:
             z0, mz = group
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
-        return Remainder(self.space, zs, 0, terms, self.fit(0, terms), "K_z(w)", zprod_conj)
+        return Remainder(self.space, zs, 0, terms, self.fit(0, terms), "K_z(w) at w = {0}", zprod_conj)
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -310,33 +314,56 @@ class GramSystem:
         """
         return self.kernel_row(z)(w)
 
-    def sigma_kernel_det(self, z: complex, w: complex) -> complex:
-        """Bordered-determinant form of K_z(w); cross-validation route.
+    def det_row(self, z: complex) -> Callable[[complex], complex]:
+        """The bordered-determinant form of K_z as a function of w, for fixed z; cross-validation route.
 
-        Undefined when z or w equals a zero of the sequence (those limits
-        are served by :meth:`sigma_kernel`). A value past the double range
-        raises RangeError (`kernels._in_range`).
+        det [[G, col], [row(w), Z_z(w)]], col = (Z_z^(k_i)(z_i))_i and
+        row(w) = (Z_j(w))_j, over det G, prod (w - z_i) and conj prod (z - z_i).
+        Expanded along its last row, the determinant over det G is
+        Z_z(w) - sum_j c_j Z_j(w), with c_j = det G_j / det G by Cramer's
+        rule, G_j being G with column j replaced by col. On a space of
+        polynomials the row is that residual's `Remainder` with divisor
+        conj prod (z - z_i): one LU per c_j for all w, then the exact
+        quotient, defined on the zeros too. Otherwise each w takes its own
+        bordered LU (`bordered_det`), divided directly, and w must avoid
+        the zeros. z's column and divisor are built once per row.
+
+        Undefined when z equals a zero of the sequence (those limits are
+        served by :meth:`kernel_row`). A value past the double range raises
+        RangeError.
         """
-        z, w = complex(z), complex(w)
-        pts = self.zeros.points
-        if any(z == p for p in pts) or any(w == p for p in pts):
-            raise DomainError(
-                "determinant route is undefined on the zero sequence; "
-                "sigma_kernel evaluates those limits"
-            )
-        return _in_range("determinant-route K_z(w) at z = {0}, w = {1}", self._kernel_det, z, w)
-
-    def _kernel_det(self, z: complex, w: complex) -> complex:
-        zs = self.zeros
+        z = complex(z)
+        zs, space = self.zeros, self.space
         pts, ks = zs.points, zs.confluence
-        mixed, n = self.space._mixed, self.n
-        # plain partials: `build` checked orders (k_i, k_j), which bound these,
-        # and sigma_kernel_det's _in_range checks the finished value
-        col = [mixed(ks[i], 0, z, pts[i]) for i in range(n)]
-        row = [mixed(0, ks[j], pts[j], w) for j in range(n)]
-        det = bordered_det(self.rows, col, row, mixed(0, 0, z, w))
-        denom = zs.product(w) * zs.product(z).conjugate()
-        return det / (self.det * denom)
+        if any(z == p for p in pts):
+            raise DomainError(_OFF_SEQUENCE)
+        what = f"determinant-route K_z(w) at z = {z}, w = {{0}}"
+        col = [space.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
+        zprod_conj = zs.product(z).conjugate()
+        g, det = self.rows, self.det
+        if space.polynomial(0, ()) is not None:  # the family hook: a space of polynomials
+            coeffs = [
+                determinant([[*r[:j], c, *r[j + 1:]] for r, c in zip(g, col)]) / det for j in range(self.n)
+            ]
+            return Remainder(space, zs, 0, ((1.0, 0, z),), coeffs, what, zprod_conj)
+        mixed = space._mixed
+
+        def value(w: complex) -> complex:
+            # plain partials: `build` checked orders (k_i, k_j), which bound these
+            row = [mixed(0, k, p, w) for p, k in zip(pts, ks)]
+            return bordered_det(g, col, row, mixed(0, 0, z, w)) / (det * (zs.product(w) * zprod_conj))
+
+        def at(w: complex) -> complex:
+            w = complex(w)
+            if any(w == p for p in pts):
+                raise DomainError(_OFF_SEQUENCE)
+            return _in_range(what, value, w)
+
+        return at
+
+    def sigma_kernel_det(self, z: complex, w: complex) -> complex:
+        """Bordered-determinant form of K_z(w): one-point form of :meth:`det_row`."""
+        return self.det_row(z)(w)
 
 
 def _taylor_terms(m: int, delta: complex, v: complex) -> tuple[Term, ...]:
@@ -395,9 +422,9 @@ class Remainder:
 
     * On a space of polynomials (`StructureFunction.polynomial`) the
       quotient is a polynomial and a point costs one Horner pass: the
-      residual's coefficients divided exactly (`_divide`), or the given
-      `quotient` with no fitted terms, which a kernel row there contracts
-      from B' (`GramSystem.kernel_row`).
+      residual's coefficients divided exactly (`_divide`), and then by a
+      constant `divisor`, or the given `quotient` with no fitted terms,
+      which a kernel row there contracts from B' (`GramSystem.kernel_row`).
     * Otherwise the quotient is the residual over prod (w - z_i): the
       residual's plain order-0 math (`StructureFunction._at_order`, its
       orders checked here, once), and inside the de-singularization disk
@@ -407,14 +434,15 @@ class Remainder:
       first time a point needs it and kept. A kernel row's constant
       `divisor` divides it last.
 
-    A call is the finished derived value, `name` at w. This is the one
-    place a derived value is range-checked. A residual read on its own
+    A call is the finished derived value at w; `name` formats w into what
+    a RangeError names. This is the one place a derived value is
+    range-checked. A residual read on its own
     takes the `combination` of the fit's terms and builds no Remainder.
     """
 
     def __init__(
         self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
-        coeffs: Sequence[complex], name: str = "E_sigma(w)", divisor: Optional[complex] = None,
+        coeffs: Sequence[complex], name: str = "E_sigma(w) at w = {0}", divisor: Optional[complex] = None,
         quotient: Optional[Sequence[complex]] = None,
     ):
         self.zeros = zeros
@@ -424,6 +452,8 @@ class Remainder:
             poly = space.polynomial(e, fitted)
             if poly is not None:
                 quotient = _divide(poly, zeros._runs)
+                if divisor is not None:
+                    quotient = [c / divisor for c in quotient]
         if quotient is None:
             space._check_orders(e, fitted, 0)
             self._plain = space._at_order(e, fitted)(0)
@@ -467,7 +497,7 @@ class Remainder:
         except OverflowError:
             pass
         # out of range: the same deterministic value again, raised with _in_range's wording
-        return _in_range(self._name + " at w = {0}", self._value, w)
+        return _in_range(self._name, self._value, w)
 
 
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:

@@ -27,9 +27,10 @@ Two families are implemented:
   lower half-plane. The space is finite dimensional (polynomials of
   degree < deg E, d = deg E) and the kernel is exactly the polynomial
   v(w)^T B v(conj(z)) / 1j, with v(w) = (1, w, ..., w^(d-1)) and B the
-  d x d Bezoutian of (E, Estar) (the Christoffel-Darboux form). Every
-  mixed partial differentiates its monomials, so no diagonal switch is
-  needed.
+  d x d Bezoutian of (E, Estar) (the Christoffel-Darboux form). That is
+  its one kernel form: the partial (a, b) is the ``polynomial`` of the
+  single term (1, b, z), differentiated a times in w, so no diagonal
+  switch is needed.
 
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
@@ -49,7 +50,7 @@ derived values take no combination.
 the derived functions: None by default, so ``PaleyWiener`` divides its
 residuals point by point; on ``PolynomialHB`` the coefficients of
 e E + sum_t weight_t Z_t, which the gram layer divides exactly (E_sigma,
-and the derived kernel's matrix B').
+the derived kernel's matrix B' and the determinant route's residual).
 """
 
 from __future__ import annotations
@@ -458,39 +459,19 @@ class PolynomialHB(StructureFunction):
                 bez[j][k] = c[j + 1][k] + (bez[j + 1][k - 1] if k else 0.0)
         return tuple(tuple(row) for row in bez[:d])
 
-    @cached_property
-    def _partial_tables(self) -> dict:
-        return {}
-
-    def _partial_table(self, a: int, b: int) -> tuple[tuple[float, ...], ...]:
-        """Coefficients of d^a/dw^a d^b/ds^b of sum_jk B[j][k] s^j w^k, rows by s-power."""
-        key = (a, b)
-        tables = self._partial_tables
-        if key not in tables:
-            bez = self._bezoutian
-            d = len(bez)
-            tables[key] = tuple(
-                tuple(math.perm(j, b) * math.perm(k, a) * bez[j][k] for k in range(a, d))
-                for j in range(b, d)
-            )
-        return tables[key]
-
     def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
-        s = z.conjugate()
-        total = 0j
-        for row in reversed(self._partial_table(a, b)):
-            total = total * s + _horner(row, w)
-        return total
+        return _horner(_differentiate(self.polynomial(0, ((1.0, b, z),)), a), w)
 
     def polynomial(self, e: complex, terms: Sequence[Term]) -> list[complex]:
-        """e E + sum_t weight_t Z_t collapsed into one coefficient vector, of length d + 1.
+        """e E + sum_t weight_t Z_t collapsed into one coefficient vector, of length d + 1, or d when e == 0.
 
         E has degree d and each Z_t is the polynomial
-        sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point).
+        sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point),
+        of degree < d.
         """
         d = len(self._bezoutian)
         columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
-        poly = [e * c for c in self._coeffs]
+        poly = [e * c for c in self._coeffs] if e else [0j] * d
         for weight, k, p in terms:
             s, spow = p.conjugate(), 1.0
             ds = [0.0] * d  # d^k/ds^k s^r, r = 0..d-1

@@ -369,12 +369,13 @@ def check_projection(
     residual = space.combination(0, [(1.0, 0, z), *_span(zeros, gs.solve_beta(z))])
     worst_orth = max((abs(residual(p, k)) / scale for p, k in zip(pts, ks)), default=0.0)
 
+    det_row = gs.det_row(z)
     uniform = _uniforms(seed)
     worst_route = 0.0
     for _ in range(sample):
         _, w = _sample_pair(uniform, zeros)
         via_solve = row(w)
-        via_det = gs.sigma_kernel_det(z, w)
+        via_det = det_row(w)
         worst_route = max(worst_route, _rel(via_det - via_solve, via_solve))
 
     return _scaled_report(

@@ -236,7 +236,6 @@ def test_criterion_8_determinism(tmp_path):
         "z": [0.25, 1.5],
         "grid": {"re_min": -2, "re_max": 2, "re_steps": 9,
                  "im_min": -1, "im_max": 1, "im_steps": 5},
-        "seed": 42,
         "output": {"path": "", "format": "csv"},
     }
     path = tmp_path / "cfg.json"
@@ -246,8 +245,9 @@ def test_criterion_8_determinism(tmp_path):
     assert main(["--config", str(path), "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
-    verify_cfg = dict(cfg, command="verify", grid=None)
-    verify_cfg.pop("grid")
+    # the same space and zeros for verify, which reads a seed and no kernel point or grid
+    verify_cfg = dict(cfg, command="verify", seed=42)
+    del verify_cfg["z"], verify_cfg["grid"]
     path2 = tmp_path / "cfg2.json"
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     path2.write_text(json.dumps(verify_cfg))

@@ -18,13 +18,16 @@ def write_config(tmp_path, name="config.json", **overrides):
         "command": "verify",
         "space": {"family": "paley-wiener", "x": 1.0},
         "sigma": [[0.0, 1.0]],
-        "seed": 0,
         "output": {"path": str(tmp_path / "out.txt")},
     }
     cfg.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+# the kernel command's parameter point; the structure command reads no z
+POINT_Z = {"kernel": {"z": [0.5, 0.5]}, "structure": {}}
 
 
 class TestConfigValidation:
@@ -155,6 +158,37 @@ class TestConfigValidation:
         assert main(["--config", str(path)]) == 2
         assert f"configuration error: {field}: is not a configuration key" in capsys.readouterr().err
 
+    # every key a command reads, and keys that only another command reads
+    READS = {
+        "kernel": {"z": [0.5, 0.5], "grid": GRID},
+        "structure": {"eval_points": [[0.1, 0.2]]},
+        "verify": {"seed": 3, "tolerances": {"theorem2": 1e-8}},
+        "pw-example": {"eval_points": [[0.0, 2.0]], "tolerances": {"pw-det-star": 1e-6}},
+    }
+    FOREIGN = {
+        "kernel": {"seed": 3, "tolerances": {"theorem2": 1e-8}},
+        "structure": {"z": [3.0, 3.0], "tolerances": {"theorem2": 0}, "seed": 5},
+        "verify": {"grid": GRID, "eval_points": [[0.1, 0.2]], "z": [3.0, 3.0]},
+        "pw-example": {"z": [3.0, 3.0], "seed": 5, "grid": GRID},
+    }
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_command_reads_its_keys(self, tmp_path, command):
+        path = write_config(tmp_path, command=command, **self.READS[command])
+        assert load_config(str(path)).command == command
+
+    @pytest.mark.parametrize("command", sorted(FOREIGN))
+    def test_key_of_another_command_is_a_config_error(self, tmp_path, capsys, command):
+        # a key the command never reads would otherwise be ignored, with another command's meaning
+        for key, value in self.FOREIGN[command].items():
+            path = write_config(tmp_path, command=command, **self.READS[command], **{key: value})
+            with pytest.raises(ConfigError) as err:
+                load_config(str(path))
+            assert err.value.field == key
+            assert main(["--config", str(path)]) == 2
+            message = f"configuration error: {key}: is not a configuration key of the {command} command"
+            assert message in capsys.readouterr().err
+
     def test_seed_override_range(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["--config", str(path), "--seed", "-1"]) == 2
@@ -284,7 +318,7 @@ class TestExitCodes:
         # linear derived kernel would be finite there)
         out = tmp_path / "values.csv"
         path = write_config(
-            tmp_path, command=command, z=[0.5, 0.5], sigma=[],
+            tmp_path, command=command, **POINT_Z[command], sigma=[],
             space={"family": "polynomial-hb", "roots": [[0.0, -1.0], [1.0, -1.0], [-1.0, -2.0]]},
             eval_points=[[0.5, 0.5], [1e160, 1.0]],
             output={"path": str(out)},
@@ -298,7 +332,7 @@ class TestExitCodes:
         # |w - zero| overflows: the library raises RangeError, not OverflowError
         out = tmp_path / "values.csv"
         path = write_config(
-            tmp_path, command=command, z=[0.5, 0.5],
+            tmp_path, command=command, **POINT_Z[command],
             sigma=[[0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [1.0, 1.0]],
             eval_points=[[1.5e308, 1.5e308]],
             output={"path": str(out)},
@@ -608,7 +642,7 @@ class TestProcessEntry:
     def test_stdout_matches_the_output_file(self, tmp_path, command):
         # the process writes to stdout at its exit the bytes --output writes to a file
         path = write_config(
-            tmp_path, command=command, z=[0.5, 0.5], sigma=[[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]],
+            tmp_path, command=command, **POINT_Z[command], sigma=[[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]],
             eval_points=[[0.3, 0.7], [0.0, 1.0], [-0.0004, 1.0009], [-1.2, 0.4]], output={},
         )
         cli = [sys.executable, "-m", "debranges", "--config", str(path)]

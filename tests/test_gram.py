@@ -277,6 +277,33 @@ class TestSigmaKernelDet:
         b = gs.sigma_kernel_det(2j, 3j)
         assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
+    def test_pw_row_is_the_pointwise_bordered_determinant(self, pw1):
+        # a PW row is one bordered LU per w over the row's own column,
+        # divided directly: the same bits as the expression written out here
+        zs = canonicalize([1j, 1j, 2j, 1 + 1j])
+        gs = build(pw1, zs)
+        pts, ks = zs.points, zs.confluence
+        for z in (0.7 + 1.3j, -1.2 + 0.4j, 1j + 5e-4):
+            det_row = gs.det_row(z)
+            col = [pw1.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
+            for w in (0.3 + 0.7j, 2.5 - 1j, 1j + 2.1e-3, 1j - 5e-4j, 4 + 3j):
+                row = [pw1.kernel_mixed_partial(0, k, p, w) for p, k in zip(pts, ks)]
+                k = pw1.kernel(z, w)
+                divisor = gs.det * (zs.product(w) * zs.product(z).conjugate())
+                want = gram.bordered_det(gs.rows, col, row, k) / divisor
+                assert det_row(w) == want == gs.sigma_kernel_det(z, w), (z, w)
+
+    def test_hb_row_holds_on_the_zeros(self, hb3):
+        # on HB the determinant's residual is divided exactly, so the row is
+        # defined on the zeros, where it meets the solve route; z is not
+        gs = build(hb3, canonicalize([1j, 1j]))
+        z = 0.7 + 1.3j
+        det_row, row = gs.det_row(z), gs.kernel_row(z)
+        for w in (1j, 1j + 1e-9, 0.3 + 0.7j):
+            assert abs(det_row(w) - row(w)) <= 1e-13 * max(1.0, abs(row(w))), w
+        with pytest.raises(DomainError):
+            gs.det_row(1j)
+
 
 class TestDerivedRange:
     """Derived values past the double range raise RangeError, never nan or a bare OverflowError."""
@@ -344,6 +371,13 @@ class TestDerivedRange:
     def test_row_of_a_far_z(self, gs, z):
         with pytest.raises(RangeError):
             gs.kernel_row(z)(0.3 + 0.7j)
+
+    # z's column is built once per determinant row, and checked there: at
+    # 800j the sinc of the column overflows before any w
+    @pytest.mark.parametrize("z", [1e200, 1.5e308 + 1.5e308j, 800j])
+    def test_det_row_of_a_far_z(self, gs, z):
+        with pytest.raises(RangeError):
+            gs.det_row(z)(0.3 + 0.7j)
 
     def test_row_with_a_zero_past_the_double_range(self):
         # a degree-1 kernel is constant, so the Gram build succeeds; the zero's disk radius overflows

@@ -39,6 +39,7 @@ from debranges import (
     derive,
     run_config_checks,
 )
+from debranges.verify import PROJECTION_POINT
 from debranges.gram import Remainder, _taylor_terms
 from debranges.kernels import _differentiate, _horner
 
@@ -418,6 +419,27 @@ def test_kernel_row_in_the_band_matches_mpmath(zero_set, z):
     for w in (*STRUCTURE_POINTS, *BAND_CIRCLE):
         ref = want(z, w)
         assert abs(row(w) - ref) <= CLOSED_BOUND * max(1.0, abs(ref)), w
+
+
+# the determinant route on hb-deg3, at the projection check's z; w on
+# circles around the double zero 1j, from just outside its disk out to
+# the suite's samples
+DET_SETS = {"n2-double": (1j, 1j), "n3-double": (1j, 1j, 2j), "n2": (1j, 2j), "n3": (1j, 1 + 1j, -1 + 2j)}
+DET_W = tuple(1j + r * cmath.exp(0.25j * cmath.pi * m) for r in (2.1e-3, 3e-3, 6e-3, 2.5e-2) for m in range(8))
+
+
+@pytest.mark.parametrize("zero_set", sorted(DET_SETS))
+def test_det_route_near_a_double_zero_matches_mpmath(zero_set):
+    # the determinant over prod (w - z_i) cancels near a multiple zero; its
+    # residual is divided exactly, so it holds there as the solve route does
+    zero_points = DET_SETS[zero_set]
+    gs = build(PolynomialHB(ROOTS[3]), canonicalize(zero_points))
+    # n = d leaves the derived space {0}, and _mp_kernel's division asserts on a quotient that is all zero
+    want = (lambda z, w: 0j) if len(zero_points) == 3 else _mp_kernel(ROOTS[3], zero_points)
+    det_row = gs.det_row(PROJECTION_POINT)
+    for w in DET_W:
+        ref = want(PROJECTION_POINT, w)
+        assert abs(det_row(w) - ref) <= CLOSED_BOUND * max(1.0, abs(ref)), w
 
 
 def test_derived_values_ask_no_disk(monkeypatch):
