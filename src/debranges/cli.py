@@ -399,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--output", help="output path, overrides the configuration")
-    parser.add_argument("--seed", type=int, help="sampling seed, overrides the configuration")
+    parser.add_argument("--seed", type=int, help="verify's sampling seed, overrides the configuration")
     parser.add_argument(
         "--list-checks", action="store_true", help="print the check identifiers and exit"
     )
@@ -417,6 +417,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.output is not None:
             config.out_path = args.output
         if args.seed is not None:
+            command = config.command
+            _require("seed" in COMMAND_KEYS[command], "--seed", f"the {command} command reads no seed")
             config.seed = _seed("--seed", args.seed)
         return run(config)
     except ConfigError as exc:

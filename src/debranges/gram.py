@@ -45,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, LinearDependenceError
@@ -460,20 +460,12 @@ class Remainder:
             self._value = self._quotient
         else:
             self._value = partial(_horner, quotient)
-        self._taylor: dict[tuple[complex, int], complex] = {}
         self._name = name
         self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
 
     @cached_property
-    def _residual(self) -> Callable[..., complex]:
-        return self._space.combination(self._e, self._fitted)
-
-    def _run_derivative(self, v: complex, order: int) -> complex:
-        key = (v, order)
-        value = self._taylor.get(key)
-        if value is None:
-            value = self._taylor[key] = self._residual(v, order)
-        return value
+    def _run_derivative(self) -> Callable[[complex, int], complex]:
+        return cache(self._space.combination(self._e, self._fitted))
 
     def _quotient(self, w: complex) -> complex:
         w = complex(w)

@@ -448,7 +448,8 @@ class PolynomialHB(StructureFunction):
         # c[j][k] = conj(e_j) e_k - e_j conj(e_k) = 2j Im(conj(e_j) e_k);
         # dividing by (s - w) leaves the Bezoutian B, B[j][k] =
         # c[j+1][k] + B[j+1][k-1]. Stored as B / 1j, real, so Z_z(w) =
-        # sum_jk B[j][k] conj(z)^j w^k. B is symmetric only up to rounding:
+        # sum_jk B[j][k] conj(z)^j w^k, and by columns: entry k is B[.][k],
+        # the s-coefficients of w^k. B is symmetric only up to rounding:
         # B[j][k] and B[k][j] add the c's in different orders.
         e = self._coeffs
         d = len(e) - 1
@@ -457,7 +458,7 @@ class PolynomialHB(StructureFunction):
         for j in range(d - 1, -1, -1):
             for k in range(d):
                 bez[j][k] = c[j + 1][k] + (bez[j + 1][k - 1] if k else 0.0)
-        return tuple(tuple(row) for row in bez[:d])
+        return tuple(zip(*bez[:d]))
 
     def _mixed(self, a: int, b: int, z: complex, w: complex) -> complex:
         return _horner(_differentiate(self.polynomial(0, ((1.0, b, z),)), a), w)
@@ -469,8 +470,8 @@ class PolynomialHB(StructureFunction):
         sum_k (sum_r B[r][k] d^order/ds^order s^r) w^k at s = conj(point),
         of degree < d.
         """
-        d = len(self._bezoutian)
-        columns = tuple(zip(*self._bezoutian))  # B[.][k], the s-coefficients of w^k
+        columns = self._bezoutian
+        d = len(columns)
         poly = [e * c for c in self._coeffs] if e else [0j] * d
         for weight, k, p in terms:
             s, spow = p.conjugate(), 1.0

@@ -15,11 +15,11 @@ import math
 import operator
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .gram import _span, bordered_det, build, determinant, hermitian_eigenvalues, spectral_condition
+from .gram import _span, bordered_det, build
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import SigmaStructureFunction, derive
@@ -81,13 +81,8 @@ def _reject_unknown_keys(tolerances: Optional[dict]) -> None:
             raise DomainError(f"unknown tolerance key {key!r}; the check ids are {', '.join(CHECKS)}")
 
 
-def _tagged(check_id: str, tag: str) -> str:
-    return f"{check_id}:{tag}" if tag else check_id
-
-
 def _scaled_report(
     check_id: str,
-    tag: str,
     samples: int,
     residual: float,
     tolerances: Optional[dict],
@@ -96,7 +91,7 @@ def _scaled_report(
 ) -> CheckReport:
     """The report of check_id, whose base tolerance scales linearly with the condition estimate."""
     tol = base_tolerance(check_id, tolerances) * max(1.0, condition_estimate / 1e4)
-    return _report(_tagged(check_id, tag), samples, residual, tol, condition_estimate, note)
+    return _report(check_id, samples, residual, tol, condition_estimate, note)
 
 
 def _checked_seed(seed: int) -> int:
@@ -157,7 +152,6 @@ def check_theorem2(
     sample_count: int = 200,
     seed: int = 0,
     tolerances: Optional[dict] = None,
-    tag: str = "",
 ) -> CheckReport:
     """Derived kernel against the quotient built from the derived E and F."""
     _reject_unknown_keys(tolerances)
@@ -171,7 +165,7 @@ def check_theorem2(
         lhs = gs.sigma_kernel(z, w)
         rhs = _quotient(ssf, z, w, ssf.eval("E", w), ssf.eval("F", w))
         worst = max(worst, _rel(lhs - rhs, lhs))
-    return _scaled_report("theorem2", tag, sample_count, worst, tolerances, gs.condition_estimate)
+    return _scaled_report("theorem2", sample_count, worst, tolerances, gs.condition_estimate)
 
 
 def check_n1_identities(
@@ -180,7 +174,6 @@ def check_n1_identities(
     sample_count: int = 50,
     seed: int = 0,
     tolerances: Optional[dict] = None,
-    tag: str = "",
 ) -> list[CheckReport]:
     """The three exact single-zero identities, sampled pointwise."""
     _reject_unknown_keys(tolerances)
@@ -215,7 +208,7 @@ def check_n1_identities(
         worst_det = max(worst_det, _rel(lhs - rhs, rhs))
 
     return [
-        _scaled_report(check_id, tag, sample_count, worst, tolerances, gs.condition_estimate)
+        _scaled_report(check_id, sample_count, worst, tolerances, gs.condition_estimate)
         for check_id, worst in (
             ("n1-star", worst_star), ("n1-evaluator", worst_eval), ("n1-kernel", worst_det)
         )
@@ -227,13 +220,15 @@ def check_pw_example(
     zeros: Sequence[complex],
     z_samples: Sequence[complex],
     tolerances: Optional[dict] = None,
-    tag: str = "",
 ) -> list[CheckReport]:
     """Determinant identities of the sinc-kernel family.
 
-    Assembles the evaluator Gram determinant, its bordered diagonal
-    variant and the two structure-function determinants, then verifies
-    the diagonal identity and the reflection identity. The reflection
+    The evaluator Gram matrix, its determinant and its condition estimate
+    come from `build`, so numerically dependent zeros raise
+    LinearDependenceError as in every other check. Bordered by the
+    diagonal kernel and by the two structure functions, it gives the
+    determinants of the diagonal identity and the reflection identity,
+    which are verified at each z sample. The reflection
     identity is tested under both conjugation readings (conjugating the
     whole reflected determinant value versus not conjugating it) and the
     note records which reading holds.
@@ -253,10 +248,8 @@ def check_pw_example(
         if z in forbidden:
             raise DomainError("z samples must avoid the zeros and their conjugates")
 
-    a = [[space.kernel(zj, zi) for zj in pts] for zi in pts]
-    gn = determinant(a)
-    # a is Hermitian up to rounding; the condition comes from its lower triangle
-    cond = spectral_condition(hermitian_eigenvalues(a))
+    gs = build(space, canonicalize(pts))
+    a, gn = gs.rows, gs.det
     e_col = [space.eval_E(p) for p in pts]
     f_col = [space.eval_E_star(p) for p in pts]
 
@@ -301,8 +294,8 @@ def check_pw_example(
             f"conjugated reading residual {worst_conj:.3e}"
         )
     return [
-        _scaled_report("pw-det-diag", tag, len(samples), worst_diag, tolerances, cond),
-        _scaled_report("pw-det-star", tag, len(samples), star_worst, tolerances, cond, note),
+        _scaled_report("pw-det-diag", len(samples), worst_diag, tolerances, gs.condition_estimate),
+        _scaled_report("pw-det-star", len(samples), star_worst, tolerances, gs.condition_estimate, note),
     ]
 
 
@@ -312,7 +305,6 @@ def check_hb_inheritance(
     sample_count: int = 100,
     seed: int = 0,
     tolerances: Optional[dict] = None,
-    tag: str = "",
 ) -> CheckReport:
     """Strict positivity of |E(z)|^2 - |F(z)|^2 for the derived pair; its tolerance is not scaled."""
     _reject_unknown_keys(tolerances)
@@ -328,7 +320,7 @@ def check_hb_inheritance(
         min_margin = min(min_margin, abs(ev) ** 2 - abs(fv) ** 2)
     note = f"min margin {min_margin:.6e} over Im(z) > 0 samples"
     return _report(
-        _tagged("hb-inheritance", tag),
+        "hb-inheritance",
         sample_count,
         -min_margin,
         base_tolerance("hb-inheritance", tolerances),
@@ -344,7 +336,6 @@ def check_projection(
     sample: int = 50,
     seed: int = 0,
     tolerances: Optional[dict] = None,
-    tag: str = "",
 ) -> CheckReport:
     """Projection-residual orthogonality plus solve/determinant agreement.
 
@@ -380,7 +371,6 @@ def check_projection(
 
     return _scaled_report(
         "projection",
-        tag,
         sample,
         max(worst_orth, worst_route),
         tolerances,
@@ -423,7 +413,6 @@ def _sequence_checks(
     zeros: ZeroSequence,
     seed: int,
     tolerances: Optional[dict],
-    tag: str,
 ) -> list[CheckReport]:
     """theorem2, projection and, where it applies, hb-inheritance for one configuration.
 
@@ -435,13 +424,13 @@ def _sequence_checks(
     while zeros.local_group(z) is not None:
         z += 0.25j
     reports = [
-        check_theorem2(space, zeros, 200, seed, tolerances, tag),
-        check_projection(space, zeros, z, 50, seed, tolerances, tag),
+        check_theorem2(space, zeros, 200, seed, tolerances),
+        check_projection(space, zeros, z, 50, seed, tolerances),
     ]
     # a full set of constraints in a finite-dimensional space leaves only
     # the zero space, whose margin is identically zero; skip the strict check
     if dim is None or len(zeros) < dim:
-        reports.append(check_hb_inheritance(space, zeros, 100, seed, tolerances, tag))
+        reports.append(check_hb_inheritance(space, zeros, 100, seed, tolerances))
     return reports
 
 
@@ -450,24 +439,23 @@ def run_config_checks(
     zeros: ZeroSequence,
     seed: int = 0,
     tolerances: Optional[dict] = None,
-    tag: str = "",
 ) -> list[CheckReport]:
     """All checks that apply to one (space, zero sequence) configuration."""
     _reject_unknown_keys(tolerances)
     n = len(zeros)
-    reports = _sequence_checks(space, zeros, seed, tolerances, tag)
+    reports = _sequence_checks(space, zeros, seed, tolerances)
     if n == 1:
-        reports.extend(check_n1_identities(space, zeros.points[0], 50, seed, tolerances, tag))
+        reports.extend(check_n1_identities(space, zeros.points[0], 50, seed, tolerances))
     if isinstance(space, PaleyWiener) and n and all(k == 0 for k in zeros.confluence):
         forbidden = set(zeros.points) | {p.conjugate() for p in zeros.points}
         samples = [z for z in PW_EXAMPLE_SAMPLES if z not in forbidden]
         if samples:
-            reports.extend(check_pw_example(space.x, zeros.points, samples, tolerances, tag))
+            reports.extend(check_pw_example(space.x, zeros.points, samples, tolerances))
     return reports
 
 
-# one configuration of the default suite: a check function and its arguments
-_Task = tuple[Callable[..., list[CheckReport]], tuple[Any, ...]]
+# one configuration of the default suite: its tag, a check function and its arguments
+_Task = tuple[str, Callable[..., list[CheckReport]], tuple[Any, ...]]
 
 
 def _suite_tasks(seed: int, tolerances: Optional[dict]) -> list[_Task]:
@@ -478,22 +466,21 @@ def _suite_tasks(seed: int, tolerances: Optional[dict]) -> list[_Task]:
         for sigma_tag, pts in DEFAULT_SIGMAS:
             if dim is not None and len(pts) > dim:
                 continue  # dependent evaluators, covered by degenerate-input tests
-            tag = f"{space_tag}:{sigma_tag}"
-            tasks.append((_sequence_checks, (space, canonicalize(pts), seed, tolerances, tag)))
+            zeros = canonicalize(pts)
+            tasks.append((f"{space_tag}:{sigma_tag}", _sequence_checks, (space, zeros, seed, tolerances)))
         for z1 in N1_POINTS:
-            tag = f"{space_tag}:z1={z1:g}"
-            tasks.append((check_n1_identities, (space, z1, 50, seed, tolerances, tag)))
+            tasks.append((f"{space_tag}:z1={z1:g}", check_n1_identities, (space, z1, 50, seed, tolerances)))
         if isinstance(space, PaleyWiener):
             for n in (1, 2, 3):
-                tag = f"{space_tag}:pw-n{n}"
-                zeros = PW_EXAMPLE_ZEROS[:n]
-                tasks.append((check_pw_example, (space.x, zeros, PW_EXAMPLE_SAMPLES, tolerances, tag)))
+                args = (space.x, PW_EXAMPLE_ZEROS[:n], PW_EXAMPLE_SAMPLES, tolerances)
+                tasks.append((f"{space_tag}:pw-n{n}", check_pw_example, args))
     return tasks
 
 
 def _run_task(task: _Task) -> list[CheckReport]:
-    check, args = task
-    return check(*args)
+    """The task's reports, each id suffixed with the task's tag."""
+    tag, check, args = task
+    return [replace(r, check_id=f"{r.check_id}:{tag}") for r in check(*args)]
 
 
 def _usable_cpus() -> int:
@@ -506,6 +493,9 @@ def _usable_cpus() -> int:
 def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
     """The whole desk-scale matrix of spaces and zero sequences.
 
+    The checks report bare ids; the suite labels each report of a
+    configuration `check:tag`, the tag naming the space and the zeros
+    (`theorem2:pw-x1:n2`, `n1-star:hb-deg3:z1=1+1j`, `pw-det-diag:pw-x2:pw-n3`).
     Its 56 configurations are independent, so they are mapped over a
     `fork` process pool with one worker per CPU the process may use, one
     configuration at a time; the reports come back in the one-process

@@ -189,6 +189,18 @@ class TestConfigValidation:
             message = f"configuration error: {key}: is not a configuration key of the {command} command"
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_seed_option_only_where_the_command_reads_a_seed(self, tmp_path, capsys, command):
+        # --seed on a command that samples nothing would otherwise be ignored
+        path = write_config(tmp_path, command=command, **self.READS[command])
+        code = main(["--config", str(path), "--seed", "1"])
+        err = capsys.readouterr().err
+        if command == "verify":
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert f"configuration error: --seed: the {command} command reads no seed" in err
+
     def test_seed_override_range(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["--config", str(path), "--seed", "-1"]) == 2
@@ -490,6 +502,14 @@ class TestPwExampleCommand:
             tmp_path, command="pw-example", sigma=[[0.0, 1.0], [0.0, 1.0]]
         )
         assert main(["--config", str(path)]) == 2
+
+    def test_dependent_zeros_are_a_numerical_breakdown(self, tmp_path, capsys):
+        # zeros 1e-9 apart: the Gram matrix from `build` is singular to rounding
+        path = write_config(tmp_path, command="pw-example", sigma=[[0.0, 1.0], [0.0, 1.000000001]])
+        assert main(["--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical breakdown: ") and "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
 
     def test_sample_on_a_zero(self, tmp_path, capsys):
         path = write_config(

@@ -12,6 +12,7 @@ import pytest
 
 from debranges import (
     DomainError,
+    LinearDependenceError,
     PaleyWiener,
     PolynomialHB,
     RangeError,
@@ -138,6 +139,12 @@ class TestPwExample:
         with pytest.raises(DomainError):
             check_pw_example(1.0, [1j], [])
 
+    def test_dependent_zeros_rejected(self):
+        # the Gram matrix comes from `build`, which stops at dependent
+        # evaluators; its condition estimate would otherwise make the tolerance inf
+        with pytest.raises(LinearDependenceError):
+            check_pw_example(1.0, [1j, 1j + 1e-9], [2j])
+
 
 class TestHbInheritance:
     def test_empty(self, pw1):
@@ -231,12 +238,12 @@ class TestSampleStream:
 
 
 class TestSuites:
-    def test_config_checks_pass_and_tag(self, pw1):
-        reports = run_config_checks(pw1, canonicalize([1j]), seed=0, tag="t")
+    def test_config_checks_pass_with_bare_ids(self, pw1):
+        reports = run_config_checks(pw1, canonicalize([1j]), seed=0)
         assert all(r.passed for r in reports)
-        assert all(r.check_id.endswith(":t") for r in reports)
-        families = {r.check_id.split(":")[0] for r in reports}
-        assert "theorem2" in families and "n1-star" in families
+        assert all(":" not in r.check_id for r in reports)
+        ids = {r.check_id for r in reports}
+        assert "theorem2" in ids and "n1-star" in ids
 
     def test_tolerance_override_applies(self, pw1):
         reports = run_config_checks(
@@ -262,7 +269,7 @@ class TestSuites:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the tolerance keys were checked")
 
-        for name in ("_uniforms", "build", "determinant"):
+        for name in ("_uniforms", "build"):
             monkeypatch.setattr(verify, name, no_work)
         with pytest.raises(DomainError, match="theorm2"):
             UNKNOWN_KEY_CALLS[entry]({"theorem2": 1e-8, "theorm2": 0.0})
@@ -273,6 +280,8 @@ class TestSuites:
         assert a == b
         assert all(r.passed for r in a)
         assert not any(math.isnan(r.max_rel_residual) for r in a)
+        # the suite labels each id check:tag, the tag naming its configuration
+        assert all(r.check_id.split(":", 1)[0] in CHECKS and ":" in r.check_id for r in a)
         # the matrix spans every check family
         families = {r.check_id.split(":")[0] for r in a}
         assert families == {
@@ -330,8 +339,8 @@ class TestSuitePool:
         def fail(*args, **kwargs):
             raise RangeError(f"forced in process {os.getpid()}")
 
-        # only check_pw_example calls determinant; the check is looked up in the worker
-        monkeypatch.setattr(verify, "determinant", fail)
+        # only check_pw_example calls bordered_det; the check is looked up in the worker
+        monkeypatch.setattr(verify, "bordered_det", fail)
         with pytest.raises(RangeError) as caught:
             run_default_suite(0)
         assert type(caught.value) is RangeError
