@@ -25,21 +25,16 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
+from ._record import Record
 from .errors import ConfigError, DeBrangesError, DomainError, LinearDependenceError, RangeError
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
 from .sigma import ZeroSequence, canonicalize
 from .structure import derive
 from .gram import build
-from .verify import (
-    CHECKS,
-    CheckReport,
-    PW_EXAMPLE_SAMPLES,
-    check_pw_example,
-    run_config_checks,
-)
+
+# `verify` is imported by the code that uses it (tolerance keys, the verify and
+# pw-example commands, --list-checks), so a kernel or structure run never loads it
 
 # the documented keys of each configuration object; any other key is a configuration error.
 # At the top level every command reads COMMON_KEYS and its own keys below, and no other.
@@ -57,18 +52,27 @@ GRID_KEYS = ("re_min", "re_max", "re_steps", "im_min", "im_max", "im_steps")
 OUTPUT_KEYS = ("path", "format")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
+    """One parsed configuration; `main` overrides its out_path and seed from the command line."""
+
     space: StructureFunction
     sigma: ZeroSequence
     command: str
-    grid: Optional[dict] = None
-    eval_points: Optional[list[complex]] = None
-    kernel_z: complex = 0j
-    seed: int = 0
-    tolerances: dict = field(default_factory=dict)
-    out_path: str = ""
-    out_format: str = ""
+    grid: dict | None
+    eval_points: list[complex] | None
+    kernel_z: complex
+    seed: int
+    tolerances: dict
+    out_path: str
+    out_format: str
+
+    def __init__(
+        self, space, sigma, command, grid=None, eval_points=None, kernel_z=0j, seed=0, tolerances=None,
+        out_path="", out_format="",
+    ):
+        # each configuration gets its own tolerances dict
+        tolerances = {} if tolerances is None else tolerances
+        self._set(space, sigma, command, grid, eval_points, kernel_z, seed, tolerances, out_path, out_format)
 
 
 def _fmt(value: float) -> str:
@@ -231,6 +235,8 @@ def load_config(path: str) -> RunConfig:
     tolerances_raw = raw.get("tolerances", {})
     _require(isinstance(tolerances_raw, dict), "tolerances", "must be an object")
     tolerances = {}
+    if tolerances_raw:
+        from .verify import CHECKS
     for key, val in tolerances_raw.items():
         fld = f"tolerances.{key}"
         _require(key in CHECKS, fld, "is not a check identifier (see --list-checks)")
@@ -247,16 +253,8 @@ def load_config(path: str) -> RunConfig:
     _require(out_format in FORMATS, "output.format", f"must be one of {', '.join(FORMATS)}")
 
     return RunConfig(
-        space=space,
-        sigma=sigma,
-        command=command,
-        grid=grid,
-        eval_points=eval_points,
-        kernel_z=kernel_z,
-        seed=seed,
-        tolerances=tolerances,
-        out_path=out_path,
-        out_format=out_format,
+        space=space, sigma=sigma, command=command, grid=grid, eval_points=eval_points, kernel_z=kernel_z,
+        seed=seed, tolerances=tolerances, out_path=out_path, out_format=out_format,
     )
 
 
@@ -301,7 +299,8 @@ def _value_lines(
     return "\n".join(lines) + "\n"
 
 
-def _report_lines(reports: list[CheckReport], fmt: str) -> str:
+def _report_lines(reports: list, fmt: str) -> str:
+    """The `verify.CheckReport`s, one line each, then the PASS or FAIL tally."""
     passed = sum(1 for r in reports if r.passed)
     total = len(reports)
     summary = f"PASS {passed}/{total}" if passed == total else f"FAIL {total - passed}/{total}"
@@ -367,6 +366,8 @@ def _run(config: RunConfig) -> int:
         _write(config.out_path, _value_lines(header, rows, config.out_format, lead))
         return 0
 
+    from .verify import PW_EXAMPLE_SAMPLES, check_pw_example, run_config_checks
+
     if config.command == "verify":
         reports = run_config_checks(
             config.space, config.sigma, seed=config.seed, tolerances=config.tolerances
@@ -385,7 +386,7 @@ def _run(config: RunConfig) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """The process entry (the `debranges` script, `python -m debranges`); returns the exit code.
 
     It freezes every object alive at its start for the rest of the
@@ -406,6 +407,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_checks:
+        from .verify import CHECKS
+
         for check_id, (description, _) in CHECKS.items():
             print(f"{check_id}: {description}")
         return 0

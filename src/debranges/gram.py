@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import cache, cached_property, partial
-from typing import Callable, Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import DomainError, LinearDependenceError
 from .kernels import StructureFunction, Term, _differentiate, _horner, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
@@ -152,7 +152,7 @@ def spectral_condition(eigenvalues: Sequence[float]) -> float:
     return max(mags) / low if low else math.inf
 
 
-def _cholesky(g: Rows) -> Optional[tuple[tuple[complex, ...], ...]]:
+def _cholesky(g: Rows) -> tuple[tuple[complex, ...], ...] | None:
     """Lower factor L of g = L L^H by rows, from g's lower triangle.
 
     None at a pivot that is not > 0.
@@ -173,9 +173,8 @@ def _cholesky(g: Rows) -> Optional[tuple[tuple[complex, ...], ...]]:
     return tuple(low)
 
 
-@dataclass(frozen=True, eq=False)
-class GramSystem:
-    """Hermitian positive-definite Gram matrix plus solve machinery."""
+class GramSystem(FrozenRecord):
+    """Hermitian positive-definite Gram matrix plus solve machinery; equal only to itself."""
 
     space: StructureFunction
     zeros: ZeroSequence
@@ -183,6 +182,11 @@ class GramSystem:
     factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, rows = L L^H
     det: float  # det G by LU (`determinant`), for the determinant route only
     condition_estimate: float
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, space, zeros, rows, factorization, det, condition_estimate):
+        self._set(space, zeros, rows, factorization, det, condition_estimate)
 
     @property
     def n(self) -> int:
@@ -250,7 +254,7 @@ class GramSystem:
         return self.space.combination(0, [*terms, *_span(self.zeros, self.fit(0, terms))])(complex(w))
 
     @cached_property
-    def _closed_kernel(self) -> Optional[Rows]:
+    def _closed_kernel(self) -> Rows | None:
         """B' by columns on a space of polynomials, else None.
 
         The base kernel is Z_z(w) = sum_r conj(z)^r T_r(w), T_r its r-th
@@ -442,8 +446,8 @@ class Remainder:
 
     def __init__(
         self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
-        coeffs: Sequence[complex], name: str = "E_sigma(w) at w = {0}", divisor: Optional[complex] = None,
-        quotient: Optional[Sequence[complex]] = None,
+        coeffs: Sequence[complex], name: str = "E_sigma(w) at w = {0}", divisor: complex | None = None,
+        quotient: Sequence[complex] | None = None,
     ):
         self.zeros = zeros
         self._space, self._e = space, e

@@ -57,11 +57,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from functools import cache, cached_property, partial
 from operator import mul
-from typing import Callable, Optional, Sequence
 
+from ._record import FrozenRecord
 from .errors import DomainError, RangeError, UnsupportedOrderError
 
 DEFAULT_DERIVATIVE_BUDGET = 64
@@ -171,7 +171,7 @@ class StructureFunction:
         raise NotImplementedError
 
     @property
-    def dimension(self) -> Optional[int]:
+    def dimension(self) -> int | None:
         """Dimension of the space, None when infinite."""
         return None
 
@@ -217,7 +217,7 @@ class StructureFunction:
         """Orders of a kernel partial; the budget caps them by default."""
         self._check_partial(a, b)
 
-    def polynomial(self, e: complex, terms: Sequence[Term]) -> Optional[list[complex]]:
+    def polynomial(self, e: complex, terms: Sequence[Term]) -> list[complex] | None:
         """Ascending w-coefficients of e E + sum_t weight_t Z_t, or None for a family not of polynomials.
 
         Plain math, like the other hooks: no order or range check. Where it
@@ -287,8 +287,7 @@ class StructureFunction:
         return (e.real * e.real + e.imag * e.imag) - (f.real * f.real + f.imag * f.imag)
 
 
-@dataclass(frozen=True)
-class PaleyWiener(StructureFunction):
+class PaleyWiener(StructureFunction, FrozenRecord):
     """E(w) = exp(-1j*x*w) for exponential type x > 0.
 
     The kernel is the exact sinc form and every other mixed partial a
@@ -297,13 +296,13 @@ class PaleyWiener(StructureFunction):
     """
 
     x: float
-    max_derivative_order: int = DEFAULT_DERIVATIVE_BUDGET
+    max_derivative_order: int
 
-    def __post_init__(self):
-        x = float(self.x)
+    def __init__(self, x: float, max_derivative_order: int = DEFAULT_DERIVATIVE_BUDGET):
+        x = float(x)
         if not (math.isfinite(x) and x > 0):
             raise ValueError("exponential type x must be a positive finite real")
-        object.__setattr__(self, "x", x)
+        self._set(x, max_derivative_order)
 
     def _eval_E_raw(self, w: complex, order: int) -> complex:
         return _inegpow(order) * self.x**order * cmath.exp(-1j * self.x * w)
@@ -408,23 +407,22 @@ def _primitive(p: int, t: float, iu: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class PolynomialHB(StructureFunction):
+class PolynomialHB(StructureFunction, FrozenRecord):
     """E(w) = prod(w - r) with every root in the open lower half-plane."""
 
     roots: tuple[complex, ...]
-    max_derivative_order: int = DEFAULT_DERIVATIVE_BUDGET
+    max_derivative_order: int
 
-    def __post_init__(self):
-        rts = tuple(complex(r) for r in self.roots)
+    def __init__(self, roots: tuple[complex, ...], max_derivative_order: int = DEFAULT_DERIVATIVE_BUDGET):
+        rts = tuple(complex(r) for r in roots)
         if not rts:
             raise ValueError("at least one root is required")
         if any(not r.imag < 0 for r in rts):
             raise ValueError("all roots must lie in the open lower half-plane")
-        object.__setattr__(self, "roots", rts)
+        self._set(rts, max_derivative_order)
 
     @property
-    def dimension(self) -> Optional[int]:
+    def dimension(self) -> int | None:
         return len(self.roots)
 
     @cached_property

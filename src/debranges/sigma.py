@@ -14,10 +14,10 @@ instead of being merged away here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from functools import cached_property
-from typing import Callable, Iterable, Optional
 
+from ._record import FrozenRecord
 from .errors import PoleError, RangeError
 
 # Distance to a zero, relative to 1 + |zero|, below which evaluation
@@ -30,8 +30,7 @@ DESINGULARIZATION_RADIUS_FACTOR = 1e-3
 DESINGULARIZATION_TERMS = 8
 
 
-@dataclass(frozen=True)
-class ZeroSequence:
+class ZeroSequence(FrozenRecord):
     """Zeros z_1..z_n, equal values in contiguous runs, with their offsets k_1..k_n.
 
     The confluence offsets are derived from the points: k_i counts the
@@ -40,10 +39,10 @@ class ZeroSequence:
     """
 
     points: tuple[complex, ...]
-    confluence: tuple[int, ...] = field(init=False)
+    confluence: tuple[int, ...]
 
-    def __post_init__(self):
-        pts = tuple(complex(p) for p in self.points)
+    def __init__(self, points: tuple[complex, ...]):
+        pts = tuple(complex(p) for p in points)
         seen: set[complex] = set()
         conf: list[int] = []
         for idx, p in enumerate(pts):
@@ -54,8 +53,7 @@ class ZeroSequence:
                 raise ValueError("equal zeros must be contiguous; use canonicalize()")
             seen.add(p)
             conf.append(0)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "confluence", tuple(conf))
+        self._set(pts, tuple(conf))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -80,7 +78,7 @@ class ZeroSequence:
         """Runs of equal zeros as (value, multiplicity, de-singularization radius), in order."""
         return tuple((v, m, DESINGULARIZATION_RADIUS_FACTOR * (1.0 + abs(v))) for v, m in self._runs)
 
-    def local_group(self, w: complex) -> Optional[tuple[complex, int]]:
+    def local_group(self, w: complex) -> tuple[complex, int] | None:
         """Nearest run whose de-singularization disk contains w, or None.
 
         This is the one rule for "w is near a zero": the gram layer's
@@ -88,7 +86,7 @@ class ZeroSequence:
         the double range is in no disk.
         """
         w = complex(w)
-        best: Optional[tuple[float, complex, int]] = None
+        best: tuple[float, complex, int] | None = None
         for v, count, radius in self._disks:
             try:
                 d = abs(w - v)
@@ -98,7 +96,7 @@ class ZeroSequence:
                 best = (d, v, count)
         return None if best is None else (best[1], best[2])
 
-    def product(self, at: complex, exclude_value: Optional[complex] = None) -> complex:
+    def product(self, at: complex, exclude_value: complex | None = None) -> complex:
         """prod (at - z_i), optionally skipping the run equal to exclude_value."""
         acc = 1.0 + 0j
         for p in self.points:

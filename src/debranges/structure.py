@@ -27,9 +27,9 @@ extrapolate eps -> 0 (``tests/split_zero_oracle.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import FrozenRecord
 from .errors import DomainError, LinearDependenceError
 from .gram import GramSystem, Remainder, _span, build
 from .kernels import StructureFunction
@@ -40,8 +40,7 @@ from .sigma import ZeroSequence, canonicalize
 _DIAGONAL_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SigmaStructureFunction:
+class SigmaStructureFunction(FrozenRecord):
     """Structure function of the derived space, stored by coefficients.
 
     The incomplete form E(w) - sum c_j Z_j(w) vanishes on the zero sequence
@@ -53,6 +52,9 @@ class SigmaStructureFunction:
     base: StructureFunction
     zeros: ZeroSequence
     coeffs_E: tuple[complex, ...]
+
+    def __init__(self, base: StructureFunction, zeros: ZeroSequence, coeffs_E: tuple[complex, ...]):
+        self._set(base, zeros, coeffs_E)
 
     @cached_property
     def _remainder(self) -> Remainder:

@@ -15,8 +15,8 @@ import math
 import operator
 import os
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .gram import _span, bordered_det, build
@@ -67,14 +67,14 @@ def _report(
     return CheckReport(check_id, samples, residual, tolerance, float(condition_estimate), passed, note)
 
 
-def base_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
+def base_tolerance(check_id: str, overrides: dict | None = None) -> float:
     """The base tolerance of one check id: its override if given, else its CHECKS entry."""
     if overrides and check_id in overrides:
         return float(overrides[check_id])
     return CHECKS[check_id][1]
 
 
-def _reject_unknown_keys(tolerances: Optional[dict]) -> None:
+def _reject_unknown_keys(tolerances: dict | None) -> None:
     """DomainError for a key of a `tolerances` mapping that names no check in CHECKS."""
     for key in tolerances or ():
         if key not in CHECKS:
@@ -85,7 +85,7 @@ def _scaled_report(
     check_id: str,
     samples: int,
     residual: float,
-    tolerances: Optional[dict],
+    tolerances: dict | None,
     condition_estimate: float,
     note: str = "",
 ) -> CheckReport:
@@ -122,7 +122,7 @@ def _sample_point(uniform: _Uniform) -> complex:
             return complex(re, im)
 
 
-def _sample_pair(uniform: _Uniform, avoid: Optional[ZeroSequence] = None) -> tuple[complex, complex]:
+def _sample_pair(uniform: _Uniform, avoid: ZeroSequence | None = None) -> tuple[complex, complex]:
     """z, w off the diagonal w = conj(z) and, given `avoid`, both outside its disks."""
     while True:
         z = _sample_point(uniform)
@@ -151,7 +151,7 @@ def check_theorem2(
     zeros: ZeroSequence,
     sample_count: int = 200,
     seed: int = 0,
-    tolerances: Optional[dict] = None,
+    tolerances: dict | None = None,
 ) -> CheckReport:
     """Derived kernel against the quotient built from the derived E and F."""
     _reject_unknown_keys(tolerances)
@@ -173,7 +173,7 @@ def check_n1_identities(
     z1: complex,
     sample_count: int = 50,
     seed: int = 0,
-    tolerances: Optional[dict] = None,
+    tolerances: dict | None = None,
 ) -> list[CheckReport]:
     """The three exact single-zero identities, sampled pointwise."""
     _reject_unknown_keys(tolerances)
@@ -219,7 +219,7 @@ def check_pw_example(
     x: float,
     zeros: Sequence[complex],
     z_samples: Sequence[complex],
-    tolerances: Optional[dict] = None,
+    tolerances: dict | None = None,
 ) -> list[CheckReport]:
     """Determinant identities of the sinc-kernel family.
 
@@ -304,7 +304,7 @@ def check_hb_inheritance(
     zeros: ZeroSequence,
     sample_count: int = 100,
     seed: int = 0,
-    tolerances: Optional[dict] = None,
+    tolerances: dict | None = None,
 ) -> CheckReport:
     """Strict positivity of |E(z)|^2 - |F(z)|^2 for the derived pair; its tolerance is not scaled."""
     _reject_unknown_keys(tolerances)
@@ -335,7 +335,7 @@ def check_projection(
     z: complex,
     sample: int = 50,
     seed: int = 0,
-    tolerances: Optional[dict] = None,
+    tolerances: dict | None = None,
 ) -> CheckReport:
     """Projection-residual orthogonality plus solve/determinant agreement.
 
@@ -412,7 +412,7 @@ def _sequence_checks(
     space: StructureFunction,
     zeros: ZeroSequence,
     seed: int,
-    tolerances: Optional[dict],
+    tolerances: dict | None,
 ) -> list[CheckReport]:
     """theorem2, projection and, where it applies, hb-inheritance for one configuration.
 
@@ -438,7 +438,7 @@ def run_config_checks(
     space: StructureFunction,
     zeros: ZeroSequence,
     seed: int = 0,
-    tolerances: Optional[dict] = None,
+    tolerances: dict | None = None,
 ) -> list[CheckReport]:
     """All checks that apply to one (space, zero sequence) configuration."""
     _reject_unknown_keys(tolerances)
@@ -455,10 +455,10 @@ def run_config_checks(
 
 
 # one configuration of the default suite: its tag, a check function and its arguments
-_Task = tuple[str, Callable[..., list[CheckReport]], tuple[Any, ...]]
+_Task = tuple[str, Callable[..., list[CheckReport]], tuple[object, ...]]
 
 
-def _suite_tasks(seed: int, tolerances: Optional[dict]) -> list[_Task]:
+def _suite_tasks(seed: int, tolerances: dict | None) -> list[_Task]:
     """The default suite's configurations, in report order; each task is independent of the others."""
     tasks: list[_Task] = []
     for space_tag, space in DEFAULT_SPACES:
@@ -490,7 +490,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_default_suite(seed: int = 0, tolerances: Optional[dict] = None) -> list[CheckReport]:
+def run_default_suite(seed: int = 0, tolerances: dict | None = None) -> list[CheckReport]:
     """The whole desk-scale matrix of spaces and zero sequences.
 
     The checks report bare ids; the suite labels each report of a

@@ -624,6 +624,56 @@ def test_cli_runs_without_site_packages(tmp_path):
     assert len((tmp_path / "kernel.out").read_text().splitlines()) == 1 + 6
 
 
+_UNUSED_BY_KERNEL_AND_STRUCTURE = ("debranges.verify", "dataclasses", "random", "typing")
+
+
+def test_kernel_and_structure_runs_load_only_what_they_run(tmp_path):
+    # python -S, so no site-packages .pth file imports any of these first
+    env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+    kernel, structure, _ = (str(p) for p in _stdlib_configs(tmp_path))
+    code = (
+        "import json, sys\n"
+        "loaded = lambda: [m for m in json.loads(sys.argv[1]) if m in sys.modules]\n"
+        "import debranges\n"
+        "print('import', loaded())\n"
+        "import debranges.cli\n"
+        "for name, path in (('kernel', sys.argv[2]), ('structure', sys.argv[3])):\n"
+        "    assert debranges.cli.main(['--config', path]) == 0, path\n"
+        "    print(name, loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, json.dumps(_UNUSED_BY_KERNEL_AND_STRUCTURE), kernel, structure],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import []", "kernel []", "structure []"]
+    assert (tmp_path / "kernel.out").stat().st_size and (tmp_path / "structure.out").stat().st_size
+
+
+def test_verify_pw_example_and_list_checks_load_verify(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(debranges.__file__).resolve().parents[1]))
+    *_, verify = _stdlib_configs(tmp_path)
+    # a tolerance key is checked against verify's table while the config loads
+    pw_example = write_config(
+        tmp_path, "pw-example.json", command="pw-example", sigma=[[0.0, 1.0], [1.0, 1.0]],
+        tolerances={"pw-det-star": 1e-6}, output={"path": str(tmp_path / "pw-example.out")},
+    )
+    code = (
+        "import sys, debranges.cli\n"
+        "code = debranges.cli.main(sys.argv[1:])\n"
+        "print(code, 'debranges.verify' in sys.modules, 'typing' in sys.modules)\n"
+    )
+    for argv in (["--config", str(verify)], ["--config", str(pw_example)], ["--list-checks"]):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        # verify itself imports no typing either
+        assert proc.stdout.splitlines()[-1] == "0 True False", argv
+    assert "PASS" in (tmp_path / "verify.out").read_text()
+    assert "PASS" in (tmp_path / "pw-example.out").read_text()
+
+
 class TestProcessEntry:
     """`main` as the process entry: it freezes the heap, and the exit still flushes stdout."""
 
