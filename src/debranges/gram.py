@@ -5,7 +5,7 @@ G[i][j] = (Z_i, Z_j) = kernel_mixed_partial(k_i, k_j, z_j, z_i). For
 f = e E + sum_t weight_t Z_t (`StructureFunction.combination`),
 `GramSystem.fit` solves G c = (f^(k_i)(z_i))_i, so that the residual
 f - sum_j c_j Z_j vanishes on the sequence with multiplicity, and
-`Remainder` is that residual's quotient by prod (w - z_i). The derived
+`_quotient` is that residual's quotient by prod (w - z_i). The derived
 structure function is the quotient of E (e = 1, no terms), and its
 companion the reflection of that (see structure.py); the derived-space
 kernel is the quotient of Z_z (e = 0, one term (1, 0, z)), whose fit beta
@@ -20,10 +20,11 @@ kernel row contracts the matrix B' that `GramSystem._closed_kernel`
 divides out of the Schur complement once per system, with no disk and no
 fit in either variable. Otherwise (`PaleyWiener`) the residual is divided
 point by point, crossing the trivial zeros by Taylor series, and a kernel
-row has conj prod (z - z_i) as its divisor. Either way `Remainder.__call__`
-is the one place a derived value is range-checked: `fit` and `Remainder`
-sum the family's plain math (`StructureFunction._at_order`), each order
-checked where it is used. A residual read on its own
+row has conj prod (z - z_i) as its divisor. A `Remainder` is such a plain
+value function and the name of its point, and `Remainder.__call__` is the
+one place a derived value of either route is range-checked: `fit` and
+`_quotient` sum the family's plain math (`StructureFunction._at_order`),
+each order checked where it is used. A residual read on its own
 (`GramSystem.incomplete_kernel`, `SigmaStructureFunction.incomplete`,
 `check_projection`) is the checked `combination` of the fit's terms and
 builds no `Remainder`.
@@ -33,11 +34,11 @@ route (`GramSystem.det_row`) is the cross-check, and its fit comes from
 its own LU factorization (det G, `GramSystem.det`, and either the Cramer
 numerators or a bordered determinant per point), never from the Cholesky
 factor. On a space of polynomials its residual is divided exactly, like
-the solve route's, so the two share `polynomial` and `_divide`;
-otherwise each point's bordered determinant is divided directly and the
-routes share only the Gram matrix. All of it is plain Python on rows of
-complex numbers; at n <= ~10 that is as fast as array calls and needs no
-numpy.
+the solve route's, so the two share `_quotient`; otherwise each point's
+bordered determinant is divided directly and the routes share only the
+Gram matrix. Either way the row is a `Remainder`. All of it is plain
+Python on rows of complex numbers; at n <= ~10 that is as fast as array
+calls and needs no numpy.
 """
 
 from __future__ import annotations
@@ -281,26 +282,25 @@ class GramSystem(FrozenRecord):
         return tuple(_divide(col, conj_runs) for col in zip(*rows))
 
     def kernel_row(self, z: complex) -> Remainder:
-        """The derived-space evaluator K_z as a function of w, for fixed z: its `Remainder`.
+        """The derived-space evaluator K_z as a function of w, for fixed z, as a `Remainder`.
 
-        On a space of polynomials the row's quotient is B' contracted with
-        the powers of conj(z) (`_closed_kernel`), and the row has no fitted
-        terms: no solve and no disk in either variable. Otherwise, off the
+        On a space of polynomials the row's value is B' contracted with the
+        powers of conj(z) (`_closed_kernel`) under one Horner pass: no
+        solve and no disk in either variable. Otherwise the value is the
+        `_quotient` of the row's fitted function, and off the
         de-singularization disks the fitted function is Z_z itself. When z
         sits in the disk of a run z0 of m equal zeros, the projection
         residual vanishes to order m in conj(z) at z0, so the fitted
         function is its conj(z)-Taylor sum from order m on, the terms
         `_taylor_terms(m, conj(z - z0), z0)`, and the row's divisor
-        conj prod (z - z_i) leaves out z0's run. Either way one solve
-        serves every w.
+        conj prod (z - z_i) leaves out z0's run. One solve serves every w.
         """
         z = complex(z)
         zs = self.zeros
         columns = self._closed_kernel
         if columns is not None:
             s = z.conjugate()
-            quotient = [_horner(c, s) for c in columns]
-            return Remainder(self.space, zs, 0, (), (), "K_z(w) at w = {0}", quotient=quotient)
+            return Remainder(partial(_horner, [_horner(c, s) for c in columns]), "K_z(w) at w = {0}")
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -308,7 +308,8 @@ class GramSystem(FrozenRecord):
             z0, mz = group
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
-        return Remainder(self.space, zs, 0, terms, self.fit(0, terms), "K_z(w) at w = {0}", zprod_conj)
+        quotient = _quotient(self.space, zs, 0, terms, self.fit(0, terms), zprod_conj)
+        return Remainder(quotient, "K_z(w) at w = {0}")
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -318,23 +319,24 @@ class GramSystem(FrozenRecord):
         """
         return self.kernel_row(z)(w)
 
-    def det_row(self, z: complex) -> Callable[[complex], complex]:
+    def det_row(self, z: complex) -> Remainder:
         """The bordered-determinant form of K_z as a function of w, for fixed z; cross-validation route.
 
         det [[G, col], [row(w), Z_z(w)]], col = (Z_z^(k_i)(z_i))_i and
         row(w) = (Z_j(w))_j, over det G, prod (w - z_i) and conj prod (z - z_i).
         Expanded along its last row, the determinant over det G is
         Z_z(w) - sum_j c_j Z_j(w), with c_j = det G_j / det G by Cramer's
-        rule, G_j being G with column j replaced by col. On a space of
-        polynomials the row is that residual's `Remainder` with divisor
-        conj prod (z - z_i): one LU per c_j for all w, then the exact
-        quotient, defined on the zeros too. Otherwise each w takes its own
-        bordered LU (`bordered_det`), divided directly, and w must avoid
-        the zeros. z's column and divisor are built once per row.
+        rule, G_j being G with column j replaced by col. The row is a
+        `Remainder` on both families. On a space of polynomials its value
+        is that residual's `_quotient` with divisor conj prod (z - z_i):
+        one LU per c_j for all w, then the exact quotient, defined on the
+        zeros too. Otherwise each w takes its own bordered LU
+        (`bordered_det`), divided directly, and w on a zero raises
+        DomainError. z's column and divisor are built once per row.
 
         Undefined when z equals a zero of the sequence (those limits are
         served by :meth:`kernel_row`). A value past the double range raises
-        RangeError.
+        RangeError (`Remainder.__call__`).
         """
         z = complex(z)
         zs, space = self.zeros, self.space
@@ -349,21 +351,18 @@ class GramSystem(FrozenRecord):
             coeffs = [
                 determinant([[*r[:j], c, *r[j + 1:]] for r, c in zip(g, col)]) / det for j in range(self.n)
             ]
-            return Remainder(space, zs, 0, ((1.0, 0, z),), coeffs, what, zprod_conj)
+            return Remainder(_quotient(space, zs, 0, ((1.0, 0, z),), coeffs, zprod_conj), what)
         mixed = space._mixed
 
         def value(w: complex) -> complex:
+            w = complex(w)
+            if any(w == p for p in pts):
+                raise DomainError(_OFF_SEQUENCE)
             # plain partials: `build` checked orders (k_i, k_j), which bound these
             row = [mixed(0, k, p, w) for p, k in zip(pts, ks)]
             return bordered_det(g, col, row, mixed(0, 0, z, w)) / (det * (zs.product(w) * zprod_conj))
 
-        def at(w: complex) -> complex:
-            w = complex(w)
-            if any(w == p for p in pts):
-                raise DomainError(_OFF_SEQUENCE)
-            return _in_range(what, value, w)
-
-        return at
+        return Remainder(value, what)
 
     def sigma_kernel_det(self, z: complex, w: complex) -> complex:
         """Bordered-determinant form of K_z(w): one-point form of :meth:`det_row`."""
@@ -416,8 +415,11 @@ def _divide(coeffs: Sequence[complex], runs: Sequence[tuple[complex, int]]) -> t
     return tuple(c)
 
 
-class Remainder:
-    """The quotient of f = e E + sum_t weight_t Z_t minus its fit on the zeros by prod (w - z_i).
+def _quotient(
+    space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
+    coeffs: Sequence[complex], divisor: complex | None = None,
+) -> Callable[[complex], complex]:
+    """w -> (f - its fit on the zeros) / prod (w - z_i), then / `divisor`, for f = e E + sum_t weight_t Z_t.
 
     `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
     f - sum_j c_j Z_j, the space's `combination` of e with the fitted terms
@@ -426,63 +428,59 @@ class Remainder:
 
     * On a space of polynomials (`StructureFunction.polynomial`) the
       quotient is a polynomial and a point costs one Horner pass: the
-      residual's coefficients divided exactly (`_divide`), and then by a
-      constant `divisor`, or the given `quotient` with no fitted terms,
-      which a kernel row there contracts from B' (`GramSystem.kernel_row`).
+      residual's coefficients divided exactly (`_divide`), and then by
+      `divisor`.
     * Otherwise the quotient is the residual over prod (w - z_i): the
       residual's plain order-0 math (`StructureFunction._at_order`, its
       orders checked here, once), and inside the de-singularization disk
       of a run v of m equal zeros the Taylor series of the residual at v
       from order m on, divided by the other factors; each derivative of
       the residual at a run is read through the checked `combination` the
-      first time a point needs it and kept. A kernel row's constant
-      `divisor` divides it last.
+      first time a point needs it and kept. `divisor` divides it last.
 
-    A call is the finished derived value at w; `name` formats w into what
-    a RangeError names. This is the one place a derived value is
-    range-checked. A residual read on its own
+    The result is a plain value function; `Remainder` range-checks it.
+    """
+    fitted = [*terms, *_span(zeros, coeffs)]
+    poly = space.polynomial(e, fitted)
+    if poly is not None:
+        quotient = _divide(poly, zeros._runs)
+        if divisor is not None:
+            quotient = [c / divisor for c in quotient]
+        return partial(_horner, quotient)
+    space._check_orders(e, fitted, 0)
+    plain = space._at_order(e, fitted)(0)
+    run_derivative = None
+
+    def pointwise(w: complex) -> complex:
+        nonlocal run_derivative
+        w = complex(w)
+        group = zeros.local_group(w)
+        if group is None:
+            value = plain(w) / zeros.product(w)
+        else:
+            v, m = group
+            if run_derivative is None:
+                run_derivative = cache(space.combination(e, fitted))
+            quotient = sum(c * run_derivative(v, k) for c, k, _ in _taylor_terms(m, w - v, v))
+            value = quotient / zeros.product(w, exclude_value=v)
+        # None, not 1: dividing by 1+0j can flip the sign of a zero part
+        return value if divisor is None else value / divisor
+
+    return pointwise
+
+
+class Remainder:
+    """A derived value function and the name of its point: the one range check of every derived value.
+
+    `value` is the plain w -> value of E_sigma, a kernel row or a
+    determinant row (`_quotient`, a contracted B' under `_horner`, or a
+    row's own per-w form); `name` formats w into what a RangeError names.
+    A call is the finished derived value at w. A residual read on its own
     takes the `combination` of the fit's terms and builds no Remainder.
     """
 
-    def __init__(
-        self, space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
-        coeffs: Sequence[complex], name: str = "E_sigma(w) at w = {0}", divisor: complex | None = None,
-        quotient: Sequence[complex] | None = None,
-    ):
-        self.zeros = zeros
-        self._space, self._e = space, e
-        self._fitted = fitted = [*terms, *_span(zeros, coeffs)]
-        if quotient is None:
-            poly = space.polynomial(e, fitted)
-            if poly is not None:
-                quotient = _divide(poly, zeros._runs)
-                if divisor is not None:
-                    quotient = [c / divisor for c in quotient]
-        if quotient is None:
-            space._check_orders(e, fitted, 0)
-            self._plain = space._at_order(e, fitted)(0)
-            self._value = self._quotient
-        else:
-            self._value = partial(_horner, quotient)
-        self._name = name
-        self._divisor = divisor  # None, not 1: dividing by 1+0j can flip the sign of a zero part
-
-    @cached_property
-    def _run_derivative(self) -> Callable[[complex, int], complex]:
-        return cache(self._space.combination(self._e, self._fitted))
-
-    def _quotient(self, w: complex) -> complex:
-        w = complex(w)
-        zs = self.zeros
-        group = zs.local_group(w)
-        if group is None:
-            value = self._plain(w) / zs.product(w)
-        else:
-            v, m = group
-            quotient = sum(c * self._run_derivative(v, k) for c, k, _ in _taylor_terms(m, w - v, v))
-            value = quotient / zs.product(w, exclude_value=v)
-        divisor = self._divisor
-        return value if divisor is None else value / divisor
+    def __init__(self, value: Callable[[complex], complex], name: str):
+        self._value, self._name = value, name
 
     def __call__(self, w: complex) -> complex:
         """The derived value at w; past the double range, RangeError (`kernels._in_range`)."""

@@ -35,12 +35,13 @@ Two families are implemented:
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
 hook, as plain math. e E + sum_t weight_t Z_t, the form of every function
-the gram layer's Remainder divides, is served the same way: each family
+the gram layer's _quotient divides, is served the same way: each family
 writes its plain per-order math (``_at_order``), and ``combination``,
 written once in the base class, is the checked public closure over it
 (``StructureFunction._checked`` checks the order of every read and
-range-checks its value). The gram layer's hot paths, Remainder and
-GramSystem.fit, sum the plain math under one range check of their own. The
+range-checks its value). The gram layer's hot paths, _quotient (under
+Remainder) and GramSystem.fit, sum the plain math under one range check of
+their own. The
 default sums one ``_mixed`` per term at every point. ``PaleyWiener`` sums
 the same sinc and moment values, in the same order and so to the same bits,
 without the per-term dispatch. ``PolynomialHB`` keeps the default: its
@@ -268,7 +269,7 @@ class StructureFunction:
         Every read checks its order a (`_check_orders`) and sums at_order(a),
         the order-a combination as w -> value, under one range check. The
         gram layer's hot paths call the plain math under their own single
-        range check instead (`gram.Remainder`, `GramSystem.fit`).
+        range check instead (`gram._quotient` under `gram.Remainder`, `GramSystem.fit`).
         """
 
         def combined(w: complex, a: int = 0) -> complex:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 from ._record import FrozenRecord
 from .errors import DomainError, LinearDependenceError
-from .gram import GramSystem, Remainder, _span, build
+from .gram import GramSystem, Remainder, _quotient, _span, build
 from .kernels import StructureFunction
 from .sigma import ZeroSequence, canonicalize
 
@@ -58,7 +58,7 @@ class SigmaStructureFunction(FrozenRecord):
 
     @cached_property
     def _remainder(self) -> Remainder:
-        return Remainder(self.base, self.zeros, 1.0, (), self.coeffs_E)
+        return Remainder(_quotient(self.base, self.zeros, 1.0, (), self.coeffs_E), "E_sigma(w) at w = {0}")
 
     def incomplete(self, w: complex, order: int = 0) -> complex:
         """order-th w-derivative of the incomplete form of E at w: the checked `combination` of the fit."""

@@ -345,6 +345,14 @@ def check_projection(
     The orthogonality is read from the projection residual of Z_z, the
     checked `combination` of Z_z and the span over `solve_beta(z)`; on a
     space that is not of polynomials that fit is the row's own.
+
+    The route agreement is 0 by construction at n = 0, where neither row
+    fits anything and both read Z_z (on HB the same Bezoutian polynomial),
+    and on a space of polynomials at n = d, where both rows' quotients are
+    the empty polynomial. So the suite's `projection` ids at n0 (pw-x0.5,
+    pw-x1, pw-x2, hb-deg1, hb-deg3) and at hb-deg1:n1, hb-deg3:n3 and
+    hb-deg3:n3-double test orthogonality alone, until Theorem 2 is checked
+    as a matrix identity (ROADMAP).
     """
     _reject_unknown_keys(tolerances)
     _check_count(sample)

@@ -416,6 +416,36 @@ def test_pw_derived_values_take_one_range_check(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["pw", "hb"])
+def test_rows_of_both_routes_are_remainders(family):
+    # a kernel row and a determinant row are each a Remainder, on PW and on
+    # HB degree 5 with n = 4 < d, so Remainder.__call__ range-checks both
+    roots = (-1j, 1 - 1j, -1 - 2j, 0.5 - 0.5j, -0.5 - 1.5j)
+    space = PaleyWiener(1.0) if family == "pw" else PolynomialHB(roots)
+    gs = build(space, canonicalize([1j, 1j, 2j, 1 + 1j]))
+    z = 0.3 + 0.4j
+    assert isinstance(gs.kernel_row(z), Remainder)
+    assert isinstance(gs.det_row(z), Remainder)
+
+
+def test_pw_det_row_takes_one_range_check(monkeypatch):
+    # a PW determinant row's finite values away from the zeros pass
+    # Remainder.__call__'s finiteness test alone: no _in_range call per point
+    gs = build(PaleyWiener(1.0), canonicalize([1j, 1j, 2j, 1 + 1j]))
+    row = gs.det_row(0.3 + 0.4j)
+    ws = [-0.7 + 0.5j, 1.5 - 0.3j]
+    want = [row(w) for w in ws]
+    calls = Counter()
+
+    def counted(*args):
+        calls["_in_range"] += 1
+        return kernels._in_range(*args)
+
+    monkeypatch.setattr(gram, "_in_range", counted)
+    assert [row(w) for w in ws] == want
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("family", ["pw", "hb"])
 def test_residual_reads_build_no_remainder(family, monkeypatch):
     # the projection residual, the incomplete form of E and the iterative
     # route read a residual only, never a derived quotient, so they take

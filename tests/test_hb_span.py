@@ -37,10 +37,11 @@ from debranges import (
     build,
     canonicalize,
     derive,
+    gram,
     run_config_checks,
 )
 from debranges.verify import PROJECTION_POINT
-from debranges.gram import Remainder, _taylor_terms
+from debranges.gram import _taylor_terms
 from debranges.kernels import _differentiate, _horner
 
 ROOTS = {
@@ -452,7 +453,7 @@ def test_derived_values_ask_no_disk(monkeypatch):
         raise AssertionError("a disk route was taken")
 
     monkeypatch.setattr(ZeroSequence, "local_group", forbidden)
-    monkeypatch.setattr(Remainder, "_quotient", forbidden)
+    monkeypatch.setattr(gram, "_taylor_terms", forbidden)
     for w in (*STRUCTURE_POINTS, *BAND_W, 2j):
         for which in ("E", "F"):
             ssf.eval(which, w)
