@@ -23,11 +23,11 @@ point by point, crossing the trivial zeros by Taylor series, and a kernel
 row has conj prod (z - z_i) as its divisor. A `Remainder` is such a plain
 value function and the name of its point, and `Remainder.__call__` is the
 one place a derived value of either route is range-checked: `fit` and
-`_quotient` sum the family's plain math (`StructureFunction._at_order`),
-each order checked where it is used. A residual read on its own
-(`GramSystem.incomplete_kernel`, `SigmaStructureFunction.incomplete`,
-`check_projection`) is the checked `combination` of the fit's terms and
-builds no `Remainder`.
+`_quotient` sum the family's plain math (`space._at_order`, the same hook
+`combination` checks), each order checked where it is used. A residual
+read on its own (`GramSystem.incomplete_kernel`,
+`SigmaStructureFunction.incomplete`, `check_projection`) is the checked
+`combination` of the fit's terms and builds no `Remainder`.
 
 The linear-solve route is the production path. The bordered-determinant
 route (`GramSystem.det_row`) is the cross-check, and its fit comes from
@@ -166,7 +166,12 @@ def _cholesky(g: Rows) -> tuple[tuple[complex, ...], ...] | None:
             for k in range(j):
                 acc -= row[k] * l_row[k].conjugate()
             row.append(acc / l_row[j])
-        pivot = g_row[i].real - sum(v.real * v.real + v.imag * v.imag for v in row)
+        # left to right from 0.0: the builtin sum compensates float sums since
+        # Python 3.12, which would make the factor depend on the interpreter
+        squares = 0.0
+        for v in row:
+            squares += v.real * v.real + v.imag * v.imag
+        pivot = g_row[i].real - squares
         if not pivot > 0:
             return None
         row.append(complex(math.sqrt(pivot)))
@@ -219,14 +224,13 @@ class GramSystem(FrozenRecord):
     def fit(self, e: complex, terms: Sequence[Term]) -> tuple[complex, ...]:
         """Coefficients c of the span of the Z_j matching f = e E + sum_t weight_t Z_t on the sequence.
 
-        Solves G c = (f^(k_i)(z_i))_i. The right-hand side is the default's
-        plain per-order math (`StructureFunction._at_order`; at n points, a
-        family's prepared math costs more than it saves), each zero's order
-        checked as it is reached and each value range-checked, as the
-        `combination` closure would.
+        Solves G c = (f^(k_i)(z_i))_i. The right-hand side is the family's
+        plain per-order math (`space._at_order`, as `_quotient` and
+        `combination` read it), each zero's order checked as it is reached
+        and each value range-checked, as the `combination` closure would.
         """
         space, zs = self.space, self.zeros
-        at_order = StructureFunction._at_order(space, e, terms)
+        at_order = space._at_order(e, terms)
         rhs = []
         for p, k in zip(zs.points, zs.confluence):
             space._check_orders(e, terms, k)

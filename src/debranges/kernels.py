@@ -40,12 +40,13 @@ writes its plain per-order math (``_at_order``), and ``combination``,
 written once in the base class, is the checked public closure over it
 (``StructureFunction._checked`` checks the order of every read and
 range-checks its value). The gram layer's hot paths, _quotient (under
-Remainder) and GramSystem.fit, sum the plain math under one range check of
-their own. The
-default sums one ``_mixed`` per term at every point. ``PaleyWiener`` sums
-the same sinc and moment values, in the same order and so to the same bits,
-without the per-term dispatch. ``PolynomialHB`` keeps the default: its
-derived values take no combination.
+Remainder) and GramSystem.fit, read the same hook and sum its plain math
+under one range check of their own. The default sums one ``_mixed`` per
+term at every point. ``PaleyWiener`` prepares its order-0 terms once, the
+order read at every point, and sums the same sinc and moment values, in
+the same order and so to the same bits, without the per-term dispatch;
+each other order, read once where it is used, is the default's sum.
+``PolynomialHB`` keeps the default: its derived values take no combination.
 
 ``polynomial`` is the family hook that picks the gram layer's route for
 the derived functions: None by default, so ``PaleyWiener`` divides its
@@ -242,7 +243,7 @@ class StructureFunction:
 
         No order or range check: a caller checks each order first
         (`_check_orders`). This default sums one `_mixed` per term at every
-        point; a family may prepare its terms once per order.
+        point; a family may prepare the terms of an order it reads often.
         """
         eval_E, mixed = self._eval_E_raw, self._mixed
 
@@ -322,39 +323,39 @@ class PaleyWiener(StructureFunction, FrozenRecord):
         return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
     def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
-        """The default's sum without the per-term `_mixed` dispatch, bit for bit.
+        """The default's sum, with order 0 prepared once, bit for bit.
 
-        Each order's terms are prepared once, as (weight, conj(point),
-        _ipow(a) * _inegpow(order), a + order, that moment order's series
-        cutoff); a point sums the inline sinc (total order 0) or the series
-        or closed moment of each term, in the terms' own order. Near a
-        multiple zero the terms cancel to about 1e-8 of their size, so any
-        other order of summation would move the result.
+        Order 0 is read at every point (E_sigma, F_sigma and every kernel
+        row); each order a >= 1 is read once where it is used (a run's
+        Taylor derivative, a fit at a zero of that order, `incomplete`),
+        so it takes the default's per-term sum, built at that read. The
+        order-0 terms are prepared once per call, as (weight, conj(point),
+        _ipow(0) * _inegpow(order), order, that moment order's series
+        cutoff); a point sums, in the terms' own order, the inline sinc of a
+        term of order 0 and the series or closed moment of any other, as
+        `_mixed` would. Near a multiple zero the terms cancel to about 1e-8
+        of their size, so any other order of summation would move the
+        result.
         """
         x, eval_E = self.x, self._eval_E_raw
         series, closed = self._moment_series, self._moment_closed
+        rows = [
+            (weight, p.conjugate(), _ipow(0) * _inegpow(k), k, _series_cutoff(k)) for weight, k, p in terms
+        ]
 
-        def at_order(a: int) -> Callable[[complex], complex]:
-            rows = [
-                (weight, p.conjugate(), _ipow(a) * _inegpow(k), a + k, _series_cutoff(a + k))
-                for weight, k, p in terms
-            ]
+        def total(w: complex) -> complex:
+            acc = e * eval_E(w, 0) if e else 0j
+            for weight, s, factor, p, cutoff in rows:
+                u = w - s
+                v = u * x
+                if p:
+                    r = abs(v)
+                    acc += weight * (factor * (series(p, v, r) if r <= cutoff else closed(p, u)))
+                else:
+                    acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
+            return acc
 
-            def total(w: complex) -> complex:
-                acc = e * eval_E(w, a) if e else 0j
-                for weight, s, factor, p, cutoff in rows:
-                    u = w - s
-                    v = u * x
-                    if p:
-                        r = abs(v)
-                        acc += weight * (factor * (series(p, v, r) if r <= cutoff else closed(p, u)))
-                    else:
-                        acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
-                return acc
-
-            return total
-
-        return at_order
+        return lambda a: StructureFunction._at_order(self, e, terms)(a) if a else total
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,

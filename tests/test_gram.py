@@ -1,6 +1,7 @@
 """Gram systems: assembly, projection solve, derived kernel routes."""
 
 import math
+import struct
 import warnings
 from collections import Counter
 
@@ -142,6 +143,32 @@ class TestSolveBeta:
                     zs.confluence[i], zs.confluence[j], zs.points[j], zs.points[i]
                 )
             assert abs(resid) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("case", ["row off the disks", "row in a disk", "E"])
+def test_fit_is_the_solve_of_the_per_term_sum_bit_for_bit(case):
+    # fit reads the family's plain math (PaleyWiener._at_order): its
+    # right-hand side must be the default's per-term sum to the bit, at
+    # the order-0 zeros (the prepared sum) and at the double zero's order 1
+    space = PaleyWiener(1.0)
+    gs = build(space, canonicalize([1j, 1j, 2j, 1 + 1j]))
+    e, terms = {
+        "row off the disks": (0, ((1.0, 0, 0.3 + 0.4j),)),
+        "row in a disk": (0, gram._taylor_terms(2, (4e-4 - 2e-4j).conjugate(), 1j)),
+        "E": (1, ()),
+    }[case]
+    zs = gs.zeros
+    rhs = []
+    for p, k in zip(zs.points, zs.confluence):
+        acc = e * space._eval_E_raw(p, k) if e else 0j
+        for weight, order, point in terms:
+            acc += weight * space._mixed(k, order, point, p)
+        rhs.append(acc)
+
+    def bits(values):
+        return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+    assert bits(gs.fit(e, terms)) == bits(gs.solve(rhs))
 
 
 class TestSigmaKernel:

@@ -1,15 +1,16 @@
 """The plain-Python numerics pinned to a reference: sample stream (the standard
 library's `random.Random`), grid, eigenvalues, determinant, factor (numpy)."""
 
+import builtins
 import math
 import random
 
 import numpy as np
 import pytest
 
-from debranges import LinearDependenceError, build, canonicalize
+from debranges import LinearDependenceError, PaleyWiener, build, canonicalize
 from debranges.cli import _linspace
-from debranges.gram import bordered_det, determinant, hermitian_eigenvalues, spectral_condition
+from debranges.gram import _cholesky, bordered_det, determinant, hermitian_eigenvalues, spectral_condition
 from debranges.kernels import StructureFunction
 from debranges.verify import DEFAULT_SIGMAS, DEFAULT_SPACES, _uniforms
 
@@ -175,3 +176,22 @@ class TestCholeskyFailure:
         assert gs.det == pytest.approx(3.0)
         assert gs.factorization[0][0] == math.sqrt(2.0)
         assert np.array(gs.rows).shape == (2, 2)
+
+
+def test_cholesky_factor_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # Python 3.12 made the builtin sum add floats with compensation. On the
+    # suite's pw-x0.5 n4 Gram matrix (condition 6.9e5) a compensated sum of
+    # a pivot's squares moves the factor, and with it every report of that
+    # system, so the factor adds them itself, left to right
+    rows = build(PaleyWiener(0.5), canonicalize([1j, 2j, 1 + 1j, -1 + 2j])).rows
+    want = _cholesky(rows)
+    plain_sum = builtins.sum
+
+    def compensated(iterable, /, start=0):
+        items = list(iterable)
+        if items and all(type(v) is float for v in items):
+            return math.fsum([start, *items])
+        return plain_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated)
+    assert _cholesky(rows) == want
