@@ -20,11 +20,15 @@ kernel row contracts the matrix B' that `GramSystem._closed_kernel`
 divides out of the Schur complement once per system, with no disk and no
 fit in either variable. Otherwise (`PaleyWiener`) the residual is divided
 point by point, crossing the trivial zeros by Taylor series, and a kernel
-row has conj prod (z - z_i) as its divisor. A `Remainder` is such a plain
-value function and the name of its point, and `Remainder.__call__` is the
-one place a derived value of either route is range-checked: `fit` and
-`_quotient` sum the family's plain math (`space._at_order`, the same hook
-`combination` checks), each order checked where it is used. A residual
+row has conj prod (z - z_i) as its divisor. A `Remainder` is the derived
+function of either route as a plain value function and the name of its
+point, and `Remainder.__call__` is the one place a derived value is
+range-checked: `fit` and `_quotient` sum the family's plain math
+(`space._at_order`, the same hook `combination` checks), each order
+checked where it is used. The Taylor series at a run reads the
+residual's derivatives there from one table per run, filled by one call
+of the family's `_derivatives` function, which on `PaleyWiener` evaluates
+each distinct moment once for the whole row. A residual
 read on its own (`GramSystem.incomplete_kernel`,
 `SigmaStructureFunction.incomplete`, `check_projection`) is the checked
 `combination` of the fit's terms and builds no `Remainder`.
@@ -46,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Sequence
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 from ._record import FrozenRecord
 from .errors import DomainError, LinearDependenceError
@@ -438,9 +442,13 @@ def _quotient(
       residual's plain order-0 math (`StructureFunction._at_order`, its
       orders checked here, once), and inside the de-singularization disk
       of a run v of m equal zeros the Taylor series of the residual at v
-      from order m on, divided by the other factors; each derivative of
-      the residual at a run is read through the checked `combination` the
-      first time a point needs it and kept. `divisor` divides it last.
+      from order m on, divided by the other factors. The derivatives at v
+      come from the run's table: the orders a point reads (m alone at v
+      itself, else m .. m + DESINGULARIZATION_TERMS), each checked once
+      and summed by one call of the family's `_derivatives` function,
+      whose moments the row's runs share. A table entry out of range
+      raises when a point reads it, with the checked `combination`'s
+      wording. `divisor` divides it last.
 
     The result is a plain value function; `Remainder` range-checks it.
     """
@@ -453,19 +461,41 @@ def _quotient(
         return partial(_horner, quotient)
     space._check_orders(e, fitted, 0)
     plain = space._at_order(e, fitted)(0)
-    run_derivative = None
+    derivatives = None
+    tables: dict[complex, list[complex]] = {}  # run point v -> the residual's derivatives from order m on
+
+    def table(v: complex, m: int, count: int) -> list[complex]:
+        """The residual's derivatives of orders m .. m + count - 1 at the run v, each summed once."""
+        nonlocal derivatives
+        known = tables.setdefault(v, [])
+        if len(known) < count:
+            orders = range(m + len(known), m + count)
+            for a in orders:
+                space._check_orders(e, fitted, a)
+            derivatives = derivatives or space._derivatives(e, fitted)
+            try:
+                values = derivatives(v, orders)
+            except OverflowError:
+                values = [cmath.nan]
+            if not all(map(cmath.isfinite, values)):
+                # out of range: each order read again through the checked
+                # combination, which raises with its wording
+                read = space.combination(e, fitted)
+                values = [read(v, a) for a in orders]
+            known += values
+        return known
 
     def pointwise(w: complex) -> complex:
-        nonlocal run_derivative
         w = complex(w)
         group = zeros.local_group(w)
         if group is None:
             value = plain(w) / zeros.product(w)
         else:
             v, m = group
-            if run_derivative is None:
-                run_derivative = cache(space.combination(e, fitted))
-            quotient = sum(c * run_derivative(v, k) for c, k, _ in _taylor_terms(m, w - v, v))
+            taylor = _taylor_terms(m, w - v, v)
+            quotient = 0j
+            for (c, _, _), d in zip(taylor, table(v, m, len(taylor))):
+                quotient += c * d
             value = quotient / zeros.product(w, exclude_value=v)
         # None, not 1: dividing by 1+0j can flip the sign of a zero part
         return value if divisor is None else value / divisor

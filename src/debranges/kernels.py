@@ -46,7 +46,13 @@ term at every point. ``PaleyWiener`` prepares its order-0 terms once, the
 order read at every point, and sums the same sinc and moment values, in
 the same order and so to the same bits, without the per-term dispatch;
 each other order, read once where it is used, is the default's sum.
-``PolynomialHB`` keeps the default: its derived values take no combination.
+The Taylor disks of _quotient read many orders at a few points, the runs,
+through a second hook, ``_derivatives``: a function of (w, orders) that by
+default sums each order through ``_at_order``. ``PaleyWiener``'s keeps
+every moment it evaluates, so the orders and terms of a run and the runs
+of one row share them, and sums the same values in the same order.
+``PolynomialHB`` keeps the defaults: its derived values take no combination
+and its quotients no disk.
 
 ``polynomial`` is the family hook that picks the gram layer's route for
 the derived functions: None by default, so ``PaleyWiener`` divides its
@@ -61,7 +67,6 @@ import cmath
 import math
 from collections.abc import Callable, Sequence
 from functools import cache, cached_property, partial
-from operator import mul
 
 from ._record import FrozenRecord
 from .errors import DomainError, RangeError, UnsupportedOrderError
@@ -255,6 +260,17 @@ class StructureFunction:
 
         return lambda a: partial(total, a)
 
+    def _derivatives(self, e: complex, terms: Sequence[Term]) -> Callable[[complex, Sequence[int]], list[complex]]:
+        """(w, orders) -> [the order-a combination at w for each a in orders], plain math like `_at_order`.
+
+        No order or range check: a caller checks each order first. This
+        default sums each order on its own (`_at_order`); a family may share
+        work between the orders and points the returned function is asked
+        for, for as long as its caller holds it.
+        """
+        at_order = self._at_order(e, terms)
+        return lambda w, orders: [at_order(a)(w) for a in orders]
+
     def _check_orders(self, e: complex, terms: Sequence[Term], a: int) -> None:
         """Order a of a combination against E (when e != 0) and against every term."""
         if e:
@@ -356,6 +372,32 @@ class PaleyWiener(StructureFunction, FrozenRecord):
             return acc
 
         return lambda a: StructureFunction._at_order(self, e, terms)(a) if a else total
+
+    def _derivatives(self, e: complex, terms: Sequence[Term]) -> Callable[[complex, Sequence[int]], list[complex]]:
+        """The default's per-order sums, each distinct moment evaluated once per returned function.
+
+        The order-a derivative of a term (weight, k, p) at w is
+        _ipow(a) * _inegpow(k) * M_{a+k}(w - conj(p)) (`_mixed`), so the
+        orders of a point, the terms at one point and the runs of one row
+        share moments. The returned function keeps each moment it evaluates
+        for as long as it is held, and sums every order exactly as the
+        default does: e E^(a)(w), then weight * `_mixed` per term, in order.
+        """
+        eval_E, mixed, moment = self._eval_E_raw, self._mixed, cache(self._moment)
+
+        def derivatives(w: complex, orders: Sequence[int]) -> list[complex]:
+            values = []
+            for a in orders:
+                acc = e * eval_E(w, a) if e else 0j
+                for weight, k, p in terms:
+                    if a or k:
+                        acc += weight * (_ipow(a) * _inegpow(k) * moment(a + k, w - p.conjugate()))
+                    else:
+                        acc += weight * mixed(0, 0, p, w)
+                values.append(acc)
+            return values
+
+        return derivatives
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,
@@ -479,5 +521,10 @@ class PolynomialHB(StructureFunction, FrozenRecord):
             for r in range(k, d):
                 ds[r] = math.perm(r, k) * spow
                 spow *= s
-            poly[:d] = [acc + weight * sum(map(mul, ds, col)) for acc, col in zip(poly, columns)]
+            for j, col in enumerate(columns):
+                # left to right from 0j: the builtin sum compensates complex sums since Python 3.14
+                dot = 0j
+                for dr, b in zip(ds, col):
+                    dot += dr * b
+                poly[j] += weight * dot
         return poly
