@@ -26,9 +26,9 @@ point, and `Remainder.__call__` is the one place a derived value is
 range-checked: `fit` and `_quotient` sum the family's plain math
 (`space._at_order`, the same hook `combination` checks), each order
 checked where it is used. The Taylor series at a run reads the
-residual's derivatives there from one table per run, filled by one call
-of the family's `_derivatives` function, which on `PaleyWiener` evaluates
-each distinct moment once for the whole row. A residual
+residual's derivatives there from one table per run, filled through the
+row's one `_at_order` function, which on `PaleyWiener` evaluates each
+distinct moment once for the whole row. A residual
 read on its own (`GramSystem.incomplete_kernel`,
 `SigmaStructureFunction.incomplete`, `check_projection`) is the checked
 `combination` of the fit's terms and builds no `Remainder`.
@@ -54,7 +54,7 @@ from functools import cached_property, partial
 
 from ._record import FrozenRecord
 from .errors import DomainError, LinearDependenceError
-from .kernels import StructureFunction, Term, _differentiate, _horner, _in_range
+from .kernels import _COMBINATION, StructureFunction, Term, _differentiate, _horner, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
 CONDITION_LIMIT = 1e12
@@ -245,7 +245,7 @@ class GramSystem(FrozenRecord):
                 value = cmath.nan
             if not cmath.isfinite(value):
                 # the same deterministic value again, raised with _in_range's wording
-                value = _in_range(f"combination of order {k} at w = {{0}}", f, p)
+                value = _in_range(_COMBINATION.format(k), f, p)
             rhs.append(value)
         return self.solve(rhs)
 
@@ -444,11 +444,10 @@ def _quotient(
       of a run v of m equal zeros the Taylor series of the residual at v
       from order m on, divided by the other factors. The derivatives at v
       come from the run's table: the orders a point reads (m alone at v
-      itself, else m .. m + DESINGULARIZATION_TERMS), each checked once
-      and summed by one call of the family's `_derivatives` function,
-      whose moments the row's runs share. A table entry out of range
-      raises when a point reads it, with the checked `combination`'s
-      wording. `divisor` divides it last.
+      itself, else m .. m + DESINGULARIZATION_TERMS), each read once
+      through the same `_at_order` function, whose moments the row's runs
+      share, and checked and range-checked as a `combination` read is,
+      order by order. `divisor` divides it last.
 
     The result is a plain value function; `Remainder` range-checks it.
     """
@@ -460,29 +459,16 @@ def _quotient(
             quotient = [c / divisor for c in quotient]
         return partial(_horner, quotient)
     space._check_orders(e, fitted, 0)
-    plain = space._at_order(e, fitted)(0)
-    derivatives = None
+    at_order = space._at_order(e, fitted)
+    plain = at_order(0)
     tables: dict[complex, list[complex]] = {}  # run point v -> the residual's derivatives from order m on
 
     def table(v: complex, m: int, count: int) -> list[complex]:
         """The residual's derivatives of orders m .. m + count - 1 at the run v, each summed once."""
-        nonlocal derivatives
         known = tables.setdefault(v, [])
-        if len(known) < count:
-            orders = range(m + len(known), m + count)
-            for a in orders:
-                space._check_orders(e, fitted, a)
-            derivatives = derivatives or space._derivatives(e, fitted)
-            try:
-                values = derivatives(v, orders)
-            except OverflowError:
-                values = [cmath.nan]
-            if not all(map(cmath.isfinite, values)):
-                # out of range: each order read again through the checked
-                # combination, which raises with its wording
-                read = space.combination(e, fitted)
-                values = [read(v, a) for a in orders]
-            known += values
+        for a in range(m + len(known), m + count):
+            space._check_orders(e, fitted, a)
+            known.append(_in_range(_COMBINATION.format(a), at_order(a), v))
         return known
 
     def pointwise(w: complex) -> complex:

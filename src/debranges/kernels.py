@@ -44,15 +44,12 @@ Remainder) and GramSystem.fit, read the same hook and sum its plain math
 under one range check of their own. The default sums one ``_mixed`` per
 term at every point. ``PaleyWiener`` prepares its order-0 terms once, the
 order read at every point, and sums the same sinc and moment values, in
-the same order and so to the same bits, without the per-term dispatch;
-each other order, read once where it is used, is the default's sum.
-The Taylor disks of _quotient read many orders at a few points, the runs,
-through a second hook, ``_derivatives``: a function of (w, orders) that by
-default sums each order through ``_at_order``. ``PaleyWiener``'s keeps
-every moment it evaluates, so the orders and terms of a run and the runs
-of one row share them, and sums the same values in the same order.
-``PolynomialHB`` keeps the defaults: its derived values take no combination
-and its quotients no disk.
+the same order and so to the same bits, without the per-term dispatch.
+Each other order is the default's sum with its moments read through one
+memo per ``_at_order`` call, so the many orders that the Taylor disks of
+_quotient read at a few points, the runs, share them across orders,
+terms and runs. ``PolynomialHB`` keeps the defaults: its derived values
+take no combination and its quotients no disk.
 
 ``polynomial`` is the family hook that picks the gram layer's route for
 the derived functions: None by default, so ``PaleyWiener`` divides its
@@ -74,6 +71,7 @@ from .errors import DomainError, RangeError, UnsupportedOrderError
 DEFAULT_DERIVATIVE_BUDGET = 64
 Term = tuple[complex, int, complex]  # (weight, order, point), see StructureFunction.combination
 _PARTIAL = "kernel partial ({0}, {1}) at z = {2}, w = {3}"
+_COMBINATION = "combination of order {} at w = {{0}}"  # .format(a), then formatted over w like _PARTIAL
 
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # 1j**n for n mod 4
 
@@ -260,17 +258,6 @@ class StructureFunction:
 
         return lambda a: partial(total, a)
 
-    def _derivatives(self, e: complex, terms: Sequence[Term]) -> Callable[[complex, Sequence[int]], list[complex]]:
-        """(w, orders) -> [the order-a combination at w for each a in orders], plain math like `_at_order`.
-
-        No order or range check: a caller checks each order first. This
-        default sums each order on its own (`_at_order`); a family may share
-        work between the orders and points the returned function is asked
-        for, for as long as its caller holds it.
-        """
-        at_order = self._at_order(e, terms)
-        return lambda w, orders: [at_order(a)(w) for a in orders]
-
     def _check_orders(self, e: complex, terms: Sequence[Term], a: int) -> None:
         """Order a of a combination against E (when e != 0) and against every term."""
         if e:
@@ -291,7 +278,7 @@ class StructureFunction:
 
         def combined(w: complex, a: int = 0) -> complex:
             self._check_orders(e, terms, a)
-            return _in_range(f"combination of order {a} at w = {{0}}", at_order(a), complex(w))
+            return _in_range(_COMBINATION.format(a), at_order(a), complex(w))
 
         return combined
 
@@ -339,25 +326,29 @@ class PaleyWiener(StructureFunction, FrozenRecord):
         return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
     def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
-        """The default's sum, with order 0 prepared once, bit for bit.
+        """The default's sum, with order 0 prepared once and the other orders sharing moments, bit for bit.
 
         Order 0 is read at every point (E_sigma, F_sigma and every kernel
-        row); each order a >= 1 is read once where it is used (a run's
-        Taylor derivative, a fit at a zero of that order, `incomplete`),
-        so it takes the default's per-term sum, built at that read. The
-        order-0 terms are prepared once per call, as (weight, conj(point),
-        _ipow(0) * _inegpow(order), order, that moment order's series
-        cutoff); a point sums, in the terms' own order, the inline sinc of a
-        term of order 0 and the series or closed moment of any other, as
-        `_mixed` would. Near a multiple zero the terms cancel to about 1e-8
-        of their size, so any other order of summation would move the
-        result.
+        row), so its terms are prepared once per call, as (weight,
+        conj(point), _ipow(0) * _inegpow(order), order, that moment order's
+        series cutoff); a point sums, in the terms' own order, the inline
+        sinc of a term of order 0 and the series or closed moment of any
+        other, as `_mixed` would. Near a multiple zero the terms cancel to
+        about 1e-8 of their size, so any other order of summation would move
+        the result. Each order a >= 1 (a run's Taylor derivatives, a fit at
+        a zero of that order, `incomplete`) is the default's per-term sum of
+        _ipow(a) * _inegpow(order) * M_{a+order}(w - conj(point)), as
+        `_mixed` forms it, with each moment read through one memo per call:
+        the orders of a run, the terms at one point and the runs of one row
+        share it, for as long as the returned function is held. Order 0
+        keeps no memo, which would grow with every point.
         """
-        x, eval_E = self.x, self._eval_E_raw
+        x, eval_E, moment = self.x, self._eval_E_raw, self._moment
         series, closed = self._moment_series, self._moment_closed
         rows = [
             (weight, p.conjugate(), _ipow(0) * _inegpow(k), k, _series_cutoff(k)) for weight, k, p in terms
         ]
+        moments: dict[tuple[int, complex], complex] = {}
 
         def total(w: complex) -> complex:
             acc = e * eval_E(w, 0) if e else 0j
@@ -371,33 +362,17 @@ class PaleyWiener(StructureFunction, FrozenRecord):
                     acc += weight * (2.0 * x * (cmath.sin(v) / v if v else 1.0))
             return acc
 
-        return lambda a: StructureFunction._at_order(self, e, terms)(a) if a else total
+        def derivative(a: int, w: complex) -> complex:
+            acc = e * eval_E(w, a) if e else 0j
+            for weight, k, p in terms:
+                key = a + k, w - p.conjugate()
+                m = moments.get(key)
+                if m is None:
+                    m = moments[key] = moment(*key)
+                acc += weight * (_ipow(a) * _inegpow(k) * m)
+            return acc
 
-    def _derivatives(self, e: complex, terms: Sequence[Term]) -> Callable[[complex, Sequence[int]], list[complex]]:
-        """The default's per-order sums, each distinct moment evaluated once per returned function.
-
-        The order-a derivative of a term (weight, k, p) at w is
-        _ipow(a) * _inegpow(k) * M_{a+k}(w - conj(p)) (`_mixed`), so the
-        orders of a point, the terms at one point and the runs of one row
-        share moments. The returned function keeps each moment it evaluates
-        for as long as it is held, and sums every order exactly as the
-        default does: e E^(a)(w), then weight * `_mixed` per term, in order.
-        """
-        eval_E, mixed, moment = self._eval_E_raw, self._mixed, cache(self._moment)
-
-        def derivatives(w: complex, orders: Sequence[int]) -> list[complex]:
-            values = []
-            for a in orders:
-                acc = e * eval_E(w, a) if e else 0j
-                for weight, k, p in terms:
-                    if a or k:
-                        acc += weight * (_ipow(a) * _inegpow(k) * moment(a + k, w - p.conjugate()))
-                    else:
-                        acc += weight * mixed(0, 0, p, w)
-                values.append(acc)
-            return values
-
-        return derivatives
+        return lambda a: partial(derivative, a) if a else total
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,

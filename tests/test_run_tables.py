@@ -3,11 +3,11 @@
 Inside the de-singularization disk of a run v of m equal zeros,
 `gram._quotient` sums the residual's derivatives of orders m .. m + T at v
 (T = DESINGULARIZATION_TERMS). It keeps one table of them per run, filled
-by one call of the family's `_derivatives` function, which evaluates each
-distinct moment once. The reference here is the per-order route that
-table replaces: each derivative one checked `combination` read, the
-Taylor sum added left to right from 0j. Every value must match it to the
-bit, and every error must carry its wording.
+order by order through the row's one `_at_order` function, whose orders
+a >= 1 read each distinct moment once through a memo. The reference here
+is the per-order route: each derivative one checked `combination` read,
+the Taylor sum added left to right from 0j. Every value must match it to
+the bit, and every error must be the one that route raises.
 """
 
 import importlib.util
@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from debranges import PaleyWiener, RangeError, StructureFunction, build, canonicalize, derive, gram
+from debranges import (
+    PaleyWiener, RangeError, StructureFunction, UnsupportedOrderError, build, canonicalize, derive, gram,
+)
 from debranges.sigma import DESINGULARIZATION_RADIUS_FACTOR, DESINGULARIZATION_TERMS
 
 CONFIGS = {"triple": (1j, 1j, 1j, 2j), "double": (1j, 1j, 2j, 1 + 1j)}
@@ -85,21 +87,35 @@ def test_tables_are_the_per_order_reads_bit_for_bit(x, config, z_at):
 @pytest.mark.parametrize("x", XS)
 @pytest.mark.parametrize("config", CONFIGS)
 @pytest.mark.parametrize("z_at", [*Z_CASES, "E"])
-def test_family_derivatives_are_the_checked_reads_bit_for_bit(x, config, z_at):
-    # the hook itself, per run over the orders the disk reads, against one combination read per order
+def test_family_derivatives_are_the_checked_reads_bit_for_bit(x, config, z_at, monkeypatch):
+    # the family's per-order math at each run over the orders the disk reads, against one
+    # checked combination read per order
     space = PaleyWiener(x)
     gs = build(space, canonicalize(CONFIGS[config]))
     e, terms = (1.0, ()) if z_at == "E" else (0, row_terms(gs, Z_CASES[z_at])[0])
     fitted = [*terms, *gram._span(gs.zeros, gs.fit(e, terms))]
     read = space.combination(e, fitted)
-    # PaleyWiener's shared moments and the base class's per-order default
-    for derivatives in (space._derivatives(e, fitted), StructureFunction._derivatives(space, e, fitted)):
-        for v, m in gs.zeros._runs:
-            orders = range(m, m + 1 + DESINGULARIZATION_TERMS)
-            assert [bits(d) for d in derivatives(v, orders)] == [bits(read(v, a)) for a in orders]
-        # and at order 0 and off the runs, where a term of order 0 is the sinc
-        for w in (0.3 + 0.4j, -1.2 + 0.1j):
-            assert [bits(d) for d in derivatives(w, range(3))] == [bits(read(w, a)) for a in range(3)]
+    reads = [(v, a) for v, m in gs.zeros._runs for a in range(m, m + 1 + DESINGULARIZATION_TERMS)]
+    # and orders 0 .. 2 off the runs, where a term of order 0 is the sinc
+    reads += [(w, a) for w in (0.3 + 0.4j, -1.2 + 0.1j) for a in range(3)]
+    want = [bits(read(w, a)) for w, a in reads]
+    # the base class's per-term default
+    default = StructureFunction._at_order(space, e, fitted)
+    assert [bits(default(a)(w)) for w, a in reads] == want
+    # PaleyWiener's, one function read twice over: the second pass takes every moment from its memo
+    moments, moment = Counter(), PaleyWiener._moment
+
+    def counted(self, p, u):
+        moments[p, u] += 1
+        return moment(self, p, u)
+
+    monkeypatch.setattr(PaleyWiener, "_moment", counted)
+    at_order = space._at_order(e, fitted)
+    assert [bits(at_order(a)(w)) for w, a in reads] == want
+    first = moments.copy()
+    assert first and max(first.values()) == 1
+    assert [bits(at_order(a)(w)) for w, a in reads] == want
+    assert moments == first
 
 
 class TestOutOfRange:
@@ -132,6 +148,19 @@ class TestOutOfRange:
         assert got.startswith("combination of order 9 at w = 0j overflows the double range")
         assert got == self.message(space.combination(0, [*terms, *gram._span(zs, coeffs)]), 0j, 9)
         assert bits(quotient(0j)) == bits(before) == bits(reference(space, zs, 0, terms, coeffs, None, 0j))
+
+    def test_an_overflow_below_the_budget_raises_before_the_orders_past_it(self):
+        # E^(2)(0) = -x**2 is finite at x = 1e100, but order 2 also reads M_3 through the span's term
+        # of order 1, whose x**4 overflows; a point in the disk reads orders 2 .. 10, past the
+        # budget 5, and raises at order 2 as the per-order reads do
+        space, zs = PaleyWiener(1e100, max_derivative_order=5), canonicalize([0j, 0j])
+        coeffs = (0j, 0j)
+        read = space.combination(1.0, gram._span(zs, coeffs))
+        want = self.message(read, 0j, 2)
+        assert want == "combination of order 2 at w = 0j overflows the double range"
+        assert self.message(gram._quotient(space, zs, 1.0, (), coeffs), 1e-4) == want
+        with pytest.raises(UnsupportedOrderError, match="order 6 exceeds the budget 5"):
+            read(0j, 6)
 
 
 def test_near_zero_kernel_evaluates_each_moment_once(monkeypatch):
