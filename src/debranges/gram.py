@@ -400,16 +400,27 @@ def _span(zeros: ZeroSequence, coeffs) -> list[Term]:
 def _divide(coeffs: Sequence[complex], runs: Sequence[tuple[complex, int]]) -> tuple[complex, ...]:
     """Ascending coefficients of sum_k coeffs[k] x^k divided by (x - v)^m for each run (v, m).
 
-    Synthetic division by each factor, from the leading coefficient down
-    when |v| <= 1 and from the constant term up when |v| > 1, so that no
-    step multiplies a rounding error by |v| > 1 (forward and backward
-    deflation, Wilkinson, Rounding Errors in Algebraic Processes, 1963).
-    Each dropped remainder is the dividend's value at a zero it vanishes
-    on, zero up to the rounding of the fit, and is not fed back.
+    Synthetic division by each factor: from the leading coefficient down
+    (forward deflation) when |v| is at most the geometric mean of the
+    dividend's root moduli, |v|^deg <= |c_0| / |c_deg|, and from the
+    constant term up (backward) when it is larger. Deflating a root that
+    is small against the others forward, and a large one backward, keeps
+    the quotient's error at the size of the dividend's (Wilkinson,
+    Rounding Errors in Algebraic Processes, 1963; Peters & Wilkinson,
+    J. Inst. Maths Applics 8, 1971). The rule is scale invariant: a
+    threshold of |v| = 1 would deflate zeros of modulus ~1 backward among
+    roots of modulus ~3, and lost 7e-6 of the derived kernel at degree 12.
+    The comparison is made in logarithms, so no power overflows; v = 0
+    deflates forward and a dividend with c_0 = 0 backward. Each
+    dropped remainder is the dividend's value at a zero it vanishes on,
+    zero up to the rounding of the fit, and is not fed back.
     """
     c = list(coeffs)
     for v, m in runs:
-        forward = abs(v) <= 1.0
+        size, low, high = abs(v), abs(c[0]), abs(c[-1])
+        forward = size == 0 or high == 0 or (
+            low != 0 and (len(c) - 1) * math.log(size) <= math.log(low) - math.log(high)
+        )
         for _ in range(m):
             if forward:
                 for k in range(len(c) - 2, -1, -1):

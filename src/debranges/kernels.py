@@ -73,6 +73,10 @@ Term = tuple[complex, int, complex]  # (weight, order, point), see StructureFunc
 _PARTIAL = "kernel partial ({0}, {1}) at z = {2}, w = {3}"
 _COMBINATION = "combination of order {} at w = {{0}}"  # .format(a), then formatted over w like _PARTIAL
 
+# distinct moments one PaleyWiener._at_order function keeps; a derived row
+# reads about 100 (94 on the benchmark's kernel rows), a held `combination`
+# read at ever new points would otherwise keep every moment it evaluated
+_MOMENT_MEMO = 1024
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)  # 1j**n for n mod 4
 
 
@@ -340,7 +344,9 @@ class PaleyWiener(StructureFunction, FrozenRecord):
         _ipow(a) * _inegpow(order) * M_{a+order}(w - conj(point)), as
         `_mixed` forms it, with each moment read through one memo per call:
         the orders of a run, the terms at one point and the runs of one row
-        share it, for as long as the returned function is held. Order 0
+        share it. The memo is emptied when it holds _MOMENT_MEMO moments, so
+        a held function read at ever new points keeps a bounded memory; a
+        memo only spares evaluations and never changes a value. Order 0
         keeps no memo, which would grow with every point.
         """
         x, eval_E, moment = self.x, self._eval_E_raw, self._moment
@@ -368,6 +374,8 @@ class PaleyWiener(StructureFunction, FrozenRecord):
                 key = a + k, w - p.conjugate()
                 m = moments.get(key)
                 if m is None:
+                    if len(moments) >= _MOMENT_MEMO:
+                        moments.clear()
                     m = moments[key] = moment(*key)
                 acc += weight * (_ipow(a) * _inegpow(k) * m)
             return acc

@@ -17,6 +17,8 @@ import math
 import operator
 import os
 import random
+import sys
+import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 
@@ -500,39 +502,121 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _may_fork() -> bool:
+    """Whether the suite may fork its workers from this process.
+
+    Not without `os.fork`; not in a daemonic `multiprocessing` process,
+    which may not have children (the module is only looked up, never
+    imported); and not while another thread runs, since a fork copies only
+    the calling thread and a lock another thread holds stays held in the
+    child.
+    """
+    mp = sys.modules.get("multiprocessing")
+    daemonic = mp is not None and mp.current_process().daemon
+    return hasattr(os, "fork") and not daemonic and threading.active_count() == 1
+
+
+_INDEX_BYTES = 2  # one task index in the queue pipe
+
+
+def _run_share(tasks: Sequence[_Task], queue: int) -> dict[int, list[CheckReport] | Exception]:
+    """Run the tasks whose indices this process reads from the queue pipe, by index.
+
+    Each task run maps to its reports, or to the error it raised, after
+    which this process takes no further task. A read of one index is
+    atomic, so each index reaches one process.
+    """
+    done: dict[int, list[CheckReport] | Exception] = {}
+    while chunk := os.read(queue, _INDEX_BYTES):
+        index = int.from_bytes(chunk, "little")
+        try:
+            done[index] = _run_task(tasks[index])
+        except Exception as error:
+            done[index] = error
+            break
+    return done
+
+
+def _forked_map(tasks: Sequence[_Task], workers: int) -> list[list[CheckReport]]:
+    """The reports of every task, in task order, from this process and workers - 1 forked children.
+
+    Every task index is written into one pipe before the first fork, and
+    each process reads one index at a time until the pipe is empty, so the
+    pipe is the only scheduler. A child pickles its share, an error
+    included, into a pipe of its own and leaves through `os._exit`, which
+    neither flushes the caller's stdio buffers nor runs its exit handlers.
+    The caller runs its share, reads every child's pipe and reaps every
+    child before it joins the reports or raises the earliest task's error.
+    """
+    import pickle
+
+    queue, feed = os.pipe()
+    # 56 two-byte indices fit in any pipe's buffer, so this write never blocks
+    os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
+    os.close(feed)
+    children = []  # (pid, the read end of its result pipe)
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns
+                code = 1
+                try:
+                    os.close(out)
+                    with open(into, "wb") as sink:
+                        sink.write(pickle.dumps(_run_share(tasks, queue)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(into)
+            children.append((pid, open(out, "rb")))
+        results = _run_share(tasks, queue)
+        for _, source in children:
+            data = source.read()
+            results.update(pickle.loads(data) if data else {})
+    finally:
+        os.close(queue)
+        # a child blocked on its result pipe ends once that pipe is closed
+        statuses = []
+        for pid, source in children:
+            source.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    ordered = []
+    for index, (tag, _, _) in enumerate(tasks):
+        result = results.get(index)
+        if isinstance(result, Exception):  # the task a one-process map stops at
+            raise result
+        if result is None:
+            raise ChildProcessError(f"a suite worker ended (wait statuses {statuses}) before task {tag} reported")
+        ordered.append(result)
+    return ordered
+
+
 def run_default_suite(seed: int = 0, tolerances: dict | None = None) -> list[CheckReport]:
     """The whole desk-scale matrix of spaces and zero sequences.
 
     The checks report bare ids; the suite labels each report of a
     configuration `check:tag`, the tag naming the space and the zeros
     (`theorem2:pw-x1:n2`, `n1-star:hb-deg3:z1=1+1j`, `pw-det-diag:pw-x2:pw-n3`).
-    Its 56 configurations are independent, so they are mapped over a
-    `fork` process pool with one worker per CPU the process may use, one
-    configuration at a time; the reports come back in the one-process
-    order, equal value for value. The suite runs in the calling process
-    when there is one CPU, when the platform has no `fork` start method,
-    when the caller is a daemonic process (a pool worker may not start
-    one), and when other threads run (`fork` copies only the calling
-    thread, so a lock another thread holds stays held in the worker). The
-    seed and the tolerance keys are checked before any worker starts, and
-    an error a check raises in a worker reaches the caller with its type
-    and message once every worker has stopped.
+    Its 56 configurations are independent, so they run on one process per
+    CPU the process may use: the caller and forked children, which take
+    one configuration at a time from one pipe of task indices
+    (`_forked_map`). Only reports and errors cross back, pickled; the
+    reports are joined in the one-process order, equal value for value.
+    The suite runs in the calling process when there is one CPU, when the
+    platform has no `os.fork`, when the caller is a daemonic
+    `multiprocessing` process and when other threads run (`_may_fork`).
+    The seed and the tolerance keys are checked before anything forks. A
+    failure raises the error of the earliest failing configuration, with
+    its type and message, whichever process ran it, once every child has
+    been reaped.
     """
     _reject_unknown_keys(tolerances)
     _checked_seed(seed)
     tasks = _suite_tasks(seed, tolerances)
     workers = min(_usable_cpus(), len(tasks))
-    results: Iterable[list[CheckReport]] = map(_run_task, tasks)
-    if workers > 1:
-        # imported here alone, so `import debranges` and the CLI do not pay for it
-        import multiprocessing
-        import threading
-
-        if (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-            and threading.active_count() == 1
-        ):
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = list(pool.imap(_run_task, tasks, chunksize=1))
+    if workers > 1 and _may_fork():
+        results: Iterable[list[CheckReport]] = _forked_map(tasks, workers)
+    else:
+        results = map(_run_task, tasks)
     return [report for reports in results for report in reports]

@@ -22,7 +22,7 @@ from debranges import (
     gram,
     kernels,
 )
-from debranges.gram import Remainder
+from debranges.gram import Remainder, _divide
 from conftest import pw_moment_quadrature
 from split_zero_oracle import extrapolate_to_zero
 
@@ -513,3 +513,22 @@ def test_remainders_hold_only_their_quotient(family):
         columns = gs._closed_kernel
         assert isinstance(columns, tuple) and len(columns) == 5 - 3
         assert all(len(column) == 5 - 3 for column in columns)
+
+
+@pytest.mark.parametrize(
+    "run, rest",
+    [
+        ((1e200, 1), (2.0, 3.0)),  # |v|**3 overflows a double: the side is chosen in logarithms
+        ((1e-200, 1), (2.0, 3.0)),
+        ((0.0, 2), (2.0, 3.0)),  # v = 0 deflates forward, as backward would divide by it
+        ((2.0, 1), (0.0, 3.0)),  # c_0 = 0: backward, past the geometric mean 0
+    ],
+)
+def test_divide_takes_each_run_from_a_side_without_overflow(run, rest):
+    v, m = run
+    coeffs = [1.0 + 0j]  # ascending coefficients of prod (x - r)
+    for r in (v,) * m + rest:
+        coeffs = [low - r * high for low, high in zip([0j, *coeffs], [*coeffs, 0j])]
+    got = _divide(coeffs, [run])
+    want = np.polynomial.polynomial.polyfromroots(rest)
+    assert np.allclose(got, want, rtol=1e-15, atol=0), (got, want)

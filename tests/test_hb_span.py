@@ -40,7 +40,7 @@ from debranges import (
     gram,
     run_config_checks,
 )
-from debranges.verify import PROJECTION_POINT
+from debranges.verify import PROJECTION_POINT, _sample_pair, _uniforms
 from debranges.gram import _taylor_terms
 from debranges.kernels import _differentiate, _horner
 
@@ -543,3 +543,25 @@ def test_trivial_derived_space(d, zero_points):
         assert abs(ssf.incomplete(p, k)) <= 1e-12 * abs(space.eval_E(p, k))
     reports = run_config_checks(space, zeros)
     assert reports and all(r.passed for r in reports), reports
+
+
+# high degree with roots of modulus about 3 and zeros of modulus 1.1-1.4: a
+# division that deflates a zero from the side of its size relative to 1,
+# not to the dividend's other roots, lost 7e-6 of K_sigma at degree 12
+DEGREE_ZEROS = (1j, 1j, 0.5 + 1j, -1 + 0.5j)
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_high_degree_matches_mpmath(d):
+    roots = tuple(3 * cmath.cos(cmath.pi * (k + 0.5) / d) - 1j for k in range(d))
+    gs = build(PolynomialHB(roots), canonicalize(DEGREE_ZEROS))
+    ssf = derive(gs)
+    uniform = _uniforms(1)
+    pairs = [_sample_pair(uniform) for _ in range(60)]
+    want_e = _mp_structure(roots, DEGREE_ZEROS, "E")
+    want_k = _mp_kernel(roots, DEGREE_ZEROS)
+    for z, w in pairs:
+        ref = want_e(w)
+        assert abs(ssf.eval("E", w) - ref) <= 1e-9 * abs(ref), w
+        ref = want_k(z, w)
+        assert abs(gs.sigma_kernel(z, w) - ref) <= 1e-9 * abs(ref), (z, w)

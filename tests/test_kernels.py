@@ -3,6 +3,7 @@
 import cmath
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,26 @@ class TestPaleyWienerCombination:
                 combination(w, a)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+    def test_a_held_combination_keeps_bounded_memory(self):
+        # one closure read at order 1 at 10 000 distinct points: its moment
+        # memo is emptied at _MOMENT_MEMO entries, and every value stays the default's
+        space = PaleyWiener(1.0)
+        terms = [(1.0, 0, 0.3 + 0.4j), (-0.5 + 0.2j, 0, 1j), (0.7, 1, 1j), (0.2j, 0, 2j), (-0.1, 0, 1 + 1j)]
+        default = space._checked(0, terms, StructureFunction._at_order(space, 0, terms))
+        ws = [complex(0.001 * i, 0.5) for i in range(10_000)]
+        held = space.combination(0, terms)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for w in ws:
+                held(w, 1)
+            grown = sum(stat.size_diff for stat in tracemalloc.take_snapshot().compare_to(before, "filename"))
+        finally:
+            tracemalloc.stop()
+        assert grown < 1_000_000, grown  # 0.15 MB bounded; 6.5 MB if every moment were kept
+        for w in ws[::97]:
+            assert self._bits(held(w, 1)) == self._bits(default(w, 1)), w
 
 
 class TestConstruction:

@@ -3,7 +3,8 @@
 PaleyWiener, PolynomialHB, ZeroSequence and SigmaStructureFunction compare
 and hash by their fields and cannot be assigned; GramSystem is immutable
 but equal only to itself; the CLI's RunConfig is mutable and unhashable.
-The fork pool of the default suite pickles the first four.
+The first four pickle, so a caller may send them to another process; the
+default suite's forked workers pickle only their reports and errors.
 """
 
 import pickle

@@ -5,7 +5,11 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,13 +315,36 @@ class TestSuites:
             report.passed = False
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def _no_fork():
+    raise AssertionError("a worker process was forked")
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def _has_children() -> bool:
+    """Whether this process has a child, running or not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def _run_task_failing(monkeypatch, fails):
+    """Patch verify._run_task to raise RangeError, naming the task and the process, where fails(index, in_caller)."""
+    caller, run = os.getpid(), verify._run_task
+    index_of = {task[0]: i for i, task in enumerate(verify._suite_tasks(0, None))}
+
+    def task(t):
+        index = index_of[t[0]]
+        if fails(index, os.getpid() == caller):
+            raise RangeError(f"task {index} forced in process {os.getpid()}")
+        return run(t)
+
+    monkeypatch.setattr(verify, "_run_task", task)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestSuitePool:
-    """run_default_suite maps its configurations over a fork pool; two CPUs are forced so the pool runs."""
+    """run_default_suite runs its configurations on the caller and forked children; two CPUs are forced so it forks."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -327,36 +354,94 @@ class TestSuitePool:
     def test_reports_equal_a_one_process_run(self, monkeypatch, seed):
         pooled = run_default_suite(seed)
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", _no_pool)
+        monkeypatch.setattr(verify.os, "fork", _no_fork)
         # repr tells -0.0 from 0.0 and shows a nan, which == would not
         assert list(map(repr, pooled)) == list(map(repr, run_default_suite(seed)))
         assert len(pooled) == 156
 
     def test_no_worker_outlives_the_suite(self, monkeypatch):
         run_default_suite(0)
-        assert multiprocessing.active_children() == []
+        assert not _has_children()
 
         def fail(*args, **kwargs):
             raise RangeError(f"forced in process {os.getpid()}")
 
-        # only check_pw_example calls bordered_det; the check is looked up in the worker
+        # only check_pw_example calls bordered_det; the caller or a child may run it
         monkeypatch.setattr(verify, "bordered_det", fail)
         with pytest.raises(RangeError) as caught:
             run_default_suite(0)
         assert type(caught.value) is RangeError
-        pid = re.fullmatch(r"forced in process (\d+)", str(caught.value))
-        assert pid and int(pid[1]) != os.getpid()
-        assert multiprocessing.active_children() == []
+        assert re.fullmatch(r"forced in process \d+", str(caught.value))
+        assert not _has_children()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_an_error_of_either_side_reaches_the_caller(self, monkeypatch, where):
+        # the failing side raises at its first task; the other sleeps 0.2 s
+        # before its first, so the failing side is sure to read one
+        first = [True]  # each process has its own copy after the fork
+
+        def fails(index, in_caller):
+            if in_caller == (where == "caller"):
+                return True
+            if first[0]:
+                first[0] = False
+                time.sleep(0.2)
+            return False
+
+        _run_task_failing(monkeypatch, fails)
+        with pytest.raises(RangeError) as caught:
+            run_default_suite(0)
+        assert type(caught.value) is RangeError
+        raised = re.fullmatch(r"task \d+ forced in process (\d+)", str(caught.value))
+        assert raised and (int(raised[1]) == os.getpid()) == (where == "caller")
+        assert not _has_children()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_the_earliest_failing_task_wins(self, monkeypatch, where):
+        # one side fails 0.3 s into its first task, the other at once at
+        # task 30 or later: the error is the earlier task's, as a one-process
+        # map raises it, whichever side ran it and whichever failed first
+        def fails(index, in_caller):
+            if in_caller == (where == "caller"):
+                time.sleep(0.3)
+                return True
+            return index >= 30
+
+        _run_task_failing(monkeypatch, fails)
+        with pytest.raises(RangeError) as caught:
+            run_default_suite(0)
+        raised = re.fullmatch(r"task (\d+) forced in process (\d+)", str(caught.value))
+        assert raised and int(raised[1]) < 30
+        assert (int(raised[2]) == os.getpid()) == (where == "caller")
+        assert not _has_children()
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        # a child that ends without reporting (here at its first task; the
+        # caller sleeps 0.2 s first, so the child reads one) loses its tasks
+        first = [True]
+
+        def fails(index, in_caller):
+            if not in_caller:
+                os._exit(7)
+            if first[0]:
+                first[0] = False
+                time.sleep(0.2)
+            return False
+
+        _run_task_failing(monkeypatch, fails)
+        with pytest.raises(ChildProcessError, match=r"wait statuses \[1792\]\) before task "):
+            run_default_suite(0)
+        assert not _has_children()
 
     def test_seed_and_keys_are_checked_before_any_worker_starts(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", _no_pool)
+        monkeypatch.setattr(verify.os, "fork", _no_fork)
         with pytest.raises(ValueError, match="non-negative"):
             run_default_suite(-1)
         with pytest.raises(TypeError):
             run_default_suite(1.5)
         with pytest.raises(DomainError, match="theorm2"):
             run_default_suite(0, {"theorm2": 0.0})
-        with pytest.raises(AssertionError, match="worker pool"):
+        with pytest.raises(AssertionError, match="forked"):
             run_default_suite(0)
 
     def test_a_pool_worker_runs_the_suite_in_process(self):
@@ -367,7 +452,7 @@ class TestSuitePool:
 
     def test_another_thread_keeps_the_suite_in_process(self, monkeypatch):
         direct = run_default_suite(0)
-        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", _no_pool)
+        monkeypatch.setattr(verify.os, "fork", _no_fork)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
@@ -377,3 +462,13 @@ class TestSuitePool:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
+
+    def test_the_suite_never_imports_multiprocessing(self):
+        # in a fresh interpreter, forked or in process as its CPUs allow
+        env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+        code = (
+            "import sys, debranges\n"
+            "print(len(debranges.run_default_suite(0)), 'multiprocessing' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["156", "False"]
