@@ -15,15 +15,13 @@ from .errors import (
     ConfigError,
     DeBrangesError,
     DomainError,
-    InvalidScheduleError,
     LinearDependenceError,
-    PoleError,
     RangeError,
     UnsupportedOrderError,
 )
 from .gram import CONDITION_LIMIT, GramSystem, build
 from .kernels import PaleyWiener, PolynomialHB, StructureFunction
-from .sigma import ZeroSequence, bracket, canonicalize
+from .sigma import ZeroSequence, canonicalize
 from .structure import SigmaStructureFunction, derive, derive_iterative
 
 __version__ = "0.1.0"
@@ -35,17 +33,14 @@ __all__ = [
     "DeBrangesError",
     "DomainError",
     "GramSystem",
-    "InvalidScheduleError",
     "LinearDependenceError",
     "PaleyWiener",
-    "PoleError",
     "PolynomialHB",
     "RangeError",
     "SigmaStructureFunction",
     "StructureFunction",
     "UnsupportedOrderError",
     "ZeroSequence",
-    "bracket",
     "build",
     "canonicalize",
     "check_hb_inheritance",

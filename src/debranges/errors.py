@@ -9,10 +9,6 @@ class UnsupportedOrderError(DeBrangesError):
     """A derivative beyond the provider's guaranteed order was requested."""
 
 
-class PoleError(DeBrangesError):
-    """Evaluation requested exactly at a pole of the rational prefactor."""
-
-
 class LinearDependenceError(DeBrangesError):
     """The point evaluators are numerically linearly dependent."""
 
@@ -29,10 +25,6 @@ class RangeError(DeBrangesError):
     """A value left the range of double precision (overflow or non-finite)."""
 
 
-class InvalidScheduleError(DeBrangesError):
-    """A split-zero schedule produced colliding split points."""
-
-
 class ConfigError(DeBrangesError):
     """A run configuration failed validation; `field` names the offender."""
 
@@ -42,6 +34,6 @@ class ConfigError(DeBrangesError):
         self.message = message
 
     def __reduce__(self):
-        # pickle (a worker process's error sent back to its caller) re-calls
-        # __init__ with `args`, which holds only the joined message
+        # pickle re-calls __init__ with `args`, which holds only the joined
+        # message; this keeps `field` and `message` through a round trip
         return type(self), (self.field, self.message), self.__dict__

@@ -11,14 +11,15 @@ companion the reflection of that (see structure.py); the derived-space
 kernel is the quotient of Z_z (e = 0, one term (1, 0, z)), whose fit beta
 is the projection of Z_z onto the span of the Z_j, rescaled in z:
 
-    K_z(w) = gamma(w) * conj(gamma(z)) * (Z_z(w) - sum_j beta_j Z_j(w)).
+    K_z(w) = (Z_z(w) - sum_j beta_j Z_j(w)) / (prod_i (w - z_i) * conj prod_i (z - z_i)).
 
-The family hook `StructureFunction.polynomial` picks the route, once per
-derived function or row. On a space of polynomials (`PolynomialHB`) the
-residual is a polynomial: E_sigma is its exact quotient (`_divide`), and a
-kernel row contracts the matrix B' that `GramSystem._closed_kernel`
-divides out of the Schur complement once per system, with no disk and no
-fit in either variable. Otherwise (`PaleyWiener`) the residual is divided
+The space's `dimension` picks the route, once per derived function or
+row. On a space of polynomials (a finite dimension: `PolynomialHB`, whose
+`polynomial` hook gives the coefficients) the residual is a polynomial:
+E_sigma is its exact quotient (`_divide`), and a kernel row contracts the
+matrix B' that `GramSystem._closed_kernel` divides out of the Schur
+complement once per system, with no disk and no fit in either variable.
+Otherwise (`PaleyWiener`) the residual is divided
 point by point, crossing the trivial zeros by Taylor series, and a kernel
 row has conj prod (z - z_i) as its divisor. A `Remainder` is the derived
 function of either route as a plain value function and the name of its
@@ -190,7 +191,7 @@ class GramSystem(FrozenRecord):
     zeros: ZeroSequence
     rows: tuple[tuple[complex, ...], ...]  # the Gram matrix by rows, exactly Hermitian
     factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, rows = L L^H
-    det: float  # det G by LU (`determinant`), for the determinant route only
+    det: float  # det G by LU (`determinant`), for the determinant route and `check_pw_example`
     condition_estimate: float
 
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -276,9 +277,9 @@ class GramSystem(FrozenRecord):
         and w, on the zeros too. The fits are not kept: no row needs beta(z).
         """
         space, zs = self.space, self.zeros
-        if space.polynomial(0, ()) is None:  # the family hook: not a space of polynomials
-            return None
         d = space.dimension
+        if d is None:  # not a space of polynomials
+            return None
         pts, ks = zs.points, zs.confluence
         rows = []
         for r in range(d):
@@ -355,7 +356,7 @@ class GramSystem(FrozenRecord):
         col = [space.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
         zprod_conj = zs.product(z).conjugate()
         g, det = self.rows, self.det
-        if space.polynomial(0, ()) is not None:  # the family hook: a space of polynomials
+        if space.dimension is not None:  # a space of polynomials
             coeffs = [
                 determinant([[*r[:j], c, *r[j + 1:]] for r, c in zip(g, col)]) / det for j in range(self.n)
             ]
@@ -445,9 +446,9 @@ def _quotient(
     (f's terms, then the span's (-c_j, k_j, z_j)), vanishes at each run to
     the run's multiplicity. The route is chosen once, here:
 
-    * On a space of polynomials (`StructureFunction.polynomial`) the
-      quotient is a polynomial and a point costs one Horner pass: the
-      residual's coefficients divided exactly (`_divide`), and then by
+    * On a space of polynomials (a finite `dimension`) the quotient is a
+      polynomial and a point costs one Horner pass: the residual's
+      coefficients (`polynomial`) divided exactly (`_divide`), and then by
       `divisor`.
     * Otherwise the quotient is the residual over prod (w - z_i): the
       residual's plain order-0 math (`StructureFunction._at_order`, its
@@ -463,9 +464,8 @@ def _quotient(
     The result is a plain value function; `Remainder` range-checks it.
     """
     fitted = [*terms, *_span(zeros, coeffs)]
-    poly = space.polynomial(e, fitted)
-    if poly is not None:
-        quotient = _divide(poly, zeros._runs)
+    if space.dimension is not None:
+        quotient = _divide(space.polynomial(e, fitted), zeros._runs)
         if divisor is not None:
             quotient = [c / divisor for c in quotient]
         return partial(_horner, quotient)

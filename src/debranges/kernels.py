@@ -51,11 +51,12 @@ _quotient read at a few points, the runs, share them across orders,
 terms and runs. ``PolynomialHB`` keeps the defaults: its derived values
 take no combination and its quotients no disk.
 
-``polynomial`` is the family hook that picks the gram layer's route for
-the derived functions: None by default, so ``PaleyWiener`` divides its
-residuals point by point; on ``PolynomialHB`` the coefficients of
-e E + sum_t weight_t Z_t, which the gram layer divides exactly (E_sigma,
-the derived kernel's matrix B' and the determinant route's residual).
+``dimension`` picks the gram layer's route for the derived functions:
+None by default, so ``PaleyWiener`` divides its residuals point by point.
+A family of finite dimension is a space of polynomials and supplies
+``polynomial``, the coefficients of e E + sum_t weight_t Z_t; on
+``PolynomialHB`` the gram layer divides them exactly (E_sigma, the
+derived kernel's matrix B' and the determinant route's residual).
 """
 
 from __future__ import annotations
@@ -181,7 +182,12 @@ class StructureFunction:
 
     @property
     def dimension(self) -> int | None:
-        """Dimension of the space, None when infinite."""
+        """Dimension of the space, None when infinite.
+
+        A finite dimension makes the space one of polynomials: the family
+        then supplies `polynomial`, and the gram layer divides its
+        coefficients exactly instead of point by point.
+        """
         return None
 
     # ------------------------------------------------------------------
@@ -225,15 +231,6 @@ class StructureFunction:
     def _check_mixed(self, a: int, b: int) -> None:
         """Orders of a kernel partial; the budget caps them by default."""
         self._check_partial(a, b)
-
-    def polynomial(self, e: complex, terms: Sequence[Term]) -> list[complex] | None:
-        """Ascending w-coefficients of e E + sum_t weight_t Z_t, or None for a family not of polynomials.
-
-        Plain math, like the other hooks: no order or range check. Where it
-        is not None, the gram layer serves the derived functions in closed
-        form, as exact quotients of these coefficients.
-        """
-        return None
 
     def combination(self, e: complex, terms: Sequence[Term]) -> Callable[..., complex]:
         """(w, a) -> d^a/dw^a of e E(w) + sum_t weight_t Z_t(w), a defaulting to 0.

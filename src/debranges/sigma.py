@@ -14,11 +14,11 @@ instead of being merged away here.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import cached_property
 
 from ._record import FrozenRecord
-from .errors import PoleError, RangeError
+from .errors import RangeError
 
 # Distance to a zero, relative to 1 + |zero|, below which evaluation
 # switches from the direct rational form to the Taylor form that absorbs
@@ -105,24 +105,9 @@ class ZeroSequence(FrozenRecord):
             acc *= at - p
         return acc
 
-    def gamma(self, z: complex) -> complex:
-        """The rational factor prod 1/(z - z_i); a pole on the sequence raises."""
-        z = complex(z)
-        if any(z == p for p in self.points):
-            raise PoleError(f"gamma has a pole at {z}; use the de-singularized routes")
-        return 1.0 / self.product(z)
-
 
 def canonicalize(points: Iterable[complex]) -> ZeroSequence:
     """Group equal values contiguously, keeping order of first appearance."""
     counts = Counter(complex(p) for p in points)
     return ZeroSequence(tuple(value for value, count in counts.items() for _ in range(count)))
 
-
-def bracket(f: Callable[..., complex], zs: ZeroSequence, i: int) -> complex:
-    """The functional f -> f^(k_i)(z_i) for the i-th entry (0-based).
-
-    `f` is called as f(point, order); bound methods like
-    StructureFunction.eval_E fit directly.
-    """
-    return f(zs.points[i], zs.confluence[i])

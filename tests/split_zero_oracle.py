@@ -15,9 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from debranges import (
-    GramSystem, InvalidScheduleError, SigmaStructureFunction, StructureFunction, ZeroSequence,
+    DeBrangesError, GramSystem, SigmaStructureFunction, StructureFunction, ZeroSequence,
     build, canonicalize, derive,
 )
+
+
+class InvalidScheduleError(DeBrangesError):
+    """A split-zero schedule produced colliding split points."""
 
 
 def extrapolate_to_zero(steps: Sequence[float], values: Sequence[complex]) -> complex:
@@ -42,7 +46,7 @@ def extrapolate_to_zero(steps: Sequence[float], values: Sequence[complex]) -> co
 
 
 def bracket_eps(f: Callable[[complex], complex], zs: ZeroSequence, i: int, eps: float) -> complex:
-    """One-sided difference approximation of :func:`debranges.bracket`.
+    """One-sided difference approximation of f^(k_i)(z_i), the i-th entry's derivative.
 
     eps^(-k_i) * sum_l (-1)^l binom(k_i, l) f(z_i - l*eps), which tends to
     f^(k_i)(z_i) as eps -> 0 for analytic f.

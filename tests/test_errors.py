@@ -11,11 +11,9 @@ from debranges import errors
 INSTANCES = [
     errors.DeBrangesError("base"),
     errors.UnsupportedOrderError("order 9 past the budget"),
-    errors.PoleError("pole at 1j"),
     errors.LinearDependenceError("dependent evaluators", condition_estimate=3.5e12),
     errors.DomainError("outside the domain"),
     errors.RangeError("K_z(w) at w = 800j"),
-    errors.InvalidScheduleError("colliding split points"),
     errors.ConfigError("grid", "missing"),
 ]
 EXTRA = ("field", "message", "condition_estimate")

@@ -1,4 +1,4 @@
-"""Zero sequences: canonical order, rational factor, bracket functionals."""
+"""Zero sequences: canonical order, the one-sided difference oracle, disks."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debranges import (
-    PaleyWiener, PoleError, RangeError, ZeroSequence, bracket, canonicalize,
+    PaleyWiener, RangeError, ZeroSequence, canonicalize,
 )
 
 from split_zero_oracle import bracket_eps, extrapolate_to_zero
@@ -62,47 +62,6 @@ class TestCanonicalize:
             ZeroSequence((1j, 2j, 1j))
 
 
-class TestGamma:
-    def test_empty_product(self):
-        assert canonicalize([]).gamma(0.7 + 2j) == 1
-
-    def test_single_zero(self):
-        assert canonicalize([1j]).gamma(0) == pytest.approx(1j)
-
-    def test_conjugate_pair(self):
-        assert canonicalize([1j, -1j]).gamma(1) == pytest.approx(0.5)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            canonicalize([1j, 2j]).gamma(2j)
-
-    @given(points_lists, st.sampled_from([0.3 + 0.9j, -2 + 0.1j, 4 - 1j]))
-    def test_inverse_of_product(self, pts, z):
-        zs = canonicalize(pts)
-        if any(z == p for p in zs.points):
-            return
-        prod = 1 + 0j
-        for p in zs.points:
-            prod *= z - p
-        assert zs.gamma(z) * prod == pytest.approx(1.0)
-
-
-class TestBracket:
-    def test_plain_evaluation(self):
-        pw = PaleyWiener(1.0)
-        zs = canonicalize([1j])
-        assert bracket(pw.eval_E, zs, 0) == pytest.approx(math.e)
-
-    def test_derivative_on_second_entry(self):
-        pw = PaleyWiener(1.0)
-        zs = canonicalize([1j, 1j])
-        assert bracket(pw.eval_E, zs, 1) == pytest.approx(-1j * math.e)
-
-    def test_constant_function(self):
-        zs = canonicalize([1j, 1j])
-        assert bracket(lambda w, order=0: 1.0 if order == 0 else 0.0, zs, 1) == 0
-
-
 class TestBracketEps:
     def test_zero_offset_is_plain_value(self):
         zs = canonicalize([2j])
@@ -130,14 +89,14 @@ class TestBracketEps:
         zs = canonicalize([1j, 1j, 1j])
         steps = [1e-2, 1e-3, 1e-4]
         vals = [bracket_eps(pw.eval_E, zs, i, e) for e in steps]
-        want = bracket(pw.eval_E, zs, i)
+        want = pw.eval_E(zs.points[i], zs.confluence[i])
         got = extrapolate_to_zero(steps, vals)
         assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
     def test_errors_shrink_along_schedule(self):
         pw = PaleyWiener(1.0)
         zs = canonicalize([1j, 1j])
-        want = bracket(pw.eval_E, zs, 1)
+        want = pw.eval_E(zs.points[1], zs.confluence[1])
         errs = [abs(bracket_eps(pw.eval_E, zs, 1, e) - want) for e in (1e-2, 1e-3, 1e-4)]
         assert errs[0] > errs[1] > errs[2]
 
