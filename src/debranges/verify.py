@@ -142,7 +142,7 @@ def _rel(diff: complex, scale: complex) -> float:
     return abs(diff) / max(1.0, abs(scale))
 
 
-def _quotient(
+def _pair_kernel(
     ssf: SigmaStructureFunction, z: complex, w: complex, ew: complex, fw: complex
 ) -> complex:
     """(conj E(z) E(w) - conj F(z) F(w)) / (i (conj z - w)) of the derived pair, given E(w), F(w)."""
@@ -167,7 +167,7 @@ def check_theorem2(
     for _ in range(sample_count):
         z, w = _sample_pair(uniform)
         lhs = gs.sigma_kernel(z, w)
-        rhs = _quotient(ssf, z, w, ssf.eval("E", w), ssf.eval("F", w))
+        rhs = _pair_kernel(ssf, z, w, ssf.eval("E", w), ssf.eval("F", w))
         worst = max(worst, _rel(lhs - rhs, lhs))
     return _scaled_report("theorem2", sample_count, worst, tolerances, gs.condition_estimate)
 
@@ -208,7 +208,7 @@ def check_n1_identities(
         )
         # bordered 2x2 determinant equals the quotient of the derived forms
         lhs = gs.sigma_kernel_det(z, w)
-        rhs = _quotient(ssf, z, w, ew, fw)
+        rhs = _pair_kernel(ssf, z, w, ew, fw)
         worst_det = max(worst_det, _rel(lhs - rhs, rhs))
 
     return [
@@ -232,7 +232,10 @@ def check_pw_example(
     LinearDependenceError as in every other check. Bordered by the
     diagonal kernel and by the two structure functions, it gives the
     determinants of the diagonal identity and the reflection identity,
-    which are verified at each z sample. The reflection
+    which are verified at each z sample. Each evaluator row
+    (K(z_j, z))_j is built once per point: the row at z borders the
+    kernel, E and E* determinants there, and the row at conj z the
+    reflected E determinant. The reflection
     identity is tested under both conjugation readings (conjugating the
     whole reflected determinant value versus not conjugating it) and the
     note records which reading holds.
@@ -257,12 +260,6 @@ def check_pw_example(
     e_col = [space.eval_E(p) for p in pts]
     f_col = [space.eval_E_star(p) for p in pts]
 
-    def det_e(at: complex) -> complex:
-        return bordered_det(a, e_col, [space.kernel(zj, at) for zj in pts], space.eval_E(at))
-
-    def det_f(at: complex) -> complex:
-        return bordered_det(a, f_col, [space.kernel(zj, at) for zj in pts], space.eval_E_star(at))
-
     worst_diag = 0.0
     worst_conj = 0.0
     worst_bare = 0.0
@@ -270,8 +267,8 @@ def check_pw_example(
         row = [space.kernel(zj, z) for zj in pts]
         col = [space.kernel(z, zi) for zi in pts]
         gzz = bordered_det(a, col, row, space.kernel(z, z))
-        ez = det_e(z)
-        fz = det_f(z)
+        ez = bordered_det(a, e_col, row, space.eval_E(z))
+        fz = bordered_det(a, f_col, row, space.eval_E_star(z))
         lhs = gzz * gn
         rhs = (abs(ez) ** 2 - abs(fz) ** 2) / (2.0 * z.imag)
         worst_diag = max(worst_diag, _rel(lhs - rhs, lhs))
@@ -279,27 +276,22 @@ def check_pw_example(
         blaschke = 1.0 + 0j
         for p in pts:
             blaschke *= (z - p) / (z - p.conjugate())
-        reflected = det_e(z.conjugate())
+        zc = z.conjugate()
+        reflected = bordered_det(a, e_col, [space.kernel(zj, zc) for zj in pts], space.eval_E(zc))
         worst_conj = max(worst_conj, _rel(fz - blaschke * reflected.conjugate(), fz))
         worst_bare = max(worst_bare, _rel(fz - blaschke * reflected, fz))
 
-    if worst_conj <= worst_bare:
-        star_worst = worst_conj
-        note = (
-            "conjugated reading holds: reflection determinant enters as "
-            f"conj(value at conj(z)) (residual {worst_conj:.3e}); "
-            f"unconjugated reading residual {worst_bare:.3e}"
-        )
-    else:
-        star_worst = worst_bare
-        note = (
-            "unconjugated reading holds: reflection determinant enters as "
-            f"plain value at conj(z) (residual {worst_bare:.3e}); "
-            f"conjugated reading residual {worst_conj:.3e}"
-        )
+    # (residual, reading, how the reflected determinant enters); a tie goes to the conjugated reading
+    conj = (worst_conj, "conjugated", "conj(value at conj(z))")
+    bare = (worst_bare, "unconjugated", "plain value at conj(z)")
+    held, other = (conj, bare) if worst_conj <= worst_bare else (bare, conj)
+    note = (
+        f"{held[1]} reading holds: reflection determinant enters as {held[2]} "
+        f"(residual {held[0]:.3e}); {other[1]} reading residual {other[0]:.3e}"
+    )
     return [
         _scaled_report("pw-det-diag", len(samples), worst_diag, tolerances, gs.condition_estimate),
-        _scaled_report("pw-det-star", len(samples), star_worst, tolerances, gs.condition_estimate, note),
+        _scaled_report("pw-det-star", len(samples), held[0], tolerances, gs.condition_estimate, note),
     ]
 
 

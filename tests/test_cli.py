@@ -322,6 +322,22 @@ class TestExitCodes:
         assert main(["--config", str(path)]) == 4
         assert not (tmp_path / "out.txt").exists()
 
+    def test_overflow_in_a_checks_own_arithmetic_exit_four(self, tmp_path, capsys):
+        # every kernel and E value is finite; abs(ez) ** 2 of the bordered E determinant overflows
+        path = write_config(
+            tmp_path, command="pw-example", space={"family": "paley-wiener", "x": 100.0},
+            eval_points=[[0.0, 2.0]],
+        )
+        assert main(["--config", str(path)]) == 4
+        assert not (tmp_path / "out.txt").exists()
+        assert capsys.readouterr().err.startswith("range error: a pw-example value overflows: ")
+
+    def test_unwritable_output_in_process_exit_two(self, tmp_path, capsys):
+        # --output names a directory
+        path = write_config(tmp_path)
+        assert main(["--config", str(path), "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: output.path: cannot write {tmp_path}: ")
+
     @pytest.mark.parametrize("command", ["kernel", "structure"])
     def test_non_finite_value_exit_four(self, tmp_path, capsys, command):
         # at |w| = 1e160 the cubic E and the quadratic kernel both exceed

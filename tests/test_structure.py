@@ -7,6 +7,8 @@ import pytest
 
 from debranges import (
     DomainError,
+    LinearDependenceError,
+    PolynomialHB,
     build,
     canonicalize,
     derive,
@@ -228,6 +230,12 @@ class TestDeriveIterative:
     def test_repeated_zeros_rejected(self, pw1):
         with pytest.raises(DomainError):
             derive_iterative(pw1, canonicalize([1j, 1j]))
+
+    def test_dependent_evaluator_rejected(self):
+        # the degree-1 space is one-dimensional: the evaluator at 2j is a multiple of the one at 1j
+        message = "evaluator at 2j is numerically in the span of the previous ones"
+        with pytest.raises(LinearDependenceError, match=message):
+            derive_iterative(PolynomialHB((-1j,)), canonicalize([1j, 2j]))
 
 
 class TestEpsilonOracle:

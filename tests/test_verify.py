@@ -131,6 +131,21 @@ class TestPwExample:
         assert "conjugated reading holds" in star.note
         assert star.passed
 
+    @pytest.mark.parametrize("n, calls", [(1, 8), (2, 14), (3, 20)])
+    def test_each_evaluator_row_built_once(self, monkeypatch, n, calls):
+        # per sample: the row at z, the column at z, K(z, z) and the row at conj z, so 3n + 1
+        counted = 0
+        kernel = PaleyWiener.kernel
+
+        def counting(self, z, w):
+            nonlocal counted
+            counted += 1
+            return kernel(self, z, w)
+
+        monkeypatch.setattr(PaleyWiener, "kernel", counting)
+        check_pw_example(1.0, (1j, 1 + 1j, -0.5 + 2j)[:n], (2j, 0.5 + 1.5j))
+        assert counted == calls
+
     def test_real_sample_rejected(self):
         with pytest.raises(DomainError):
             check_pw_example(1.0, [1j], [0.5])
