@@ -24,9 +24,9 @@ point by point, crossing the trivial zeros by Taylor series, and a kernel
 row has conj prod (z - z_i) as its divisor. A `Remainder` is the derived
 function of either route as a plain value function and the name of its
 point, and `Remainder.__call__` is the one place a derived value is
-range-checked: `fit` and `_quotient` sum the family's plain math
-(`space._at_order`, the same hook `combination` checks), each order
-checked where it is used. The Taylor series at a run reads the
+range-checked: `_rhs` (every fit's right-hand side) and `_quotient` sum
+the family's plain math (`space._at_order`, the same hook `combination`
+checks), each order checked where it is used. The Taylor series at a run reads the
 residual's derivatives there from one table per run, filled through the
 row's one `_at_order` function, which on `PaleyWiener` evaluates each
 distinct moment once for the whole row. A residual
@@ -35,15 +35,15 @@ read on its own (`GramSystem.incomplete_kernel`,
 `combination` of the fit's terms and builds no `Remainder`.
 
 The linear-solve route is the production path. The bordered-determinant
-route (`GramSystem.det_row`) is the cross-check, and its fit comes from
-its own LU factorization (det G, `GramSystem.det`, and either the Cramer
-numerators or a bordered determinant per point), never from the Cholesky
-factor. On a space of polynomials its residual is divided exactly, like
-the solve route's, so the two share `_quotient`; otherwise each point's
-bordered determinant is divided directly and the routes share only the
-Gram matrix. Either way the row is a `Remainder`. All of it is plain
-Python on rows of complex numbers; at n <= ~10 that is as fast as array
-calls and needs no numpy.
+route (`GramSystem.det_row`) is the cross-check: by the Schur complement,
+det [[G, col], [row, corner]] / det G = corner - row . G^-1 col, so it is
+the kernel row's own route (`GramSystem._row`, `_quotient`) with its fit
+from one LU solve with partial pivoting (`_lu_solve`, the elimination of
+`determinant`), never from the Cholesky factor. Either way the row is a
+`Remainder`, defined on the zeros too. `determinant`, `bordered_det` and
+`GramSystem.det` serve `check_pw_example`'s bordered determinants. All of
+it is plain Python on rows of complex numbers; at n <= ~10 that is as
+fast as array calls and needs no numpy.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from collections.abc import Callable, Sequence
 from functools import cached_property, partial
 
 from ._record import FrozenRecord
-from .errors import DomainError, LinearDependenceError
+from .errors import LinearDependenceError
 from .kernels import _COMBINATION, StructureFunction, Term, _differentiate, _horner, _in_range
 from .sigma import DESINGULARIZATION_TERMS, ZeroSequence
 
@@ -62,12 +62,15 @@ CONDITION_LIMIT = 1e12
 _JACOBI_SWEEPS = 50  # a cap only; Jacobi converges quadratically, in 5 sweeps at n = 4
 
 Rows = Sequence[Sequence[complex]]
-_OFF_SEQUENCE = "determinant route is undefined on the zero sequence; sigma_kernel evaluates those limits"
 
 
-def determinant(rows: Rows) -> complex:
-    """det of a square matrix given by rows; LU with partial pivoting (1 for n = 0)."""
-    m = [list(row) for row in rows]
+def _eliminate(m: list[list[complex]]) -> complex:
+    """LU with partial pivoting, in place, on the first n columns of the n x (n + k) rows m; their det.
+
+    Row swaps and eliminations carry the k trailing columns along, so on
+    [A | b] this is Gaussian elimination's forward pass and leaves m upper
+    triangular in its first n columns. Stops at a zero pivot, with det 0.
+    """
     n = len(m)
     det = 1.0 + 0j
     for k in range(n):
@@ -86,9 +89,28 @@ def determinant(rows: Rows) -> complex:
             return det
         for row in m[k + 1:]:
             f = row[k] / pivot
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(top)):
                 row[j] -= f * top[j]
     return det
+
+
+def determinant(rows: Rows) -> complex:
+    """det of a square matrix given by rows; LU with partial pivoting (1 for n = 0)."""
+    return _eliminate([list(row) for row in rows])
+
+
+def _lu_solve(rows: Rows, rhs: Sequence[complex]) -> tuple[complex, ...]:
+    """x with rows x = rhs: `determinant`'s elimination on [rows | rhs], then back substitution."""
+    m = [[*row, b] for row, b in zip(rows, rhs)]
+    _eliminate(m)
+    n = len(m)
+    x = [0j] * n
+    for i in range(n - 1, -1, -1):
+        acc = m[i][n]
+        for j in range(i + 1, n):
+            acc -= m[i][j] * x[j]
+        x[i] = acc / m[i][i]
+    return tuple(x)
 
 
 def bordered_det(
@@ -191,7 +213,7 @@ class GramSystem(FrozenRecord):
     zeros: ZeroSequence
     rows: tuple[tuple[complex, ...], ...]  # the Gram matrix by rows, exactly Hermitian
     factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, rows = L L^H
-    det: float  # det G by LU (`determinant`), for the determinant route and `check_pw_example`
+    det: float  # det G by LU (`determinant`), for `check_pw_example`'s bordered determinants
     condition_estimate: float
 
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -229,10 +251,17 @@ class GramSystem(FrozenRecord):
     def fit(self, e: complex, terms: Sequence[Term]) -> tuple[complex, ...]:
         """Coefficients c of the span of the Z_j matching f = e E + sum_t weight_t Z_t on the sequence.
 
-        Solves G c = (f^(k_i)(z_i))_i. The right-hand side is the family's
-        plain per-order math (`space._at_order`, as `_quotient` and
-        `combination` read it), each zero's order checked as it is reached
-        and each value range-checked, as the `combination` closure would.
+        Solves G c = (f^(k_i)(z_i))_i (`_rhs`) by the Cholesky factor.
+        """
+        return self.solve(self._rhs(e, terms))
+
+    def _rhs(self, e: complex, terms: Sequence[Term]) -> list[complex]:
+        """(f^(k_i)(z_i))_i for f = e E + sum_t weight_t Z_t: the right-hand side of every fit.
+
+        The family's plain per-order math (`space._at_order`, as `_quotient`
+        and `combination` read it), each zero's order checked as it is
+        reached and each value range-checked, as the `combination` closure
+        would.
         """
         space, zs = self.space, self.zeros
         at_order = space._at_order(e, terms)
@@ -248,7 +277,7 @@ class GramSystem(FrozenRecord):
                 # the same deterministic value again, raised with _in_range's wording
                 value = _in_range(_COMBINATION.format(k), f, p)
             rhs.append(value)
-        return self.solve(rhs)
+        return rhs
 
     def solve_beta(self, z: complex) -> tuple[complex, ...]:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
@@ -295,21 +324,26 @@ class GramSystem(FrozenRecord):
 
         On a space of polynomials the row's value is B' contracted with the
         powers of conj(z) (`_closed_kernel`) under one Horner pass: no
-        solve and no disk in either variable. Otherwise the value is the
-        `_quotient` of the row's fitted function, and off the
-        de-singularization disks the fitted function is Z_z itself. When z
-        sits in the disk of a run z0 of m equal zeros, the projection
+        solve and no disk in either variable. Otherwise it is `_row`'s
+        quotient, fitted by the Cholesky factor (`solve`).
+        """
+        z = complex(z)
+        columns = self._closed_kernel
+        if columns is not None:
+            return Remainder(partial(_horner, [_horner(c, z.conjugate()) for c in columns]), "K_z(w) at w = {0}")
+        return self._row(z, self.solve, "K_z(w) at w = {0}")
+
+    def _row(self, z: complex, solve: Callable[[Sequence[complex]], Sequence[complex]], name: str) -> Remainder:
+        """K_z as the `_quotient` of Z_z's fit by `solve`, over conj prod (z - z_i); `name` names its point.
+
+        Off the de-singularization disks the fitted function is Z_z itself.
+        When z sits in the disk of a run z0 of m equal zeros, the projection
         residual vanishes to order m in conj(z) at z0, so the fitted
         function is its conj(z)-Taylor sum from order m on, the terms
         `_taylor_terms(m, conj(z - z0), z0)`, and the row's divisor
         conj prod (z - z_i) leaves out z0's run. One solve serves every w.
         """
-        z = complex(z)
         zs = self.zeros
-        columns = self._closed_kernel
-        if columns is not None:
-            s = z.conjugate()
-            return Remainder(partial(_horner, [_horner(c, s) for c in columns]), "K_z(w) at w = {0}")
         group = zs.local_group(z)
         if group is None:
             terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
@@ -317,8 +351,8 @@ class GramSystem(FrozenRecord):
             z0, mz = group
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
             zprod_conj = zs.product(z, exclude_value=z0).conjugate()
-        quotient = _quotient(self.space, zs, 0, terms, self.fit(0, terms), zprod_conj)
-        return Remainder(quotient, "K_z(w) at w = {0}")
+        coeffs = solve(self._rhs(0, terms))
+        return Remainder(_quotient(self.space, zs, 0, terms, coeffs, zprod_conj), name)
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -333,48 +367,23 @@ class GramSystem(FrozenRecord):
 
         det [[G, col], [row(w), Z_z(w)]], col = (Z_z^(k_i)(z_i))_i and
         row(w) = (Z_j(w))_j, over det G, prod (w - z_i) and conj prod (z - z_i).
-        Expanded along its last row, the determinant over det G is
-        Z_z(w) - sum_j c_j Z_j(w), with c_j = det G_j / det G by Cramer's
-        rule, G_j being G with column j replaced by col. The row is a
-        `Remainder` on both families. On a space of polynomials its value
-        is that residual's `_quotient` with divisor conj prod (z - z_i):
-        one LU per c_j for all w, then the exact quotient, defined on the
-        zeros too. Otherwise each w takes its own bordered LU
-        (`bordered_det`), divided directly, and w on a zero raises
-        DomainError. z's column and divisor are built once per row.
-
-        Undefined when z equals a zero of the sequence (those limits are
-        served by :meth:`kernel_row`). A value past the double range raises
+        By the Schur complement, the determinant over det G is
+        Z_z(w) - row(w) . G^-1 col = Z_z(w) - sum_j c_j Z_j(w), with
+        G c = col. Here c comes from one LU solve of G with partial
+        pivoting (`_lu_solve`, the elimination of `determinant`), never
+        from the Cholesky factor, and the residual takes the kernel row's
+        own route (`_row`, `_quotient`): on a space of polynomials the
+        exact quotient, otherwise the quotient point by point with the
+        Taylor disks in both variables. So the row is defined on the zeros
+        in z and in w, like :meth:`kernel_row`, which it cross-checks
+        through the independent fit. A value past the double range raises
         RangeError (`Remainder.__call__`).
         """
         z = complex(z)
-        zs, space = self.zeros, self.space
-        pts, ks = zs.points, zs.confluence
-        if any(z == p for p in pts):
-            raise DomainError(_OFF_SEQUENCE)
-        what = f"determinant-route K_z(w) at z = {z}, w = {{0}}"
-        col = [space.kernel_mixed_partial(k, 0, z, p) for p, k in zip(pts, ks)]
-        zprod_conj = zs.product(z).conjugate()
-        g, det = self.rows, self.det
-        if space.dimension is not None:  # a space of polynomials
-            coeffs = [
-                determinant([[*r[:j], c, *r[j + 1:]] for r, c in zip(g, col)]) / det for j in range(self.n)
-            ]
-            return Remainder(_quotient(space, zs, 0, ((1.0, 0, z),), coeffs, zprod_conj), what)
-        mixed = space._mixed
-
-        def value(w: complex) -> complex:
-            w = complex(w)
-            if any(w == p for p in pts):
-                raise DomainError(_OFF_SEQUENCE)
-            # plain partials: `build` checked orders (k_i, k_j), which bound these
-            row = [mixed(0, k, p, w) for p, k in zip(pts, ks)]
-            return bordered_det(g, col, row, mixed(0, 0, z, w)) / (det * (zs.product(w) * zprod_conj))
-
-        return Remainder(value, what)
+        return self._row(z, partial(_lu_solve, self.rows), f"determinant-route K_z(w) at z = {z}, w = {{0}}")
 
     def sigma_kernel_det(self, z: complex, w: complex) -> complex:
-        """Bordered-determinant form of K_z(w): one-point form of :meth:`det_row`."""
+        """Bordered-determinant form of K_z(w), by an LU fit: one-point form of :meth:`det_row`."""
         return self.det_row(z)(w)
 
 
@@ -441,10 +450,10 @@ def _quotient(
 ) -> Callable[[complex], complex]:
     """w -> (f - its fit on the zeros) / prod (w - z_i), then / `divisor`, for f = e E + sum_t weight_t Z_t.
 
-    `coeffs` are the fit of f from :meth:`GramSystem.fit`, so the residual
-    f - sum_j c_j Z_j, the space's `combination` of e with the fitted terms
-    (f's terms, then the span's (-c_j, k_j, z_j)), vanishes at each run to
-    the run's multiplicity. The route is chosen once, here:
+    `coeffs` are a fit of f (:meth:`GramSystem.fit`, or `det_row`'s LU
+    fit), so the residual f - sum_j c_j Z_j, the space's `combination` of
+    e with the fitted terms (f's terms, then the span's (-c_j, k_j, z_j)),
+    vanishes at each run to the run's multiplicity. The route is chosen once, here:
 
     * On a space of polynomials (a finite `dimension`) the quotient is a
       polynomial and a point costs one Horner pass: the residual's
@@ -504,8 +513,8 @@ class Remainder:
     """A derived value function and the name of its point: the one range check of every derived value.
 
     `value` is the plain w -> value of E_sigma, a kernel row or a
-    determinant row (`_quotient`, a contracted B' under `_horner`, or a
-    row's own per-w form); `name` formats w into what a RangeError names.
+    determinant row (`_quotient`, or a contracted B' under `_horner`);
+    `name` formats w into what a RangeError names.
     A call is the finished derived value at w. A residual read on its own
     takes the `combination` of the fit's terms and builds no Remainder.
     """

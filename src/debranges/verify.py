@@ -238,7 +238,7 @@ def check_pw_example(
     reflected E determinant. The reflection
     identity is tested under both conjugation readings (conjugating the
     whole reflected determinant value versus not conjugating it) and the
-    note records which reading holds.
+    note records which reading holds, or that the two residuals tie.
     """
     _reject_unknown_keys(tolerances)
     space = PaleyWiener(x)
@@ -281,14 +281,17 @@ def check_pw_example(
         worst_conj = max(worst_conj, _rel(fz - blaschke * reflected.conjugate(), fz))
         worst_bare = max(worst_bare, _rel(fz - blaschke * reflected, fz))
 
-    # (residual, reading, how the reflected determinant enters); a tie goes to the conjugated reading
+    # (residual, reading, how the reflected determinant enters)
     conj = (worst_conj, "conjugated", "conj(value at conj(z))")
     bare = (worst_bare, "unconjugated", "plain value at conj(z)")
     held, other = (conj, bare) if worst_conj <= worst_bare else (bare, conj)
-    note = (
-        f"{held[1]} reading holds: reflection determinant enters as {held[2]} "
-        f"(residual {held[0]:.3e}); {other[1]} reading residual {other[0]:.3e}"
-    )
+    if worst_conj == worst_bare:  # e.g. zeros and samples on the imaginary axis, where every value is real
+        note = f"the readings tie: conjugated and unconjugated reading residuals are both {worst_conj:.3e}"
+    else:
+        note = (
+            f"{held[1]} reading holds: reflection determinant enters as {held[2]} "
+            f"(residual {held[0]:.3e}); {other[1]} reading residual {other[0]:.3e}"
+        )
     return [
         _scaled_report("pw-det-diag", len(samples), worst_diag, tolerances, gs.condition_estimate),
         _scaled_report("pw-det-star", len(samples), held[0], tolerances, gs.condition_estimate, note),
@@ -336,19 +339,24 @@ def check_projection(
     """Projection-residual orthogonality plus solve/determinant agreement.
 
     z must lie outside every de-singularization disk of the zeros
-    (`ZeroSequence.local_group`), where the determinant route is an
-    independent check of the solve; the samples w are drawn outside them too.
+    (`ZeroSequence.local_group`); the samples w are drawn outside them too.
     The orthogonality is read from the projection residual of Z_z, the
     checked `combination` of Z_z and the span over `solve_beta(z)`; on a
     space that is not of polynomials that fit is the row's own.
 
-    The route agreement is 0 by construction at n = 0, where neither row
-    fits anything and both read Z_z (on HB the same Bezoutian polynomial),
-    and on a space of polynomials at n = d, where both rows' quotients are
-    the empty polynomial. So the suite's `projection` ids at n0 (pw-x0.5,
+    The route agreement compares two fits of Z_z on the zeros, the
+    determinant row's LU solve against the Cholesky factor's. On PW both
+    rows are the `_quotient` of their fit, so they differ only by the
+    fits' rounding; on HB the kernel row is B' (`_closed_kernel`, its own
+    Cholesky solves) and the determinant row the exact quotient of its fit.
+    The agreement is 0 by construction at n = 0, where neither row fits
+    anything and both read Z_z (on HB the same Bezoutian polynomial), and
+    on a space of polynomials at n = d, where both rows' quotients are the
+    empty polynomial. So the suite's `projection` ids at n0 (pw-x0.5,
     pw-x1, pw-x2, hb-deg1, hb-deg3) and at hb-deg1:n1, hb-deg3:n3 and
     hb-deg3:n3-double test orthogonality alone, until Theorem 2 is checked
-    as a matrix identity (ROADMAP).
+    as a matrix identity (ROADMAP); so does pw-x1:n1, whose 1 x 1 LU and
+    Cholesky fits at the suite's z round to the same double.
     """
     _reject_unknown_keys(tolerances)
     _check_count(sample)

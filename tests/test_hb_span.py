@@ -565,3 +565,5 @@ def test_high_degree_matches_mpmath(d):
         assert abs(ssf.eval("E", w) - ref) <= 1e-9 * abs(ref), w
         ref = want_k(z, w)
         assert abs(gs.sigma_kernel(z, w) - ref) <= 1e-9 * abs(ref), (z, w)
+        # the determinant route's LU fit; Cramer's rule lost 2.0e-9 at d = 12 and 1.5e-7 at d = 16
+        assert abs(gs.sigma_kernel_det(z, w) - ref) <= 1e-9 * abs(ref), (z, w)

@@ -274,17 +274,21 @@ def structure_mp(zeros, which, w):
 @pytest.mark.parametrize("config", sorted(TAYLOR_CONFIGS))
 @pytest.mark.parametrize("z_at", sorted(TAYLOR_Z))
 def test_kernel_row_taylor_disk_matches_mpmath(config, z_at):
+    # the solve route's row and the determinant route's (an LU fit through
+    # the same quotient) both cross the disks in z and in w
     zeros = TAYLOR_CONFIGS[config]
     z = TAYLOR_Z[z_at]
-    row = build(PaleyWiener(1.0), canonicalize(zeros)).kernel_row(z)
-    worst, where = 0.0, None
+    gs = build(PaleyWiener(1.0), canonicalize(zeros))
     with mpmath.workdps(60):
-        for w in TAYLOR_W:
-            want = complex(kernel_row_mp(zeros, z, w))
+        wants = [complex(kernel_row_mp(zeros, z, w)) for w in TAYLOR_W]
+    for route in ("kernel_row", "det_row"):
+        row = getattr(gs, route)(z)
+        worst, where = 0.0, None
+        for w, want in zip(TAYLOR_W, wants):
             err = abs(row(w) - want) / abs(want)
             if err > worst:
                 worst, where = err, w
-    assert worst <= TAYLOR_BOUND, f"relative error {worst:.2e} at w={where}"
+        assert worst <= TAYLOR_BOUND, f"{route}: relative error {worst:.2e} at w={where}"
 
 
 @pytest.mark.parametrize("config", sorted(TAYLOR_CONFIGS))

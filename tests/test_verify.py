@@ -131,6 +131,12 @@ class TestPwExample:
         assert "conjugated reading holds" in star.note
         assert star.passed
 
+    def test_a_tie_is_recorded_as_a_tie(self):
+        # on the imaginary axis every value is real, so both readings leave the same residual
+        star = next(r for r in check_pw_example(30.0, [1j], [4j]) if r.check_id == "pw-det-star")
+        assert star.note == "the readings tie: conjugated and unconjugated reading residuals are both 1.274e-16"
+        assert star.passed
+
     @pytest.mark.parametrize("n, calls", [(1, 8), (2, 14), (3, 20)])
     def test_each_evaluator_row_built_once(self, monkeypatch, n, calls):
         # per sample: the row at z, the column at z, K(z, z) and the row at conj z, so 3n + 1
