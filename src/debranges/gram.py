@@ -19,27 +19,39 @@ row. On a space of polynomials (a finite dimension: `PolynomialHB`, whose
 E_sigma is its exact quotient (`_divide`), and a kernel row contracts the
 matrix B' that `GramSystem._closed_kernel` divides out of the Schur
 complement once per system, with no disk and no fit in either variable.
-Otherwise (`PaleyWiener`) the residual is divided
-point by point, crossing the trivial zeros by Taylor series, and a kernel
-row has conj prod (z - z_i) as its divisor. A `Remainder` is the derived
-function of either route as a plain value function and the name of its
-point, and `Remainder.__call__` is the one place a derived value is
-range-checked: `_rhs` (every fit's right-hand side) and `_quotient` sum
-the family's plain math (`space._at_order`, the same hook `combination`
-checks), each order checked where it is used. The Taylor series at a run reads the
+Otherwise (`PaleyWiener`) the residual is divided point by point,
+crossing the trivial zeros by Taylor series, and a kernel row has
+conj prod (z - z_i) as its divisor. A `Remainder` is the derived function
+of either route as a plain value function and the name of its point, and
+`Remainder.__call__` is the one place a derived value is range-checked.
+
+What a system's fits and rows share is prepared once per system, in its
+`_Evaluators`: the zeros with their distinct orders, each checked once
+per fit, and, on the point-by-point route, the span's evaluators in the
+form the family's `_sum` reads (on `PaleyWiener` conj z_j, the power of
+1j, the order and the series cutoff). A fit's right-hand side
+(`_Evaluators.column`) is one pass of the family's plain per-term math
+(`_mixed`, `_eval_E_raw`) over the zeros, each value range-checked as the
+`combination` closure would. A row's quotient (`_Evaluators.quotient`)
+is one point closure: the family's order-0 `_sum` over f's terms and the
+prepared span, over `ZeroSequence.off_disk_product`, which tests the
+disks and forms prod (w - z_i) in one pass. The Taylor series at a run
+(`_disk_value`) is set up only when a point lands in a disk; it reads the
 residual's derivatives there from one table per run, filled through the
-row's one `_at_order` function, which on `PaleyWiener` evaluates each
-distinct moment once for the whole row. A residual
-read on its own (`GramSystem.incomplete_kernel`,
-`SigmaStructureFunction.incomplete`, `check_projection`) is the checked
-`combination` of the fit's terms and builds no `Remainder`.
+row's one `_sum` function, which on `PaleyWiener` evaluates each distinct
+moment once for the whole row. A residual read on its own
+(`GramSystem.incomplete_kernel`, `SigmaStructureFunction.incomplete`,
+`check_projection`) is the checked `combination` of the fit's terms and
+builds no `Remainder`.
 
 The linear-solve route is the production path. The bordered-determinant
 route (`GramSystem.det_row`) is the cross-check: by the Schur complement,
 det [[G, col], [row, corner]] / det G = corner - row . G^-1 col, so it is
-the kernel row's own route (`GramSystem._row`, `_quotient`) with its fit
-from one LU solve with partial pivoting (`_lu_solve`, the elimination of
-`determinant`), never from the Cholesky factor. Either way the row is a
+the kernel row's own route (`GramSystem._row`) with its fit from one LU
+solve with partial pivoting, never from the Cholesky factor: the
+elimination of `determinant`, factored once per system (`_lu_factor`)
+and replayed on each row's column (`_lu_apply`), bit for bit as
+`_lu_solve` would eliminate [G | col]. Either way the row is a
 `Remainder`, defined on the zeros too. `determinant`, `bordered_det` and
 `GramSystem.det` serve `check_pw_example`'s bordered determinants. All of
 it is plain Python on rows of complex numbers; at n <= ~10 that is as
@@ -52,6 +64,7 @@ import cmath
 import math
 from collections.abc import Callable, Sequence
 from functools import cached_property, partial
+from operator import neg
 
 from ._record import FrozenRecord
 from .errors import LinearDependenceError
@@ -64,15 +77,17 @@ _JACOBI_SWEEPS = 50  # a cap only; Jacobi converges quadratically, in 5 sweeps a
 Rows = Sequence[Sequence[complex]]
 
 
-def _eliminate(m: list[list[complex]]) -> complex:
-    """LU with partial pivoting, in place, on the first n columns of the n x (n + k) rows m; their det.
+def _eliminate(m: list[list[complex]]) -> tuple[complex, list[tuple[int, list[complex]]]]:
+    """LU with partial pivoting, in place, on the square rows m: their det and the elimination's steps.
 
-    Row swaps and eliminations carry the k trailing columns along, so on
-    [A | b] this is Gaussian elimination's forward pass and leaves m upper
-    triangular in its first n columns. Stops at a zero pivot, with det 0.
+    Leaves m upper triangular. Step k is (the row swapped into row k, the
+    multipliers of the rows below it, in order), so `_lu_apply` can replay
+    the forward pass on a right-hand side as on a trailing column of m,
+    bit for bit. Stops at a zero pivot, with det 0.
     """
     n = len(m)
     det = 1.0 + 0j
+    steps: list[tuple[int, list[complex]]] = []
     for k in range(n):
         piv, big = k, abs(m[k][k])
         for i in range(k + 1, n):
@@ -85,32 +100,52 @@ def _eliminate(m: list[list[complex]]) -> complex:
         top = m[k]
         pivot = top[k]
         det *= pivot
+        multipliers: list[complex] = []
+        steps.append((piv, multipliers))
         if not pivot:
-            return det
+            return det, steps
         for row in m[k + 1:]:
             f = row[k] / pivot
-            for j in range(k + 1, len(top)):
+            multipliers.append(f)
+            for j in range(k + 1, n):
                 row[j] -= f * top[j]
-    return det
+    return det, steps
 
 
 def determinant(rows: Rows) -> complex:
     """det of a square matrix given by rows; LU with partial pivoting (1 for n = 0)."""
-    return _eliminate([list(row) for row in rows])
+    return _eliminate([list(row) for row in rows])[0]
+
+
+def _lu_factor(rows: Rows) -> tuple[list[list[complex]], list[tuple[int, list[complex]]]]:
+    """`determinant`'s elimination of the square rows: the upper triangle and the steps that made it."""
+    m = [list(row) for row in rows]
+    return m, _eliminate(m)[1]
+
+
+def _lu_apply(factor: tuple[Rows, Sequence[tuple[int, Sequence[complex]]]], rhs: Sequence[complex]) -> tuple[complex, ...]:
+    """x with rows x = rhs for the rows `factor` (`_lu_factor`) eliminated: the steps on rhs, then back substitution."""
+    upper, steps = factor
+    b = list(rhs)
+    for k, (piv, multipliers) in enumerate(steps):
+        if piv != k:
+            b[k], b[piv] = b[piv], b[k]
+        top = b[k]
+        for i, f in enumerate(multipliers, k + 1):
+            b[i] -= f * top
+    n = len(upper)
+    x = [0j] * n
+    for i in range(n - 1, -1, -1):
+        row, acc = upper[i], b[i]
+        for j in range(i + 1, n):
+            acc -= row[j] * x[j]
+        x[i] = acc / row[i]
+    return tuple(x)
 
 
 def _lu_solve(rows: Rows, rhs: Sequence[complex]) -> tuple[complex, ...]:
-    """x with rows x = rhs: `determinant`'s elimination on [rows | rhs], then back substitution."""
-    m = [[*row, b] for row, b in zip(rows, rhs)]
-    _eliminate(m)
-    n = len(m)
-    x = [0j] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n]
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return tuple(x)
+    """x with rows x = rhs: `determinant`'s elimination of rows, replayed on rhs, then back substitution."""
+    return _lu_apply(_lu_factor(rows), rhs)
 
 
 def bordered_det(
@@ -228,56 +263,51 @@ class GramSystem(FrozenRecord):
     def solve(self, rhs) -> tuple[complex, ...]:
         """G x = rhs for one right-hand side sequence.
 
-        Forward substitution on L, then back substitution on L^H in place,
-        in plain complex arithmetic: at these sizes that beats any array call.
+        Forward substitution on L, then back substitution on L^H, in place,
+        in plain complex arithmetic: at these sizes that beats any array
+        call. The steps of both passes are laid out once (`_substitution`).
+        """
+        if len(rhs) != len(self.factorization):
+            raise ValueError(f"right-hand side of length {len(rhs)} for a system of {len(self.factorization)} zeros")
+        x = list(rhs)
+        for i, row, columns, pivot in self._substitution:
+            acc = x[i]
+            for j in columns:
+                acc -= row[j] * x[j]
+            x[i] = acc / pivot
+        return tuple(x)
+
+    @cached_property
+    def _substitution(self) -> tuple[tuple[int, Sequence[complex], range, complex], ...]:
+        """`solve`'s steps (i, row, the columns j it subtracts, the pivot), once per system.
+
+        Forward: row i of L, j < i, pivot L[i][i]. Back, i descending: row i
+        of L^H, whose entry j > i is conj L[j][i], j > i, pivot
+        conj L[i][i]; so no solve conjugates.
         """
         low = self.factorization
-        if len(rhs) != len(low):
-            raise ValueError(f"right-hand side of length {len(rhs)} for a system of {len(low)} zeros")
-        x = []
-        for i, acc in enumerate(rhs):
-            row = low[i]
-            for j in range(i):
-                acc -= row[j] * x[j]
-            x.append(acc / row[i])
-        n = len(x)
-        for i in range(n - 1, -1, -1):
-            acc = x[i]
-            for j in range(i + 1, n):
-                acc -= low[j][i].conjugate() * x[j]
-            x[i] = acc / low[i][i].conjugate()
-        return tuple(x)
+        n = len(low)
+        forward = [(i, low[i], range(i), low[i][i]) for i in range(n)]
+        upper = [tuple(low[j][i].conjugate() if j >= i else 0j for j in range(n)) for i in range(n)]
+        back = [(i, upper[i], range(i + 1, n), upper[i][i]) for i in range(n - 1, -1, -1)]
+        return tuple(forward + back)
 
     def fit(self, e: complex, terms: Sequence[Term]) -> tuple[complex, ...]:
         """Coefficients c of the span of the Z_j matching f = e E + sum_t weight_t Z_t on the sequence.
 
-        Solves G c = (f^(k_i)(z_i))_i (`_rhs`) by the Cholesky factor.
+        Solves G c = (f^(k_i)(z_i))_i (`_Evaluators.column`) by the Cholesky factor.
         """
-        return self.solve(self._rhs(e, terms))
+        return self.solve(self._evaluators.column(e, terms))
 
-    def _rhs(self, e: complex, terms: Sequence[Term]) -> list[complex]:
-        """(f^(k_i)(z_i))_i for f = e E + sum_t weight_t Z_t: the right-hand side of every fit.
+    @cached_property
+    def _evaluators(self) -> _Evaluators:
+        """The span's evaluators, prepared once for every fit and row of this system."""
+        return _Evaluators(self.space, self.zeros)
 
-        The family's plain per-order math (`space._at_order`, as `_quotient`
-        and `combination` read it), each zero's order checked as it is
-        reached and each value range-checked, as the `combination` closure
-        would.
-        """
-        space, zs = self.space, self.zeros
-        at_order = space._at_order(e, terms)
-        rhs = []
-        for p, k in zip(zs.points, zs.confluence):
-            space._check_orders(e, terms, k)
-            f = at_order(k)
-            try:
-                value = f(p)
-            except OverflowError:
-                value = cmath.nan
-            if not cmath.isfinite(value):
-                # the same deterministic value again, raised with _in_range's wording
-                value = _in_range(_COMBINATION.format(k), f, p)
-            rhs.append(value)
-        return rhs
+    @cached_property
+    def _lu(self) -> tuple[Rows, Sequence[tuple[int, Sequence[complex]]]]:
+        """`_lu_factor` of the Gram matrix, once per system, for every determinant row's fit."""
+        return _lu_factor(self.rows)
 
     def solve_beta(self, z: complex) -> tuple[complex, ...]:
         """Projection coefficients beta with sum_j beta_j Z_j[z_i] = Z_z[z_i]."""
@@ -334,25 +364,28 @@ class GramSystem(FrozenRecord):
         return self._row(z, self.solve, "K_z(w) at w = {0}")
 
     def _row(self, z: complex, solve: Callable[[Sequence[complex]], Sequence[complex]], name: str) -> Remainder:
-        """K_z as the `_quotient` of Z_z's fit by `solve`, over conj prod (z - z_i); `name` names its point.
+        """K_z as the quotient of Z_z's fit by `solve`, over conj prod (z - z_i); `name` names w, and z as {1}.
 
-        Off the de-singularization disks the fitted function is Z_z itself.
+        The fit's column and the quotient come from the system's
+        `_Evaluators`, and one pass over the runs (`off_disk_product`)
+        tests z's disks and forms conj prod (z - z_i). Off the
+        de-singularization disks the fitted function is Z_z itself.
         When z sits in the disk of a run z0 of m equal zeros, the projection
         residual vanishes to order m in conj(z) at z0, so the fitted
         function is its conj(z)-Taylor sum from order m on, the terms
         `_taylor_terms(m, conj(z - z0), z0)`, and the row's divisor
         conj prod (z - z_i) leaves out z0's run. One solve serves every w.
         """
-        zs = self.zeros
-        group = zs.local_group(z)
-        if group is None:
-            terms, zprod_conj = ((1.0, 0, z),), zs.product(z).conjugate()
-        else:
-            z0, mz = group
+        zs, evaluators = self.zeros, self._evaluators
+        zprod = zs.off_disk_product(z)
+        if zprod is None:
+            z0, mz = zs.local_group(z)
             terms = _taylor_terms(mz, (z - z0).conjugate(), z0)
-            zprod_conj = zs.product(z, exclude_value=z0).conjugate()
-        coeffs = solve(self._rhs(0, terms))
-        return Remainder(_quotient(self.space, zs, 0, terms, coeffs, zprod_conj), name)
+            zprod = zs.product(z, exclude_value=z0)
+        else:
+            terms = ((1.0, 0, z),)
+        coeffs = solve(evaluators.column(0, terms))
+        return Remainder(evaluators.quotient(0, terms, coeffs, zprod.conjugate()), name, z)
 
     def sigma_kernel(self, z: complex, w: complex) -> complex:
         """Derived-space evaluator K_z(w), finite also on the zero sequence.
@@ -370,9 +403,9 @@ class GramSystem(FrozenRecord):
         By the Schur complement, the determinant over det G is
         Z_z(w) - row(w) . G^-1 col = Z_z(w) - sum_j c_j Z_j(w), with
         G c = col. Here c comes from one LU solve of G with partial
-        pivoting (`_lu_solve`, the elimination of `determinant`), never
-        from the Cholesky factor, and the residual takes the kernel row's
-        own route (`_row`, `_quotient`): on a space of polynomials the
+        pivoting (`_lu_apply` of the system's `_lu`, bit for bit
+        `_lu_solve`), never from the Cholesky factor, and the residual
+        takes the kernel row's own route (`_row`): on a space of polynomials the
         exact quotient, otherwise the quotient point by point with the
         Taylor disks in both variables. So the row is defined on the zeros
         in z and in w, like :meth:`kernel_row`, which it cross-checks
@@ -380,26 +413,31 @@ class GramSystem(FrozenRecord):
         RangeError (`Remainder.__call__`).
         """
         z = complex(z)
-        return self._row(z, partial(_lu_solve, self.rows), f"determinant-route K_z(w) at z = {z}, w = {{0}}")
+        return self._row(z, partial(_lu_apply, self._lu), "determinant-route K_z(w) at z = {1}, w = {0}")
 
     def sigma_kernel_det(self, z: complex, w: complex) -> complex:
         """Bordered-determinant form of K_z(w), by an LU fit: one-point form of :meth:`det_row`."""
         return self.det_row(z)(w)
 
 
-def _taylor_terms(m: int, delta: complex, v: complex) -> tuple[Term, ...]:
-    """Terms (delta^q / (m+q)!, m + q, v) over the de-singularization terms q.
+def _taylor_weights(m: int, delta: complex) -> list[complex]:
+    """delta^q / (m+q)! over the de-singularization terms q.
 
     Summed against the (m+q)-th derivatives at v of a g vanishing to order
     m there, they give g(v + delta) / delta^m; at delta == 0 only the
-    leading term is taken.
+    leading weight is taken.
     """
-    terms = []
+    weights = []
     dpow = 1.0 + 0j
     for order in range(m, m + 1 + (0 if delta == 0 else DESINGULARIZATION_TERMS)):
-        terms.append((dpow / math.factorial(order), order, v))
+        weights.append(dpow / math.factorial(order))
         dpow *= delta
-    return tuple(terms)
+    return weights
+
+
+def _taylor_terms(m: int, delta: complex, v: complex) -> tuple[Term, ...]:
+    """The terms (`_taylor_weights`(m, delta)[q], m + q, v): that Taylor sum as evaluators at v."""
+    return tuple([(c, m + q, v) for q, c in enumerate(_taylor_weights(m, delta))])
 
 
 def _span(zeros: ZeroSequence, coeffs) -> list[Term]:
@@ -448,65 +486,139 @@ def _quotient(
     space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term],
     coeffs: Sequence[complex], divisor: complex | None = None,
 ) -> Callable[[complex], complex]:
-    """w -> (f - its fit on the zeros) / prod (w - z_i), then / `divisor`, for f = e E + sum_t weight_t Z_t.
+    """`_Evaluators.quotient` over the zeros' evaluators prepared afresh: E_sigma's, once per derived function."""
+    return _Evaluators(space, zeros).quotient(e, terms, coeffs, divisor)
 
-    `coeffs` are a fit of f (:meth:`GramSystem.fit`, or `det_row`'s LU
-    fit), so the residual f - sum_j c_j Z_j, the space's `combination` of
-    e with the fitted terms (f's terms, then the span's (-c_j, k_j, z_j)),
-    vanishes at each run to the run's multiplicity. The route is chosen once, here:
 
-    * On a space of polynomials (a finite `dimension`) the quotient is a
-      polynomial and a point costs one Horner pass: the residual's
-      coefficients (`polynomial`) divided exactly (`_divide`), and then by
-      `divisor`.
-    * Otherwise the quotient is the residual over prod (w - z_i): the
-      residual's plain order-0 math (`StructureFunction._at_order`, its
-      orders checked here, once), and inside the de-singularization disk
-      of a run v of m equal zeros the Taylor series of the residual at v
-      from order m on, divided by the other factors. The derivatives at v
-      come from the run's table: the orders a point reads (m alone at v
-      itself, else m .. m + DESINGULARIZATION_TERMS), each read once
-      through the same `_at_order` function, whose moments the row's runs
-      share, and checked and range-checked as a `combination` read is,
-      order by order. `divisor` divides it last.
+class _Evaluators:
+    """The evaluators Z_j of a zero sequence in a space, prepared once for every fit and quotient over their span.
 
-    The result is a plain value function; `Remainder` range-checks it.
+    A Gram system holds one (`GramSystem._evaluators`), so its fits and
+    rows share the zeros with their orders, the distinct orders to check,
+    and, on the point-by-point route, the span's evaluators as the family
+    `_prepare`s them (on `PaleyWiener` conj z_j, the power of 1j, the order
+    and the series cutoff), their order-0 reads checked once.
     """
-    fitted = [*terms, *_span(zeros, coeffs)]
-    if space.dimension is not None:
-        quotient = _divide(space.polynomial(e, fitted), zeros._runs)
-        if divisor is not None:
-            quotient = [c / divisor for c in quotient]
-        return partial(_horner, quotient)
-    space._check_orders(e, fitted, 0)
-    at_order = space._at_order(e, fitted)
-    plain = at_order(0)
-    tables: dict[complex, list[complex]] = {}  # run point v -> the residual's derivatives from order m on
 
-    def table(v: complex, m: int, count: int) -> list[complex]:
-        """The residual's derivatives of orders m .. m + count - 1 at the run v, each summed once."""
-        known = tables.setdefault(v, [])
-        for a in range(m + len(known), m + count):
+    def __init__(self, space: StructureFunction, zeros: ZeroSequence):
+        self.space, self.zeros = space, zeros
+        self._at = tuple(zip(zeros.points, zeros.confluence))
+        self._orders = tuple(dict.fromkeys(zeros.confluence))
+        self._polynomial = space.dimension is not None
+
+    @cached_property
+    def _prepared(self) -> tuple:
+        """The span's evaluators in the form the family's `_sum` reads, their order 0 checked."""
+        space, at = self.space, self._at
+        space._check_orders(0, [(1.0, k, p) for p, k in at], 0)
+        return tuple([space._prepare(k, p) for p, k in at])
+
+    def column(self, e: complex, terms: Sequence[Term]) -> list[complex]:
+        """(f^(k_i)(z_i))_i for f = e E + sum_t weight_t Z_t: the right-hand side of every fit, in one pass.
+
+        Each distinct order k_i is checked once, first. A value is the
+        default per-term sum of the family's plain math (`_eval_E_raw`,
+        `_mixed`), which each family's `_at_order` gives bit for bit, and
+        is range-checked: the first value that overflows or is not finite
+        is evaluated again and raised with `_in_range`'s wording, as the
+        `combination` closure would raise it.
+        """
+        space, at = self.space, self._at
+        for k in self._orders:
+            space._check_orders(e, terms, k)
+        eval_E, mixed = space._eval_E_raw, space._mixed
+        try:
+            rhs = []
+            for p, k in at:
+                acc = e * eval_E(p, k) if e else 0j
+                for weight, order, point in terms:
+                    acc += weight * mixed(k, order, point, p)
+                rhs.append(acc)
+            if all(map(cmath.isfinite, rhs)):
+                return rhs
+        except OverflowError:
+            pass
+        # the first value out of range, evaluated again by the family's `_at_order` and raised with _in_range's wording
+        at_order = space._at_order(e, terms)
+        return [_in_range(_COMBINATION.format(k), at_order(k), p) for p, k in at]
+
+    def quotient(
+        self, e: complex, terms: Sequence[Term], coeffs: Sequence[complex], divisor: complex | None = None,
+    ) -> Callable[[complex], complex]:
+        """w -> (f - its fit on the zeros) / prod (w - z_i), then / `divisor`, for f = e E + sum_t weight_t Z_t.
+
+        `coeffs` are a fit of f (:meth:`GramSystem.fit`, or `det_row`'s LU
+        fit), so the residual f - sum_j c_j Z_j, the space's `combination` of
+        e with the fitted terms (f's terms, then the span's (-c_j, k_j, z_j)),
+        vanishes at each run to the run's multiplicity. The route is chosen once, here:
+
+        * On a space of polynomials (a finite `dimension`) the quotient is a
+          polynomial and a point costs one Horner pass: the residual's
+          coefficients (`polynomial`) divided exactly (`_divide`), and then by
+          `divisor`.
+        * Otherwise the quotient is the residual over prod (w - z_i): the
+          residual's plain order-0 math (the family's `_sum` of the weights
+          over f's prepared terms and the prepared span, f's orders checked
+          here), over `ZeroSequence.off_disk_product`, which tests the disks
+          in the same pass. A point in a disk takes `_disk_value`.
+          `divisor` divides it last.
+
+        The result is a plain value function; `Remainder` range-checks it.
+        """
+        space, zeros = self.space, self.zeros
+        if self._polynomial:
+            quotient = _divide(space.polynomial(e, [*terms, *_span(zeros, coeffs)]), zeros._runs)
+            if divisor is not None:
+                quotient = [c / divisor for c in quotient]
+            return partial(_horner, quotient)
+        space._check_orders(e, terms, 0)
+        rows = [(weight, space._prepare(k, p)) for weight, k, p in terms]
+        rows += zip(map(neg, coeffs), self._prepared)
+        at_order = space._sum(e, rows)
+        plain, product = at_order(0), zeros.off_disk_product
+        tables: dict[complex, list[complex]] = {}  # run point v -> the residual's derivatives from order m on
+
+        def pointwise(w: complex) -> complex:
+            w = complex(w)
+            prod = product(w)
+            if prod is None:
+                value = _disk_value(space, zeros, e, terms, coeffs, at_order, tables, w)
+            else:
+                value = plain(w) / prod
+            # None, not 1: dividing by 1+0j can flip the sign of a zero part
+            return value if divisor is None else value / divisor
+
+        return pointwise
+
+
+def _disk_value(
+    space: StructureFunction, zeros: ZeroSequence, e: complex, terms: Sequence[Term], coeffs: Sequence[complex],
+    at_order: Callable[[int], Callable[[complex], complex]], tables: dict[complex, list[complex]], w: complex,
+) -> complex:
+    """The quotient at a w in the disk of its nearest run v of m equal zeros.
+
+    It is the Taylor series of the residual at v from order m on, its
+    weights `_taylor_weights`, divided by the other factors. The derivatives at v come from the run's entry
+    in the row's `tables`, filled when a point first needs them: the orders
+    a point reads (m alone at v itself, else m .. m + DESINGULARIZATION_TERMS),
+    each read once through the row's `_sum` function `at_order`, whose
+    moments the row's runs share, and checked and range-checked as a
+    `combination` read is, order by order.
+    """
+    v, m = zeros.local_group(w)
+    weights = _taylor_weights(m, w - v)
+    known = tables.get(v)
+    if known is None:
+        known = tables[v] = []
+    if len(known) < len(weights):
+        fitted = [*terms, *_span(zeros, coeffs)]
+        for a in range(m + len(known), m + len(weights)):
             space._check_orders(e, fitted, a)
             known.append(_in_range(_COMBINATION.format(a), at_order(a), v))
-        return known
-
-    def pointwise(w: complex) -> complex:
-        w = complex(w)
-        group = zeros.local_group(w)
-        if group is None:
-            value = plain(w) / zeros.product(w)
-        else:
-            v, m = group
-            taylor = _taylor_terms(m, w - v, v)
-            quotient = 0j
-            for (c, _, _), d in zip(taylor, table(v, m, len(taylor))):
-                quotient += c * d
-            value = quotient / zeros.product(w, exclude_value=v)
-        # None, not 1: dividing by 1+0j can flip the sign of a zero part
-        return value if divisor is None else value / divisor
-
-    return pointwise
+    quotient = 0j
+    for c, d in zip(weights, known):
+        quotient += c * d
+    return quotient / zeros.product(w, exclude_value=v)
 
 
 class Remainder:
@@ -514,13 +626,14 @@ class Remainder:
 
     `value` is the plain w -> value of E_sigma, a kernel row or a
     determinant row (`_quotient`, or a contracted B' under `_horner`);
-    `name` formats w into what a RangeError names.
+    `name` formats w, as {0}, and the `context` values after it into what
+    a RangeError names, only when one is raised.
     A call is the finished derived value at w. A residual read on its own
     takes the `combination` of the fit's terms and builds no Remainder.
     """
 
-    def __init__(self, value: Callable[[complex], complex], name: str):
-        self._value, self._name = value, name
+    def __init__(self, value: Callable[[complex], complex], name: str, *context):
+        self._value, self._name, self._context = value, name, context
 
     def __call__(self, w: complex) -> complex:
         """The derived value at w; past the double range, RangeError (`kernels._in_range`)."""
@@ -531,7 +644,7 @@ class Remainder:
         except OverflowError:
             pass
         # out of range: the same deterministic value again, raised with _in_range's wording
-        return _in_range(self._name, self._value, w)
+        return _in_range(self._name.format("{0}", *self._context), self._value, w)
 
 
 def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:

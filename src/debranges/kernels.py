@@ -35,21 +35,25 @@ Two families are implemented:
 Both families supply E (``_eval_E_raw``; Estar is its reflection, taken in
 the base class) and the kernel and its partials through the ``_mixed``
 hook, as plain math. e E + sum_t weight_t Z_t, the form of every function
-the gram layer's _quotient divides, is served the same way: each family
-writes its plain per-order math (``_at_order``), and ``combination``,
-written once in the base class, is the checked public closure over it
+the gram layer divides, is served the same way: each family writes its
+plain per-order math (``_at_order``), and ``combination``, written once
+in the base class, is the checked public closure over it
 (``StructureFunction._checked`` checks the order of every read and
-range-checks its value). The gram layer's hot paths, _quotient (under
-Remainder) and GramSystem.fit, read the same hook and sum its plain math
-under one range check of their own. The default sums one ``_mixed`` per
-term at every point. ``PaleyWiener`` prepares its order-0 terms once, the
-order read at every point, and sums the same sinc and moment values, in
-the same order and so to the same bits, without the per-term dispatch.
-Each other order is the default's sum with its moments read through one
-memo per ``_at_order`` call, so the many orders that the Taylor disks of
-_quotient read at a few points, the runs, share them across orders,
-terms and runs. ``PolynomialHB`` keeps the defaults: its derived values
-take no combination and its quotients no disk.
+range-checks its value). The default sums one ``_mixed`` per term at
+every point. The gram layer's hot paths sum plain math under one range
+check of their own: a fit's right-hand side is that default per-term sum
+at the zeros, and a quotient (under Remainder) reads ``_sum``, the
+per-order math over terms that a family may ``_prepare`` once. A Gram
+system prepares its span's evaluators once, so a row prepares only its
+own terms. ``PaleyWiener`` prepares an evaluator as its conjugated point,
+power of 1j, order and series cutoff; order 0, read at every point, sums
+the same sinc and moment values as ``_mixed``, in the same order and so
+to the same bits, without the per-term dispatch. Each other order is the
+default's sum with its moments read through one memo per ``_sum`` call,
+so the many orders that a row's Taylor disks read at a few points, the
+runs, share them across orders, terms and runs. ``PolynomialHB`` keeps
+the defaults: its derived values take no combination and its quotients
+no disk.
 
 ``dimension`` picks the gram layer's route for the derived functions:
 None by default, so ``PaleyWiener`` divides its residuals point by point.
@@ -259,6 +263,18 @@ class StructureFunction:
 
         return lambda a: partial(total, a)
 
+    def _prepare(self, order: int, point: complex):
+        """The evaluator Z_(order, point) in the form `_sum` reads; by default the pair (order, point).
+
+        A caller that sums the same evaluators under many weights (the
+        gram layer's span of a Gram system) prepares them once.
+        """
+        return order, point
+
+    def _sum(self, e: complex, rows: Sequence[tuple[complex, object]]) -> Callable[[int], Callable[[complex], complex]]:
+        """`_at_order` of the rows (weight, `_prepare`d evaluator); by default `_at_order` of their terms."""
+        return self._at_order(e, [(weight, k, p) for weight, (k, p) in rows])
+
     def _check_orders(self, e: complex, terms: Sequence[Term], a: int) -> None:
         """Order a of a combination against E (when e != 0) and against every term."""
         if e:
@@ -274,7 +290,7 @@ class StructureFunction:
         Every read checks its order a (`_check_orders`) and sums at_order(a),
         the order-a combination as w -> value, under one range check. The
         gram layer's hot paths call the plain math under their own single
-        range check instead (`gram._quotient` under `gram.Remainder`, `GramSystem.fit`).
+        range check instead (a row's quotient under `gram.Remainder`, `GramSystem.fit`).
         """
 
         def combined(w: complex, a: int = 0) -> complex:
@@ -326,36 +342,35 @@ class PaleyWiener(StructureFunction, FrozenRecord):
             return 2.0 * x * (cmath.sin(v) / v if v else 1.0)
         return _ipow(a) * _inegpow(b) * self._moment(a + b, u)
 
-    def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
-        """The default's sum, with order 0 prepared once and the other orders sharing moments, bit for bit.
+    def _prepare(self, order: int, point: complex) -> tuple[complex, complex, int, float]:
+        """The evaluator as (conj(point), _ipow(0) * _inegpow(order), order, that moment order's series cutoff)."""
+        return point.conjugate(), _ipow(0) * _inegpow(order), order, _series_cutoff(order)
+
+    def _sum(self, e: complex, rows: Sequence[tuple[complex, tuple]]) -> Callable[[int], Callable[[complex], complex]]:
+        """The default's sum over `_prepare`d evaluators, order 0 inline and the other orders sharing moments, bit for bit.
 
         Order 0 is read at every point (E_sigma, F_sigma and every kernel
-        row), so its terms are prepared once per call, as (weight,
-        conj(point), _ipow(0) * _inegpow(order), order, that moment order's
-        series cutoff); a point sums, in the terms' own order, the inline
-        sinc of a term of order 0 and the series or closed moment of any
-        other, as `_mixed` would. Near a multiple zero the terms cancel to
-        about 1e-8 of their size, so any other order of summation would move
-        the result. Each order a >= 1 (a run's Taylor derivatives, a fit at
-        a zero of that order, `incomplete`) is the default's per-term sum of
+        row): a point sums, in the rows' own order, the inline sinc of an
+        evaluator of order 0 and the series or closed moment of any other,
+        as `_mixed` would. Near a multiple zero the terms cancel to about
+        1e-8 of their size, so any other order of summation would move the
+        result. Each order a >= 1 (a run's Taylor derivatives,
+        `incomplete`) is the default's per-term sum of
         _ipow(a) * _inegpow(order) * M_{a+order}(w - conj(point)), as
         `_mixed` forms it, with each moment read through one memo per call:
         the orders of a run, the terms at one point and the runs of one row
-        share it. The memo is emptied when it holds _MOMENT_MEMO moments, so
-        a held function read at ever new points keeps a bounded memory; a
-        memo only spares evaluations and never changes a value. Order 0
+        share it. The memo is emptied when it holds _MOMENT_MEMO moments,
+        so a held function read at ever new points keeps a bounded memory;
+        a memo only spares evaluations and never changes a value. Order 0
         keeps no memo, which would grow with every point.
         """
         x, eval_E, moment = self.x, self._eval_E_raw, self._moment
         series, closed = self._moment_series, self._moment_closed
-        rows = [
-            (weight, p.conjugate(), _ipow(0) * _inegpow(k), k, _series_cutoff(k)) for weight, k, p in terms
-        ]
         moments: dict[tuple[int, complex], complex] = {}
 
         def total(w: complex) -> complex:
             acc = e * eval_E(w, 0) if e else 0j
-            for weight, s, factor, p, cutoff in rows:
+            for weight, (s, factor, p, cutoff) in rows:
                 u = w - s
                 v = u * x
                 if p:
@@ -367,8 +382,8 @@ class PaleyWiener(StructureFunction, FrozenRecord):
 
         def derivative(a: int, w: complex) -> complex:
             acc = e * eval_E(w, a) if e else 0j
-            for weight, k, p in terms:
-                key = a + k, w - p.conjugate()
+            for weight, (s, _, k, _) in rows:
+                key = a + k, w - s
                 m = moments.get(key)
                 if m is None:
                     if len(moments) >= _MOMENT_MEMO:
@@ -378,6 +393,10 @@ class PaleyWiener(StructureFunction, FrozenRecord):
             return acc
 
         return lambda a: partial(derivative, a) if a else total
+
+    def _at_order(self, e: complex, terms: Sequence[Term]) -> Callable[[int], Callable[[complex], complex]]:
+        """`_sum` of the terms' weights over their `_prepare`d evaluators."""
+        return self._sum(e, [(weight, self._prepare(k, p)) for weight, k, p in terms])
 
     # moment integral of t**p * exp(1j*u*t) over [-x, x]: the series up to
     # |u*x| = _series_cutoff(p), where the errors of the two routes cross,

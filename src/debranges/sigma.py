@@ -23,8 +23,8 @@ from .errors import RangeError
 # Distance to a zero, relative to 1 + |zero|, below which evaluation
 # switches from the direct rational form to the Taylor form that absorbs
 # the vanishing order (local_group), and the number of Taylor terms past
-# that order the gram layer sums there (`gram._taylor_terms`, in w for
-# Remainder and in conj(z) for kernel_row) on a family whose functions are
+# that order the gram layer sums there (`gram._taylor_weights`, in w for
+# a quotient and in conj(z) for a row) on a family whose functions are
 # not polynomials; on polynomials its quotients are exact and need no disk.
 DESINGULARIZATION_RADIUS_FACTOR = 1e-3
 DESINGULARIZATION_TERMS = 8
@@ -82,8 +82,9 @@ class ZeroSequence(FrozenRecord):
         """Nearest run whose de-singularization disk contains w, or None.
 
         This is the one rule for "w is near a zero": the gram layer's
-        Taylor routes and the checks' sampling both ask it. A distance past
-        the double range is in no disk.
+        Taylor routes and the checks' sampling both ask it, and
+        `off_disk_product` tests the same disks. A distance past the double
+        range is in no disk.
         """
         w = complex(w)
         best: tuple[float, complex, int] | None = None
@@ -95,6 +96,26 @@ class ZeroSequence(FrozenRecord):
             if d <= radius and (best is None or d < best[0]):
                 best = (d, v, count)
         return None if best is None else (best[1], best[2])
+
+    def off_disk_product(self, w: complex) -> complex | None:
+        """prod (w - z_i) when w lies in no de-singularization disk, else None: the disk test and the product in one pass.
+
+        The disks are `local_group`'s, and the factors `product`'s, in its
+        order; each run's w - v is formed once for its m equal factors.
+        """
+        prod = 1.0 + 0j
+        for v, m, radius in self._disks:
+            u = w - v
+            try:
+                if abs(u) <= radius:
+                    return None
+            except OverflowError:
+                pass
+            prod *= u
+            if m > 1:
+                for _ in range(1, m):
+                    prod *= u
+        return prod
 
     def product(self, at: complex, exclude_value: complex | None = None) -> complex:
         """prod (at - z_i), optionally skipping the run equal to exclude_value."""

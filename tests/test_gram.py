@@ -122,6 +122,30 @@ class TestSolveBeta:
         with pytest.raises(ValueError, match=f"length {len(rhs)} for a system of 3 zeros"):
             gs.solve(rhs)
 
+    @pytest.mark.parametrize("pts", [[1j], [1j, 1j, 2j, 1 + 1j], [0.5j, 1 + 1j, -1 + 2j, 2j, 1.5j]])
+    def test_solve_is_plain_substitution_bit_for_bit(self, pw1, pts):
+        # forward substitution on L, then back substitution on L^H with each
+        # entry conjugated as it is read: the solve's held steps give the same bits
+        gs = build(pw1, canonicalize(pts))
+        low, n = gs.factorization, gs.n
+        rhs = [complex(3 - k, 0.5 * k * k - 1) for k in range(n)]
+        x = []
+        for i in range(n):
+            acc = rhs[i]
+            for j in range(i):
+                acc -= low[i][j] * x[j]
+            x.append(acc / low[i][i])
+        for i in range(n - 1, -1, -1):
+            acc = x[i]
+            for j in range(i + 1, n):
+                acc -= low[j][i].conjugate() * x[j]
+            x[i] = acc / low[i][i].conjugate()
+
+        def bits(values):
+            return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+        assert bits(gs.solve(rhs)) == bits(x)
+
     @pytest.mark.parametrize("pts", [[1j, 2j], [1j, 1j], [1j, 1j, 2j]])
     def test_residual_orthogonality(self, pw1, pts):
         # the projection residual must vanish on the sequence, re-deriving

@@ -15,11 +15,13 @@ tests/test_hb_span.py.
 """
 
 import math
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
-from debranges import GramSystem, PaleyWiener, PolynomialHB, build, canonicalize, derive, derive_iterative
+from debranges import GramSystem, PaleyWiener, PolynomialHB, build, canonicalize, derive, derive_iterative, gram
 from debranges.sigma import DESINGULARIZATION_TERMS
 from test_hb_span import _mp_kernel, _mp_structure
 
@@ -39,8 +41,13 @@ SPACES = {
 MP_BOUND = 1e-12  # PolynomialHB against mpmath, relative to max(1, |reference|)
 
 
-def reference_sigma_kernel(gs, z, w):
-    """K_z(w) with a fresh fit and residual derivatives for this one point."""
+def reference_sigma_kernel(gs, z, w, solve=None):
+    """K_z(w) with a fresh fit and residual derivatives for this one point.
+
+    `solve` is the fit's solve: the Cholesky `gs.solve` of the kernel row
+    by default, or `partial(gram._lu_solve, gs.rows)` for the determinant row.
+    """
+    solve = gs.solve if solve is None else solve
     zs, space = gs.zeros, gs.space
     pts, ks = zs.points, zs.confluence
     wg = zs.local_group(w)
@@ -76,7 +83,7 @@ def reference_sigma_kernel(gs, z, w):
 
     # one solve of the summed right-hand side, then the Taylor sum in w of
     # its residual through the space's combination hook, then the two products
-    beta = [complex(c) for c in gs.solve([z_sum(p, k) for p, k in zip(pts, ks)])]
+    beta = [complex(c) for c in solve([z_sum(p, k) for p, k in zip(pts, ks)])]
     residual = space.combination(0, [*z_terms, *((-c, k, p) for c, k, p in zip(beta, ks, pts))])
     total = 0j
     dpow = 1.0 + 0j
@@ -143,6 +150,53 @@ def test_reused_row_matches_fresh_evaluation(family, z):
             want = mp(z, w)
             assert abs(got - want) <= MP_BOUND * max(1.0, abs(want))
         assert np.isfinite(got)
+
+
+@pytest.mark.parametrize("w", POINTS)
+@pytest.mark.parametrize("z", POINTS)
+def test_det_row_matches_fresh_evaluation(z, w):
+    # the determinant row is the kernel row's route with an LU fit: the
+    # same reference with `_lu_solve` for the solve, bit for bit
+    gs = build(SPACES["pw"], canonicalize(ZEROS))
+    got = gs.det_row(z)(w)
+    assert got == gs.sigma_kernel_det(z, w)
+    assert got == reference_sigma_kernel(gs, z, w, partial(gram._lu_solve, gs.rows))
+    assert np.isfinite(got)
+
+
+def test_one_shot_rows_prepare_the_span_once(monkeypatch):
+    """50 one-shot `sigma_kernel` calls, z and w off every disk, on PW x = 1 with a double zero.
+
+    Counters: `PaleyWiener._prepare` calls by (order, point), and
+    `PaleyWiener._at_order` calls. Each zero's evaluator (k_j, z_j) is
+    prepared once for the system, and each row prepares only its own term
+    (0, z); neither a row's fit column nor its quotient reads `_at_order`.
+    """
+    gs = build(PaleyWiener(1.0), canonicalize([1j, 1j, 2j, 1 + 1j]))
+    rng = np.random.default_rng(19)
+    pairs = [tuple(complex(*rng.uniform(-2, 2, 2)) for _ in range(2)) for _ in range(50)]
+    assert not any(gs.zeros.local_group(p) for pair in pairs for p in pair)
+    want = [gs.sigma_kernel(z, w) for z, w in pairs]
+
+    gs = build(PaleyWiener(1.0), canonicalize([1j, 1j, 2j, 1 + 1j]))
+    prepared, at_order = Counter(), Counter()
+    prepare, read = PaleyWiener._prepare, PaleyWiener._at_order
+
+    def counted_prepare(self, order, point):
+        prepared[order, point] += 1
+        return prepare(self, order, point)
+
+    def counted_at_order(self, e, terms):
+        at_order["calls"] += 1
+        return read(self, e, terms)
+
+    monkeypatch.setattr(PaleyWiener, "_prepare", counted_prepare)
+    monkeypatch.setattr(PaleyWiener, "_at_order", counted_at_order)
+    assert [gs.sigma_kernel(z, w) for z, w in pairs] == want
+    zs = gs.zeros
+    assert all(prepared[k, p] == 1 for p, k in zip(zs.points, zs.confluence))
+    assert sum(prepared.values()) == len(zs) + len(pairs)
+    assert at_order == Counter()
 
 
 @pytest.mark.parametrize("family", sorted(SPACES))
