@@ -48,13 +48,13 @@ The linear-solve route is the production path. The bordered-determinant
 route (`GramSystem.det_row`) is the cross-check: by the Schur complement,
 det [[G, col], [row, corner]] / det G = corner - row . G^-1 col, so it is
 the kernel row's own route (`GramSystem._row`) with its fit from one LU
-solve with partial pivoting, never from the Cholesky factor: the
-elimination of `determinant`, factored once per system (`_lu_factor`)
-and replayed on each row's column (`_lu_apply`), bit for bit as
-`_lu_solve` would eliminate [G | col]. Either way the row is a
-`Remainder`, defined on the zeros too. `determinant`, `bordered_det` and
-`GramSystem.det` serve `check_pw_example`'s bordered determinants. All of
-it is plain Python on rows of complex numbers; at n <= ~10 that is as
+solve with partial pivoting, never from the Cholesky factor: G factored
+once per system (`_lu_factor`) and the elimination replayed on each row's
+column (`_lu_apply`), bit for bit as `_lu_solve` would eliminate
+[G | col]. Either way the row is a `Remainder`, defined on the zeros too.
+`check_pw_example` takes its bordered determinants the same way, as Schur
+complements over the same LU fit, so no determinant is ever formed. All
+of it is plain Python on rows of complex numbers; at n <= ~10 that is as
 fast as array calls and needs no numpy.
 """
 
@@ -77,16 +77,18 @@ _JACOBI_SWEEPS = 50  # a cap only; Jacobi converges quadratically, in 5 sweeps a
 Rows = Sequence[Sequence[complex]]
 
 
-def _eliminate(m: list[list[complex]]) -> tuple[complex, list[tuple[int, list[complex]]]]:
-    """LU with partial pivoting, in place, on the square rows m: their det and the elimination's steps.
+def _lu_factor(rows: Rows) -> tuple[list[list[complex]], list[tuple[int, list[complex]]]]:
+    """LU with partial pivoting of the square rows: the upper triangle and the steps that made it.
 
-    Leaves m upper triangular. Step k is (the row swapped into row k, the
-    multipliers of the rows below it, in order), so `_lu_apply` can replay
-    the forward pass on a right-hand side as on a trailing column of m,
-    bit for bit. Stops at a zero pivot, with det 0.
+    Step k is (the row swapped into row k, the multipliers of the rows below
+    it, in order), so `_lu_apply` can replay the forward pass on a
+    right-hand side as on a trailing column of the rows, bit for bit. A zero
+    pivot (singular rows; a Gram matrix that passed `build` is positive
+    definite) raises ZeroDivisionError here, or in `_lu_apply` if it is
+    the last.
     """
+    m = [list(row) for row in rows]
     n = len(m)
-    det = 1.0 + 0j
     steps: list[tuple[int, list[complex]]] = []
     for k in range(n):
         piv, big = k, abs(m[k][k])
@@ -94,33 +96,17 @@ def _eliminate(m: list[list[complex]]) -> tuple[complex, list[tuple[int, list[co
             size = abs(m[i][k])
             if size > big:
                 piv, big = i, size
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
+        m[k], m[piv] = m[piv], m[k]
         top = m[k]
         pivot = top[k]
-        det *= pivot
         multipliers: list[complex] = []
         steps.append((piv, multipliers))
-        if not pivot:
-            return det, steps
         for row in m[k + 1:]:
             f = row[k] / pivot
             multipliers.append(f)
             for j in range(k + 1, n):
                 row[j] -= f * top[j]
-    return det, steps
-
-
-def determinant(rows: Rows) -> complex:
-    """det of a square matrix given by rows; LU with partial pivoting (1 for n = 0)."""
-    return _eliminate([list(row) for row in rows])[0]
-
-
-def _lu_factor(rows: Rows) -> tuple[list[list[complex]], list[tuple[int, list[complex]]]]:
-    """`determinant`'s elimination of the square rows: the upper triangle and the steps that made it."""
-    m = [list(row) for row in rows]
-    return m, _eliminate(m)[1]
+    return m, steps
 
 
 def _lu_apply(factor: tuple[Rows, Sequence[tuple[int, Sequence[complex]]]], rhs: Sequence[complex]) -> tuple[complex, ...]:
@@ -144,17 +130,8 @@ def _lu_apply(factor: tuple[Rows, Sequence[tuple[int, Sequence[complex]]]], rhs:
 
 
 def _lu_solve(rows: Rows, rhs: Sequence[complex]) -> tuple[complex, ...]:
-    """x with rows x = rhs: `determinant`'s elimination of rows, replayed on rhs, then back substitution."""
+    """x with rows x = rhs: `_lu_factor`'s elimination of rows, replayed on rhs, then back substitution."""
     return _lu_apply(_lu_factor(rows), rhs)
-
-
-def bordered_det(
-    a: Rows, col: Sequence[complex], row: Sequence[complex], corner: complex
-) -> complex:
-    """det [[a, col], [row, corner]] for a square a given by rows, bordered by a column and a row."""
-    m = [[*a_row, c] for a_row, c in zip(a, col)]
-    m.append([*row, corner])
-    return determinant(m)
 
 
 def hermitian_eigenvalues(rows: Rows) -> list[float]:
@@ -248,13 +225,12 @@ class GramSystem(FrozenRecord):
     zeros: ZeroSequence
     rows: tuple[tuple[complex, ...], ...]  # the Gram matrix by rows, exactly Hermitian
     factorization: tuple[tuple[complex, ...], ...]  # lower Cholesky factor L by rows, rows = L L^H
-    det: float  # det G by LU (`determinant`), for `check_pw_example`'s bordered determinants
     condition_estimate: float
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, space, zeros, rows, factorization, det, condition_estimate):
-        self._set(space, zeros, rows, factorization, det, condition_estimate)
+    def __init__(self, space, zeros, rows, factorization, condition_estimate):
+        self._set(space, zeros, rows, factorization, condition_estimate)
 
     @property
     def n(self) -> int:
@@ -306,7 +282,7 @@ class GramSystem(FrozenRecord):
 
     @cached_property
     def _lu(self) -> tuple[Rows, Sequence[tuple[int, Sequence[complex]]]]:
-        """`_lu_factor` of the Gram matrix, once per system, for every determinant row's fit."""
+        """`_lu_factor` of the Gram matrix, once per system, for every determinant row's and `check_pw_example`'s fit."""
         return _lu_factor(self.rows)
 
     def solve_beta(self, z: complex) -> tuple[complex, ...]:
@@ -558,10 +534,15 @@ class _Evaluators:
           `divisor`.
         * Otherwise the quotient is the residual over prod (w - z_i): the
           residual's plain order-0 math (the family's `_sum` of the weights
-          over f's prepared terms and the prepared span, f's orders checked
-          here), over `ZeroSequence.off_disk_product`, which tests the disks
-          in the same pass. A point in a disk takes `_disk_value`.
-          `divisor` divides it last.
+          over f's prepared terms and the prepared span), over
+          `ZeroSequence.off_disk_product`, which tests the disks in the same
+          pass. A point in a disk takes `_disk_value`. `divisor` divides it
+          last.
+
+        f's order 0 is not checked here: every caller solved `coeffs` from a
+        `column` of the same (e, terms), which checked each distinct order
+        k_i, 0 among them when n >= 1. At n = 0 that column checks nothing,
+        so an order-0 read of f is not refused.
 
         The result is a plain value function; `Remainder` range-checks it.
         """
@@ -571,7 +552,6 @@ class _Evaluators:
             if divisor is not None:
                 quotient = [c / divisor for c in quotient]
             return partial(_horner, quotient)
-        space._check_orders(e, terms, 0)
         rows = [(weight, space._prepare(k, p)) for weight, k, p in terms]
         rows += zip(map(neg, coeffs), self._prepared)
         at_order = space._sum(e, rows)
@@ -668,7 +648,7 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
         tuple(0.5 * (g[i][j] + g[j][i].conjugate()) for j in range(n)) for i in range(n)
     )
     if n == 0:
-        return GramSystem(space, zeros, rows, (), 1.0, 1.0)
+        return GramSystem(space, zeros, rows, (), 1.0)
 
     eig = hermitian_eigenvalues(rows)
     cond = spectral_condition(eig)
@@ -682,4 +662,4 @@ def build(space: StructureFunction, zeros: ZeroSequence) -> GramSystem:
         raise LinearDependenceError(
             f"Gram matrix {reason}; the evaluators are numerically linearly dependent", cond
         )
-    return GramSystem(space, zeros, rows, low, determinant(rows).real, cond)
+    return GramSystem(space, zeros, rows, low, cond)

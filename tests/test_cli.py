@@ -323,14 +323,17 @@ class TestExitCodes:
         assert not (tmp_path / "out.txt").exists()
 
     def test_overflow_in_a_checks_own_arithmetic_exit_four(self, tmp_path, capsys):
-        # every kernel and E value is finite; abs(ez) ** 2 of the bordered E determinant overflows
+        # every kernel and E value is finite (K(z, z) is 8.3e307); abs(s_E) ** 2 of the
+        # Schur complement of E, about 1.4e154, overflows
         path = write_config(
-            tmp_path, command="pw-example", space={"family": "paley-wiener", "x": 100.0},
-            eval_points=[[0.0, 2.0]],
+            tmp_path, command="pw-example", space={"family": "paley-wiener", "x": 177.6},
+            sigma=[[-2.0, 0.5]], eval_points=[[0.0, 2.0]],
         )
         assert main(["--config", str(path)]) == 4
         assert not (tmp_path / "out.txt").exists()
-        assert capsys.readouterr().err.startswith("range error: a pw-example value overflows: ")
+        err = capsys.readouterr().err
+        assert err.startswith("range error: a pw-example value overflows: ")
+        assert "Traceback" not in err
 
     def test_unwritable_output_in_process_exit_two(self, tmp_path, capsys):
         # --output names a directory

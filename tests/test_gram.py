@@ -35,13 +35,13 @@ class TestBuild:
     def test_single_zero(self, pw1):
         gs = build(pw1, canonicalize([1j]))
         assert np.array(gs.rows)[0, 0] == pytest.approx(math.sinh(2))
-        assert gs.det == pytest.approx(math.sinh(2))
+        assert gs.factorization[0][0] == pytest.approx(math.sqrt(math.sinh(2)))
         assert gs.condition_estimate == pytest.approx(1.0)
 
     def test_empty_sequence(self, pw1):
         gs = build(pw1, canonicalize([]))
         assert gs.n == 0
-        assert gs.det == 1.0
+        assert gs.rows == () and gs.factorization == ()
         assert gs.condition_estimate == 1.0
 
     def test_non_finite_entries_raise_range_error(self):
@@ -80,7 +80,7 @@ class TestBuild:
         assert herm_cond_entries(gs) == 0.0  # symmetrized on assembly
         eig = np.linalg.eigvalsh(np.array(gs.rows))
         assert eig[0] > 0
-        assert gs.det > 0
+        assert all(gs.factorization[i][i].real > 0 for i in range(gs.n))
 
     def test_polynomial_overdetermined_raises(self, hb1):
         with pytest.raises(LinearDependenceError):

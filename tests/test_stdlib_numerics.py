@@ -1,5 +1,5 @@
 """The plain-Python numerics pinned to a reference: sample stream (the standard
-library's `random.Random`), grid, eigenvalues, determinant, factor (numpy)."""
+library's `random.Random`), grid, eigenvalues, LU solve, factor (numpy)."""
 
 import builtins
 import math
@@ -10,7 +10,7 @@ import pytest
 
 from debranges import LinearDependenceError, PaleyWiener, build, canonicalize
 from debranges.cli import _linspace
-from debranges.gram import _cholesky, bordered_det, determinant, hermitian_eigenvalues, spectral_condition
+from debranges.gram import _cholesky, _lu_apply, _lu_solve, hermitian_eigenvalues, spectral_condition
 from debranges.kernels import StructureFunction
 from debranges.verify import DEFAULT_SIGMAS, DEFAULT_SPACES, _uniforms
 
@@ -112,6 +112,8 @@ class TestHermitianEigenvalues:
 
 
 class TestDeterminant:
+    """A bordered determinant over det a as `check_pw_example` takes it: corner - row . `_lu_solve`(a, col)."""
+
     @pytest.mark.parametrize("n", range(0, 6))
     def test_bordered_matches_numpy(self, n):
         rng = np.random.default_rng(40 + n)
@@ -119,26 +121,31 @@ class TestDeterminant:
         col = rng.normal(size=n) + 1j * rng.normal(size=n)
         row = rng.normal(size=n) + 1j * rng.normal(size=n)
         corner = complex(rng.normal(), rng.normal())
+        x = _lu_solve(a.tolist(), col.tolist())
+        assert x == pytest.approx(tuple(np.linalg.solve(a, col)), rel=1e-13)
         full = np.block([[a, col[:, None]], [row[None, :], np.array([[corner]])]])
-        got = bordered_det(a.tolist(), col.tolist(), row.tolist(), corner)
-        assert got == pytest.approx(complex(np.linalg.det(full)), rel=1e-13)
-        want = complex(np.linalg.det(a)) if n else 1.0
-        assert determinant(a.tolist()) == pytest.approx(want, rel=1e-13)
+        want = complex(np.linalg.det(full)) / complex(np.linalg.det(a))
+        assert corner - sum(r * c for r, c in zip(row.tolist(), x)) == pytest.approx(want, rel=1e-13)
 
     def test_row_swap(self):
-        # a zero leading entry forces a pivot swap; det [[0, 1], [1, 0]] = -1
-        assert determinant([[0j, 1 + 0j], [1 + 0j, 0j]]) == -1
+        # a zero leading entry forces a pivot swap
+        assert _lu_solve([[0j, 1 + 0j], [1 + 0j, 0j]], [2 + 0j, 3 + 0j]) == (3, 2)
         a = [[0j, 2 + 1j, 1j], [3 + 0j, 1 - 1j, 2 + 0j], [1j, 4 + 0j, -1 + 0j]]
-        assert determinant(a) == pytest.approx(complex(np.linalg.det(np.array(a))), rel=1e-14)
-        assert bordered_det([[0j]], [1 + 0j], [1 + 0j], 0j) == -1
+        b = [1 + 0j, 2j, -1 + 1j]
+        assert _lu_solve(a, b) == pytest.approx(tuple(np.linalg.solve(np.array(a), np.array(b))), rel=1e-14)
 
     def test_singular(self):
-        assert determinant([[1 + 0j, 2 + 0j], [2 + 0j, 4 + 0j]]) == 0
+        # a zero pivot raises; a Gram matrix that passed `build` is positive definite and has none
+        with pytest.raises(ZeroDivisionError):
+            _lu_solve([[1 + 0j, 2 + 0j], [2 + 0j, 4 + 0j]], [1 + 0j, 1 + 0j])
 
     def test_gram_route(self, pw1):
         gs = build(pw1, canonicalize([1j, 2j, 1 + 1j]))
-        assert determinant(gs.rows) == pytest.approx(gs.det, rel=1e-12)
-        assert gs.det == pytest.approx(float(np.linalg.det(np.array(gs.rows)).real), rel=1e-12)
+        rhs = [1 + 0j, -2j, 0.5 + 1j]
+        want = np.linalg.solve(np.array(gs.rows), np.array(rhs))
+        assert _lu_apply(gs._lu, rhs) == _lu_solve(gs.rows, rhs)
+        assert _lu_apply(gs._lu, rhs) == pytest.approx(tuple(want), rel=1e-12)
+        assert gs.solve(rhs) == pytest.approx(tuple(want), rel=1e-12)
 
 
 class _TableSpace(StructureFunction):
@@ -173,7 +180,7 @@ class TestCholeskyFailure:
     def test_table_space_factors(self):
         gs = build(_TableSpace([[2.0, 1.0], [1.0, 2.0]]), canonicalize([1j, 2j]))
         assert gs.condition_estimate == pytest.approx(3.0)
-        assert gs.det == pytest.approx(3.0)
+        assert gs.solve((3.0, 3.0)) == pytest.approx((1.0, 1.0))
         assert gs.factorization[0][0] == math.sqrt(2.0)
         assert np.array(gs.rows).shape == (2, 2)
 

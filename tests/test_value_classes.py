@@ -114,14 +114,15 @@ class TestGramSystem:
     def test_frozen_repr_and_pickle(self):
         gs = build(PaleyWiener(1.0), SIGMA)
         with pytest.raises(AttributeError, match="cannot assign"):
-            gs.det = 0.0
+            gs.condition_estimate = 0.0
         assert repr(gs).startswith(
             "GramSystem(space=PaleyWiener(x=1.0, max_derivative_order=64), "
             "zeros=ZeroSequence(points=(1j, 1j, 2j), confluence=(0, 1, 0)), rows=((")
-        assert repr(gs).endswith(f"det={gs.det!r}, condition_estimate={gs.condition_estimate!r})")
+        assert repr(gs).endswith(f"factorization={gs.factorization!r}, condition_estimate={gs.condition_estimate!r})")
         copy = pickle.loads(pickle.dumps(gs))
         assert isinstance(copy, GramSystem) and copy != gs
-        assert (copy.space, copy.zeros, copy.rows, copy.det) == (gs.space, gs.zeros, gs.rows, gs.det)
+        assert (copy.space, copy.zeros, copy.rows, copy.factorization, copy.condition_estimate) == (
+            gs.space, gs.zeros, gs.rows, gs.factorization, gs.condition_estimate)
         assert copy.solve((1.0, 0j, 0j)) == gs.solve((1.0, 0j, 0j))
 
 

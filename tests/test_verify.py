@@ -132,10 +132,20 @@ class TestPwExample:
         assert star.passed
 
     def test_a_tie_is_recorded_as_a_tie(self):
-        # on the imaginary axis every value is real, so both readings leave the same residual
-        star = next(r for r in check_pw_example(30.0, [1j], [4j]) if r.check_id == "pw-det-star")
-        assert star.note == "the readings tie: conjugated and unconjugated reading residuals are both 1.274e-16"
+        # on the imaginary axis every value is real, so both readings leave the same residual, here not 0
+        star = next(r for r in check_pw_example(1.0, [1j, 2j], [3j]) if r.check_id == "pw-det-star")
+        assert star.note == "the readings tie: conjugated and unconjugated reading residuals are both 3.775e-15"
         assert star.passed
+
+    def test_an_error_in_estar_fails_the_reflection_identity(self, monkeypatch):
+        # E* off by a relative 1e-4 must fail: whole determinants, which carry
+        # det G = 5.8e-4 here, read it as 3.0e-10 under _rel's floor of 1
+        eval_E_star = PaleyWiener.eval_E_star
+        monkeypatch.setattr(PaleyWiener, "eval_E_star", lambda self, z: eval_E_star(self, z) * (1 + 1e-4))
+        reports = check_pw_example(0.5, verify.PW_EXAMPLE_ZEROS, verify.PW_EXAMPLE_SAMPLES)
+        star = next(r for r in reports if r.check_id == "pw-det-star")
+        assert not star.passed
+        assert star.max_rel_residual > 1e-7
 
     @pytest.mark.parametrize("n, calls", [(1, 8), (2, 14), (3, 20)])
     def test_each_evaluator_row_built_once(self, monkeypatch, n, calls):
@@ -387,8 +397,8 @@ class TestSuitePool:
         def fail(*args, **kwargs):
             raise RangeError(f"forced in process {os.getpid()}")
 
-        # only check_pw_example calls bordered_det; the caller or a child may run it
-        monkeypatch.setattr(verify, "bordered_det", fail)
+        # only check_pw_example calls verify's _lu_apply; the caller or a child may run it
+        monkeypatch.setattr(verify, "_lu_apply", fail)
         with pytest.raises(RangeError) as caught:
             run_default_suite(0)
         assert type(caught.value) is RangeError
